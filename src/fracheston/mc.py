@@ -107,8 +107,14 @@ def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
 
     with left-endpoint time quadrature; at rho != 0 the driving process is
     the drift-corrected Z-tilde, at rho = 0 plain Z.  In the rough regime
-    nu enters through the positivity map.
+    nu enters through the positivity map.  Only the quantized fractional
+    scheme has a Z-tilde driver, so any other scheme at rho != 0 raises
+    ValueError rather than silently dropping the drift correction.
     """
+    if p.rho != 0.0 and scheme.kind is not SchemeKind.QUANTIZED_FRACTIONAL:
+        raise ValueError(f"Feynman-Kac at rho={p.rho} needs the drift-corrected "
+                         f"Z-tilde, which only {SchemeKind.QUANTIZED_FRACTIONAL.value} "
+                         f"provides; got {scheme.kind.value}")
     d = p.derived()
     c = d.c_exponent
     h = grid.h

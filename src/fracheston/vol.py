@@ -6,10 +6,19 @@ Euler scheme of the fractional convolution, the direct scheme of the rough
 Markovian) counterparts.  Positivity maps make the rough output usable as
 a variance.
 
-Both direct schemes are discrete convolutions of the Z path; the O(k^2)
-loop is the correctness baseline and the FFT path must agree with it to
-1e-12 before being trusted (it is checked in the test suite and available
-as method="fft", the default).
+At rho = 0 all four are one computation,
+
+    nu_0 = v0,   nu_k = v0 + local_k + sum_{j<k} w[k-j] Z_j,
+
+and differ only in the kernel w and the local term: the fractional Euler
+weights, the Marchaud weights, or the summed exponential-factor kernel of a
+quantized measure (with the singular and q . J terms in the rough case).
+The convolution runs through one row-blocked FFT engine.  The O(k^2) loop
+(method="direct") is its correctness baseline, and the per-atom factor
+recurrence (sim.simulate_factors[_rough] with nu_quantized[_rough]) is the
+oracle for the quantized schemes; the test suite holds both to 1e-12.  The
+only genuine recurrence left is the rho != 0 drift-corrected Z-tilde in
+sim, where nu feeds back into the drift of Z.
 """
 from __future__ import annotations
 
@@ -17,11 +26,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 
 from .params import ModelParams, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
 from .sim import TimeGrid
+
+# Rows transformed per FFT block: bounds the complex scratch (about 4 MB at
+# 1000 steps) whatever the batch size.
+_ROW_BLOCK = 256
 
 
 class PositivityMap(Enum):
@@ -43,19 +56,41 @@ def apply_positivity(nu_path: np.ndarray, pmap: PositivityMap) -> np.ndarray:
 
 
 def _causal_convolve(z: np.ndarray, w: np.ndarray, method: str) -> np.ndarray:
-    """(w * z)_k = sum_{j=0}^{k-1} w[k-j] z[j] for k = 1..len(w); z is the
-    step-left-endpoint slice, w[0] unused."""
+    """(w * z)_k = sum_{j=0}^{k-1} w[k-j] z[j] for k = 1..len(w)-1; z is the
+    step-left-endpoint slice, w[0] unused.
+
+    The FFT path transforms w once at a fast length >= 2*steps (no circular
+    wrap-around) and z in blocks of _ROW_BLOCK rows, so its scratch memory
+    does not grow with the batch.
+    """
     steps = len(w) - 1
     zk = z[..., :steps]
+    out = np.empty(zk.shape)
     if method == "direct":
-        out = np.empty(z.shape[:-1] + (steps,))
         for k in range(1, steps + 1):
             out[..., k - 1] = np.einsum("...j,j->...", zk[..., :k], w[k:0:-1])
         return out
-    full = fftconvolve(zk, np.broadcast_to(w[1:], zk.shape[:-1] + (steps,)),
-                       mode="full", axes=-1) if zk.ndim > 1 else \
-        fftconvolve(zk, w[1:], mode="full")
-    return full[..., :steps]
+    n = sfft.next_fast_len(2 * steps, real=True)
+    w_hat = sfft.rfft(w[1:], n)
+    rows = zk.reshape(-1, steps)
+    flat = out.reshape(-1, steps)
+    for a in range(0, len(rows), _ROW_BLOCK):
+        spec = sfft.rfft(rows[a:a + _ROW_BLOCK], n)
+        spec *= w_hat
+        flat[a:a + _ROW_BLOCK] = sfft.irfft(spec, n, overwrite_x=True)[:, :steps]
+    return out
+
+
+def _volterra_paths(z_path: np.ndarray, w: np.ndarray, v0: float,
+                    local=0.0, method: str = "fft") -> np.ndarray:
+    """nu_0 = v0, nu_k = v0 + local_k + (w * Z)_k for k = 1..steps; local is
+    broadcast against nu[..., 1:]."""
+    nu = np.empty(z_path.shape)
+    nu[..., 0] = v0
+    nu[..., 1:] = _causal_convolve(z_path, w, method)
+    nu[..., 1:] += local
+    nu[..., 1:] += v0
+    return nu
 
 
 def nu_fractional_euler(z_path: np.ndarray, alpha: float, grid: TimeGrid,
@@ -68,12 +103,8 @@ def nu_fractional_euler(z_path: np.ndarray, alpha: float, grid: TimeGrid,
         raise ValueError("fractional scheme requires alpha in (0, 1)")
     m = np.arange(grid.steps + 1, dtype=float)
     w = np.zeros(grid.steps + 1)
-    w[1:] = (m[1:] ** alpha - m[:-1] ** alpha) / gamma_fn(alpha + 1.0)
-    conv = _causal_convolve(z_path, w, method)
-    nu = np.empty(z_path.shape)
-    nu[..., 0] = v0
-    nu[..., 1:] = v0 + grid.h ** alpha * conv
-    return nu
+    w[1:] = grid.h ** alpha * (m[1:] ** alpha - m[:-1] ** alpha) / gamma_fn(alpha + 1.0)
+    return _volterra_paths(z_path, w, v0, method=method)
 
 
 def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
@@ -99,15 +130,10 @@ def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
     c = np.zeros(steps + 1)
     c[1:] = m[1:] ** (-delta) * (m[:-1] ** e - m[1:] ** e)
     pref = (alpha + 1.0) / ((alpha + 0.5) * gamma_fn(-alpha) * grid.h ** (alpha + 1.0))
-    conv = _causal_convolve(z_path, c, method)
-    cum = np.cumsum(c[1:])
-    zk = z_path[..., 1:]
-    t = grid.times[1:]
-    nu = np.empty(z_path.shape)
-    nu[..., 0] = v0
-    nu[..., 1:] = (v0 + zk * t ** (-alpha - 1.0) / gamma_fn(-alpha)
-                   + pref * (zk * cum - conv))
-    return nu
+    # the Z_k part of the sum is local: Z_k * pref * sum_{m<=k} c_m
+    local = z_path[..., 1:] * (grid.times[1:] ** (-alpha - 1.0) / gamma_fn(-alpha)
+                               + pref * np.cumsum(c[1:]))
+    return _volterra_paths(z_path, -pref * c, v0, local, method)
 
 
 def nu_quantized(v0: float, qm: QuantizedMeasure, factor_matrix: np.ndarray) -> np.ndarray:
@@ -117,53 +143,52 @@ def nu_quantized(v0: float, qm: QuantizedMeasure, factor_matrix: np.ndarray) -> 
     return v0 + factor_matrix @ qm.weights
 
 
+def _factor_kernel(qm: QuantizedMeasure, grid: TimeGrid) -> np.ndarray:
+    """Summed exponential-factor kernel of a quantized measure,
+
+    w[m] = sum_i q_i (1 - e^{-x_i h})/x_i * e^{-x_i h (m-1)},  m = 1..steps,
+
+    so that q . Y_k = (w * Z)_k for the exact exponential integrator
+    Y_{k+1} = e^{-x h} Y_k + Z_k (1 - e^{-x h})/x started at Y_0 = 0.
+    """
+    xh = qm.nodes * grid.h
+    gain = (1.0 - np.exp(-xh)) / qm.nodes
+    w = np.zeros(grid.steps + 1)
+    w[1:] = np.exp(-np.outer(np.arange(grid.steps), xh)) @ (qm.weights * gain)
+    return w
+
+
 def nu_quantized_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
                        grid: TimeGrid) -> np.ndarray:
-    """nu_quantized without materializing the factor matrix.
+    """Finite-atom fractional volatility nu = v0 + q . Y along Z path(s).
 
-    Keeps only the current factor state, so batches of many paths fit in
-    memory; identical numerics to simulate_factors + nu_quantized.
+    The factors are linear in Z, so q . Y is the causal convolution of Z
+    with the summed kernel of the measure: no factor state is kept and the
+    cost does not grow with the atom count.  Agrees with simulate_factors
+    + nu_quantized (the per-atom recurrence) up to rounding.
     """
     if qm.kind is not MeasureKind.MU:
         raise ValueError("nu_quantized_paths needs a fractional-kind measure")
-    x, q = qm.nodes, qm.weights
-    decay = np.exp(-x * grid.h)
-    gain = (1.0 - decay) / x
-    nu = np.empty(z_path.shape)
-    nu[..., 0] = v0
-    y = np.zeros(z_path.shape[:-1] + (len(x),))
-    for k in range(grid.steps):
-        y = y * decay + z_path[..., k, None] * gain
-        nu[..., k + 1] = v0 + y @ q
-    return nu
+    return _volterra_paths(z_path, _factor_kernel(qm, grid), v0)
 
 
 def nu_quantized_rough_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
                              grid: TimeGrid) -> np.ndarray:
-    """nu_quantized_rough without materializing the factor matrix.
+    """Finite-atom rough volatility along Z path(s).
 
-    Uses Y~_t = Z_t J_t - I_t with the I-integrator updated in place and
-    the deterministic weighted sum q . J precomputed per step.
+    With Y~_t = Z_t J_t - I_t, nu = v0 + Z_t (t^(-alpha-1)/Gamma(-alpha)
+    + q . J_t) - q . I_t: a local term in Z_t minus the same causal
+    convolution as nu_quantized_paths.  Agrees with simulate_factors_rough
+    + nu_quantized_rough (the per-atom recurrence) up to rounding.
     """
     if qm.kind is not MeasureKind.MU_TILDE:
         raise ValueError("nu_quantized_rough_paths needs a rough-kind measure")
     alpha = qm.alpha
-    x, q = qm.nodes, qm.weights
-    decay = np.exp(-x * grid.h)
-    gain = (1.0 - decay) / x
-    t = grid.times
-    sing = np.zeros_like(t)
-    sing[1:] = t[1:] ** (-alpha - 1.0) / gamma_fn(-alpha)
+    t = grid.times[1:]
     # q . J_t with J_t^x = (1 - exp(-t x))/x
-    qj = ((1.0 - np.exp(-np.outer(t, x))) / x) @ q
-    nu = np.empty(z_path.shape)
-    nu[..., 0] = v0
-    i_fac = np.zeros(z_path.shape[:-1] + (len(x),))
-    for k in range(grid.steps):
-        i_fac = i_fac * decay + z_path[..., k, None] * gain
-        zk = z_path[..., k + 1]
-        nu[..., k + 1] = v0 + zk * (sing[k + 1] + qj[k + 1]) - i_fac @ q
-    return nu
+    qj = ((1.0 - np.exp(-np.outer(t, qm.nodes))) / qm.nodes) @ qm.weights
+    local = z_path[..., 1:] * (t ** (-alpha - 1.0) / gamma_fn(-alpha) + qj)
+    return _volterra_paths(z_path, -_factor_kernel(qm, grid), v0, local)
 
 
 def nu_quantized_rough(v0: float, z_path: np.ndarray, qm: QuantizedMeasure,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fracheston.cli import main
+from fracheston.mc import BATCH_SIZE
 
 SMALL = {
     "alphas": [0.5, -0.75, 0],
@@ -102,6 +103,16 @@ def test_rerun_byte_identical(tmp_path, cfg_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert _run(cfg_path, out1, "simulate") == 0
     assert _run(cfg_path, out2, "simulate") == 0
+    assert _read_all(out1) == _read_all(out2)
+
+
+def test_value_byte_identical_across_threads(tmp_path, cfg_path):
+    # more paths than one batch, so the workers really split the work
+    paths = str(BATCH_SIZE + 52)
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    assert _run(cfg_path, out1, "value", "--paths", paths, "--threads", "1") == 0
+    assert _run(cfg_path, out2, "value", "--paths", paths, "--threads", "2") == 0
+    assert set(_read_all(out1)) == {"value.csv", "manifest.csv"}
     assert _read_all(out1) == _read_all(out2)
 
 

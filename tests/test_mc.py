@@ -8,7 +8,7 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, StrategySpec,
                         fk_gradient_ratio, mc_feynman_kac, mc_utility,
                         mc_value_rough, measure_for_atoms,
                         solve_riccati_finite)
-from fracheston.mc import McEstimate, _map_batches
+from fracheston.mc import BATCH_SIZE, McEstimate, _map_batches
 
 
 @pytest.fixture
@@ -39,6 +39,38 @@ def test_feynman_kac_thread_determinism(params, quant_scheme):
     four = mc_feynman_kac(params, quant_scheme, 3000, grid, 11, threads=4)
     assert one.mean == four.mean
     assert one.std_error == four.std_error
+
+
+def test_mc_value_rough_thread_determinism(rough_params):
+    qm = measure_for_atoms(16, rough_params.alpha, MeasureKind.MU_TILDE)
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    n = BATCH_SIZE + 952  # two batches
+    one = mc_value_rough(rough_params, qm, PositivityMap.ABSOLUTE, n, grid, 13,
+                         threads=1)
+    four = mc_value_rough(rough_params, qm, PositivityMap.ABSOLUTE, n, grid, 13,
+                          threads=4)
+    assert one.mean == four.mean
+    assert one.std_error == four.std_error
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.CLASSICAL, SchemeKind.FRACTIONAL_EULER,
+                                  SchemeKind.ROUGH_MARCHAUD,
+                                  SchemeKind.QUANTIZED_ROUGH])
+def test_feynman_kac_rejects_correlated_run_without_tilde_driver(kind):
+    # only the quantized fractional scheme has the drift-corrected Z-tilde;
+    # the others would silently drop the correction at rho != 0
+    alpha = {SchemeKind.CLASSICAL: 0.0, SchemeKind.FRACTIONAL_EULER: 0.75,
+             SchemeKind.ROUGH_MARCHAUD: -0.75, SchemeKind.QUANTIZED_ROUGH: -0.75}[kind]
+    qm = (measure_for_atoms(16, alpha, MeasureKind.MU_TILDE)
+          if kind is SchemeKind.QUANTIZED_ROUGH else None)
+    scheme = VolScheme(kind, qm=qm)
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    with pytest.raises(ValueError, match="Z-tilde"):
+        mc_feynman_kac(default_params(alpha=alpha, rho=-0.7), scheme, 100, grid, 3)
+    # the same scheme at rho = 0 still runs
+    est = mc_feynman_kac(default_params(alpha=alpha, v0=0.01), scheme, 100, grid, 3,
+                         pos_map=PositivityMap.ABSOLUTE)
+    assert math.isfinite(est.mean)
 
 
 def test_feynman_kac_bond_case(params, quant_scheme):

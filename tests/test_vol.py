@@ -7,6 +7,7 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         nu_quantized, nu_quantized_paths, nu_quantized_rough,
                         nu_quantized_rough_paths, nu_rough_marchaud,
                         simulate_cir, simulate_factors, simulate_factors_rough)
+from fracheston.vol import _ROW_BLOCK, _causal_convolve
 
 
 @pytest.fixture
@@ -89,6 +90,52 @@ def test_quantized_rough_paths_match_factor_matrix(z_batch):
     expected = nu_quantized_rough(0.1, z, qm, y, grid)
     fused = nu_quantized_rough_paths(0.1, qm, z, grid)
     assert np.allclose(fused, expected, rtol=1e-12, atol=1e-14)
+
+
+def _quantized_oracle(v0, qm, z, grid):
+    """Per-atom exponential-integrator recurrence, materialized."""
+    if qm.kind is MeasureKind.MU:
+        return nu_quantized(v0, qm, simulate_factors(qm, z, grid))
+    return nu_quantized_rough(v0, z, qm, simulate_factors_rough(qm, z, grid), grid)
+
+
+def _z_paths(params, h, rows):
+    grid = TimeGrid.from_horizon(1.0, h)
+    z = simulate_cir(params, grid, brownian_batch(37, range(rows), grid, 0.0).dBz)
+    return grid, z
+
+
+@pytest.mark.parametrize("shape", ["single", "ragged_batch", "10k_steps"])
+@pytest.mark.parametrize("level", [64, 128, 256])
+def test_quantized_paths_match_recurrence_oracle(params, level, shape):
+    # the convolution engine against the per-atom recurrence it replaced,
+    # at the benchmark's atom counts (70/142/286), on a 1-D path, a batch
+    # that is not a multiple of the FFT row block, and a long grid
+    if shape == "single":
+        grid, z = _z_paths(params, 0.005, 1)
+        z = z[0]
+    elif shape == "ragged_batch":
+        grid, z = _z_paths(params, 0.05, _ROW_BLOCK + 45)
+    else:
+        grid, z = _z_paths(params, 1e-4, 1)
+        z = z[0]
+    for alpha, kind, fused in ((0.75, MeasureKind.MU, nu_quantized_paths),
+                               (-0.75, MeasureKind.MU_TILDE, nu_quantized_rough_paths)):
+        qm = measure_for_atoms(level, alpha, kind)
+        assert qm.n_atoms == {64: 70, 128: 142, 256: 286}[level]
+        nu = fused(0.1, qm, z, grid)
+        assert nu.shape == z.shape
+        assert np.max(np.abs(nu - _quantized_oracle(0.1, qm, z, grid))) < 1e-12
+
+
+def test_fft_matches_direct_on_ragged_batch(params):
+    grid, z = _z_paths(params, 0.01, _ROW_BLOCK + 45)
+    w = np.zeros(grid.steps + 1)
+    w[1:] = np.linspace(1.0, 0.1, grid.steps) ** 3
+    fft = _causal_convolve(z, w, "fft")
+    direct = _causal_convolve(z, w, "direct")
+    assert fft.shape == direct.shape == (_ROW_BLOCK + 45, grid.steps)
+    assert np.max(np.abs(fft - direct)) < 1e-12
 
 
 def test_fractional_scheme_agrees_with_quantized(z_batch, params):
