@@ -16,13 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .mc import (_map_batches, convergence_study, mc_feynman_kac,
-                 mc_value_rough)
+from .mc import (convergence_study, map_paths, mc_feynman_kac, mc_value_rough,
+                 path_batch)
 from .params import ModelParams, Regime, merton_ratio
 from .quantize import MeasureKind, dyadic_chain, measure_for_atoms
 from .riccati import (RiccatiBlowUp, solve_riccati_finite, solve_riccati_limit,
                       solve_riccati_rough, value_function)
-from .sim import TimeGrid, brownian_batch, simulate_cir, simulate_stock, simulate_wealth
+# brownian_batch is not called here: perfbench/test_gates.py checks the
+# tracer's rebinding on fracheston.cli.brownian_batch
+from .sim import TimeGrid, brownian_batch, simulate_stock, simulate_wealth  # noqa: F401
 from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
 
 FMT = "%.17g"
@@ -77,9 +79,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     for alpha in cfg.alphas:
         for rho in cfg.rhos:
             p = cfg.model_params(alpha, rho)
-            bp = brownian_batch(cfg.seed, range(npaths), grid, rho)
-            z = simulate_cir(p, grid, bp.dBz)
-            nu = _scheme_for(p, cfg).nu_paths(p, z, grid)
+            bp, z, nu = path_batch(p, _scheme_for(p, cfg), grid, cfg.seed, 0,
+                                   npaths, pos_map=None)
             s = simulate_stock(apply_positivity(nu, _stock_map(p, cfg)),
                                grid, bp.dBs, p, s0=cfg.s0)
             header = ["t"]
@@ -96,9 +97,9 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
                                       float(np.mean(nu[i] < 0.0))))
         p0 = cfg.model_params(alpha, 0.0)
         if p0.regime is Regime.ROUGH:
-            bp = brownian_batch(cfg.seed, range(1), grid, 0.0)
-            z = simulate_cir(p0, grid, bp.dBz)
-            nu = _scheme_for(p0, cfg).nu_paths(p0, z, grid)[0]
+            _, _, nu = path_batch(p0, _scheme_for(p0, cfg), grid, cfg.seed, 0, 1,
+                                  pos_map=None)
+            nu = nu[0]
             name = f"posmap_a{_tag(alpha)}.csv"
             _write_csv(out_dir / name, ["t", "nu_raw", "nu_abs", "nu_exp"],
                        zip(grid.times, nu, np.abs(nu), np.exp(nu)))
@@ -124,21 +125,6 @@ def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
             qm.to_csv(out_dir / name)
             files.append(name)
     return files
-
-
-def _terminal_wealth(p: ModelParams, cfg: ScenarioConfig, grid: TimeGrid,
-                     threads: int) -> np.ndarray:
-    scheme = _scheme_for(p, cfg)
-    pmap = _stock_map(p, cfg)
-    pi_star = merton_ratio(p)
-
-    def batch(start, stop):
-        bp = brownian_batch(cfg.seed, range(start, stop), grid, p.rho)
-        z = simulate_cir(p, grid, bp.dBz)
-        nu = apply_positivity(scheme.nu_paths(p, z, grid), pmap)
-        return simulate_wealth(pi_star, nu, grid, bp.dBs, p)[..., -1]
-
-    return _map_batches(batch, cfg.n_paths, threads)
 
 
 def cmd_value(cfg: ScenarioConfig, out_dir: Path, threads: int,
@@ -195,18 +181,20 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
     summary = []
     for alpha in (0.0, 0.5, 0.95, -0.75, -0.55):
         p = cfg.model_params(alpha, 0.0)
+        scheme, pmap = _scheme_for(p, cfg), _stock_map(p, cfg)
         pi_star = merton_ratio(p)
-        bp = brownian_batch(cfg.seed, range(cfg.n_sample_paths), grid, 0.0)
-        z = simulate_cir(p, grid, bp.dBz)
-        nu = apply_positivity(_scheme_for(p, cfg).nu_paths(p, z, grid),
-                              _stock_map(p, cfg))
-        w = simulate_wealth(pi_star, nu, grid, bp.dBs, p)
+
+        def wealth(bp, z, nu):
+            return simulate_wealth(pi_star, nu, grid, bp.dBs, p)
+
+        w = wealth(*path_batch(p, scheme, grid, cfg.seed, 0, cfg.n_sample_paths, pmap))
         header = ["t", "pi_star"] + [f"w{i}" for i in range(cfg.n_sample_paths)]
         cols = [grid.times, np.full(grid.steps + 1, pi_star)] + list(w)
         name = f"wealth_a{_tag(alpha)}.csv"
         _write_csv(out_dir / name, header, zip(*cols))
         files.append(name)
-        wt = _terminal_wealth(p, cfg, grid, threads)
+        wt = map_paths(lambda bp, z, nu: wealth(bp, z, nu)[..., -1], p, scheme,
+                       grid, cfg.seed, cfg.n_paths, threads, pmap)
         summary.append((p.regime.value, alpha, pi_star, p.w0,
                         math.fsum(wt) / len(wt),
                         float(np.var(wt, ddof=1)), len(wt)))
@@ -225,17 +213,13 @@ def cmd_longterm(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
     rows = []
     for alpha in (0.75, -0.75):
         p = cfg.model_params(alpha, 0.0).with_(horizon=horizon)
-        scheme = _scheme_for(p, cfg)
-        pmap = _stock_map(p, cfg)
 
-        def batch(start, stop, p=p, scheme=scheme, pmap=pmap):
-            bp = brownian_batch(cfg.seed, range(start, stop), grid, 0.0)
-            z = simulate_cir(p, grid, bp.dBz)
-            nu = apply_positivity(scheme.nu_paths(p, z, grid), pmap)
+        def terminal(bp, z, nu):
             s = simulate_stock(nu, grid, bp.dBs, p, s0=cfg.s0)
             return np.stack([nu[..., -1], s[..., -1]], axis=-1)
 
-        term = _map_batches(batch, cfg.n_paths, threads)
+        term = map_paths(terminal, p, _scheme_for(p, cfg), grid, cfg.seed,
+                         cfg.n_paths, threads, _stock_map(p, cfg))
         for q in qs:
             rows.append((p.regime.value, alpha, horizon, q,
                          float(np.quantile(term[:, 0], q)),

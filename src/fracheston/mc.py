@@ -1,9 +1,11 @@
 """Monte Carlo engines and affine cross-validation.
 
-All estimators map over per-path Philox streams in fixed stream order and
-reduce with exact (fsum) summation, so results are bit-identical for any
-worker count.  Common random numbers (shared master seed) are used for
-every strategy or refinement-level comparison.
+Every estimator and CLI command simulates through path_batch (Brownian
+pair, then Z or the Feynman-Kac Z-tilde, nu, positivity map), mapped by
+map_paths over fixed batches of per-path Philox streams and reduced with
+exact (fsum) summation, so results are bit-identical for any worker
+count.  Common random numbers (shared master seed) are used for every
+strategy or refinement-level comparison.
 """
 from __future__ import annotations
 
@@ -14,13 +16,13 @@ from enum import Enum
 
 import numpy as np
 
+from .kernels import frac_kernel
 from .params import ModelParams, Regime, merton_ratio
-from .quantize import MeasureKind, QuantizedMeasure
-from .riccati import solve_riccati_finite, solve_riccati_rough, value_function
+from .quantize import QuantizedMeasure, approx_kernel
+from .riccati import solve_riccati_finite, value_function
 from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_tilde_z,
                   simulate_wealth)
-from .vol import (PositivityMap, SchemeKind, VolScheme, apply_positivity,
-                  nu_quantized_rough_paths)
+from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
 
 BATCH_SIZE = 2048
 
@@ -85,17 +87,42 @@ def _map_batches(batch_fn, n_paths: int, threads: int = 1,
     return np.concatenate(parts)
 
 
-def _integrand_paths(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
-                     master_seed: int, start: int, stop: int,
-                     pos_map: PositivityMap = PositivityMap.IDENTITY):
-    """(nu paths after positivity map, Brownian pair, raw nu) for one batch."""
+def path_batch(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
+               master_seed: int, start: int, stop: int,
+               pos_map: PositivityMap | None = PositivityMap.IDENTITY,
+               tilde: bool = False) -> tuple:
+    """(Brownian pair, Z, nu) for paths start..stop, nu after pos_map (raw
+    with pos_map=None).  tilde=True asks for the drift-corrected Z-tilde of
+    the Feynman-Kac measure, which only the quantized fractional scheme
+    provides (others raise ValueError at rho != 0); at rho = 0 it is Z.
+    """
+    tilde = tilde and p.rho != 0.0
+    if tilde and scheme.kind is not SchemeKind.QUANTIZED_FRACTIONAL:
+        raise ValueError(f"rho={p.rho} needs the drift-corrected Z-tilde, which only "
+                         f"{SchemeKind.QUANTIZED_FRACTIONAL.value} provides; "
+                         f"got {scheme.kind.value}")
     bp = brownian_batch(master_seed, range(start, stop), grid, p.rho)
-    if p.rho != 0.0 and scheme.kind is SchemeKind.QUANTIZED_FRACTIONAL:
+    if tilde:
         z, nu = simulate_tilde_z(p, scheme.qm, grid, bp.dBz)
     else:
         z = simulate_cir(p, grid, bp.dBz)
         nu = scheme.nu_paths(p, z, grid)
-    return apply_positivity(nu, pos_map), bp, z
+    if pos_map is not None:
+        nu = apply_positivity(nu, pos_map)
+    return bp, z, nu
+
+
+def map_paths(integrand, p: ModelParams, scheme: VolScheme, grid: TimeGrid,
+              master_seed: int, n_paths: int, threads: int = 1,
+              pos_map: PositivityMap | None = PositivityMap.IDENTITY,
+              tilde: bool = False) -> np.ndarray:
+    """integrand(*path_batch) over fixed BATCH_SIZE batches of paths
+    0..n_paths, concatenated in path order whatever the worker count."""
+    def batch(start, stop):
+        return integrand(*path_batch(p, scheme, grid, master_seed, start, stop,
+                                     pos_map, tilde))
+
+    return _map_batches(batch, n_paths, threads)
 
 
 def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
@@ -105,26 +132,21 @@ def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
 
     E[exp(int_0^T (gamma r / c + eta/c * nu_s) ds)]
 
-    with left-endpoint time quadrature; at rho != 0 the driving process is
-    the drift-corrected Z-tilde, at rho = 0 plain Z.  In the rough regime
-    nu enters through the positivity map.  Only the quantized fractional
-    scheme has a Z-tilde driver, so any other scheme at rho != 0 raises
-    ValueError rather than silently dropping the drift correction.
+    with left-endpoint time quadrature, driven by Z-tilde (Z at rho = 0;
+    path_batch rejects a scheme without that driver at rho != 0 rather
+    than silently dropping the drift correction).  In the rough regime nu
+    enters through the positivity map.
     """
-    if p.rho != 0.0 and scheme.kind is not SchemeKind.QUANTIZED_FRACTIONAL:
-        raise ValueError(f"Feynman-Kac at rho={p.rho} needs the drift-corrected "
-                         f"Z-tilde, which only {SchemeKind.QUANTIZED_FRACTIONAL.value} "
-                         f"provides; got {scheme.kind.value}")
     d = p.derived()
     c = d.c_exponent
     h = grid.h
 
-    def batch(start, stop):
-        nu, _, _ = _integrand_paths(p, scheme, grid, master_seed, start, stop, pos_map)
+    def integrand(bp, z, nu):
         integral = h * np.sum(nu[..., :-1], axis=-1)
         return np.exp(p.gamma * p.r / c * grid.horizon + d.eta / c * integral)
 
-    values = _map_batches(batch, n_paths, threads)
+    values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
+                       pos_map, tilde=True)
     return _reduce(values, master_seed, f"feynman_kac[{scheme.kind.value}]")
 
 
@@ -145,15 +167,16 @@ def _strategy_paths(p: ModelParams, strategy: StrategySpec, nu, z):
 def mc_utility(p: ModelParams, strategy: StrategySpec, scheme: VolScheme,
                pos_map: PositivityMap, n_paths: int, grid: TimeGrid,
                master_seed: int, threads: int = 1) -> McEstimate:
-    """Expected power utility (1/gamma) W_T^gamma of a strategy."""
+    """Expected power utility (1/gamma) W_T^gamma of a strategy, on the
+    physical Z at any rho."""
 
-    def batch(start, stop):
-        nu, bp, z = _integrand_paths(p, scheme, grid, master_seed, start, stop, pos_map)
+    def integrand(bp, z, nu):
         pis = _strategy_paths(p, strategy, nu, z)
         w = simulate_wealth(pis, nu, grid, bp.dBs, p)
         return w[..., -1] ** p.gamma / p.gamma
 
-    values = _map_batches(batch, n_paths, threads)
+    values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
+                       pos_map)
     return _reduce(values, master_seed,
                    f"utility[{strategy.kind.value},{scheme.kind.value}]")
 
@@ -161,24 +184,21 @@ def mc_utility(p: ModelParams, strategy: StrategySpec, scheme: VolScheme,
 def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
                    pos_map: PositivityMap, n_paths: int, grid: TimeGrid,
                    master_seed: int, threads: int = 1) -> McEstimate:
-    """Rough-regime value (1/gamma) w0^gamma E[exp(int (gamma r + eta a(nu)) ds)]."""
+    """Rough-regime value (1/gamma) w0^gamma E[exp(int (gamma r + eta a(nu)) ds)]
+    on the quantized rough scheme (which rejects a measure not of mu_tilde kind)."""
     if p.rho != 0.0:
         raise ValueError("the rough value estimator is defined for rho = 0")
-    if qm_tilde.kind is not MeasureKind.MU_TILDE:
-        raise ValueError("mc_value_rough needs a mu_tilde-kind measure")
+    scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm_tilde)
     eta = p.derived().eta
     h = grid.h
     wfac = p.w0 ** p.gamma / p.gamma
 
-    def batch(start, stop):
-        bp = brownian_batch(master_seed, range(start, stop), grid, p.rho)
-        z = simulate_cir(p, grid, bp.dBz)
-        nu = nu_quantized_rough_paths(p.v0, qm_tilde, z, grid)
-        a_nu = apply_positivity(nu, pos_map)
-        integral = h * np.sum(a_nu[..., :-1], axis=-1)
+    def integrand(bp, z, nu):
+        integral = h * np.sum(nu[..., :-1], axis=-1)
         return wfac * np.exp(p.gamma * p.r * grid.horizon + eta * integral)
 
-    values = _map_batches(batch, n_paths, threads)
+    values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
+                       pos_map)
     return _reduce(values, master_seed, f"rough_value[{pos_map.value}]")
 
 
@@ -219,15 +239,11 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
     next level, the Monte Carlo utility of the Merton strategy, and the
     near-optimality certificate (value gap + quantized-vs-direct MC gap).
     """
-    from .kernels import frac_kernel
-    from .quantize import approx_kernel
-    from .vol import nu_quantized_paths
-
     if p.regime is not Regime.FRACTIONAL:
         raise ValueError("the convergence study runs in the fractional regime")
-    bp = brownian_batch(master_seed, range(n_monotone_paths), grid, p.rho)
-    z = simulate_cir(p, grid, bp.dBz)
-    nus = [nu_quantized_paths(p.v0, qm, z, grid) for qm in qms]
+    schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm) for qm in qms]
+    nus = [path_batch(p, s, grid, master_seed, 0, n_monotone_paths, pos_map=None)[2]
+           for s in schemes]
     strat = StrategySpec.merton()
     euler_util = mc_utility(p, strat, VolScheme(SchemeKind.FRACTIONAL_EULER),
                             PositivityMap.IDENTITY, n_paths, grid, master_seed,
@@ -242,8 +258,8 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
         else:
             violations = 0
             value_gap = math.nan
-        util = mc_utility(p, strat, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm),
-                          PositivityMap.IDENTITY, n_paths, grid, master_seed, threads)
+        util = mc_utility(p, strat, schemes[i], PositivityMap.IDENTITY, n_paths,
+                          grid, master_seed, threads)
         eps = (value_gap if math.isfinite(value_gap) else 0.0) \
             + abs(util.mean - euler_util.mean)
         rows.append(ConvergenceRow(

@@ -7,9 +7,9 @@ finite-atom fractional, the fractional limit (power-law forcing, reducing
 to classical Heston at alpha = 0) and the rough finite-atom system whose
 forcing carries an integrable power singularity at the terminal tau.
 
-All solvers run classical RK4 in tau = T - t, detect blow-up of varphi
-(the affine ansatz may only exist up to a finite horizon) and return an
-immutable solution object on a tau grid.
+All solvers share one classical RK4 driver in tau = T - t, detect
+blow-up of varphi (the affine ansatz may only exist up to a finite
+horizon) and return an immutable solution object on a tau grid.
 """
 from __future__ import annotations
 
@@ -71,27 +71,12 @@ def psi_vector(tau: float, qm: QuantizedMeasure, eta: float) -> np.ndarray:
     return eta * qm.weights * (1.0 - np.exp(-qm.nodes * tau)) / qm.nodes
 
 
-def _rk4_system(forcing, p: ModelParams, horizon: float, ode_step: float,
-                extra_phi_big=None, tau_nodes: np.ndarray | None = None):
-    """Integrate varphi' = forcing(tau) - kappa*varphi + sigma^2/2 * varphi^2
-    and Phi' = gamma r + v0 eta + kappa theta (varphi + extra(tau)).
-
-    Returns (tau, varphi, Phi, blow_up).  Either a uniform step or explicit
-    tau_nodes may be supplied.
+def _rk4(dvarphi, dphi_big, tau_nodes: np.ndarray, varphi_of=lambda tau, v: v):
+    """Classical RK4 of v' = dvarphi(tau, v), Phi' = dphi_big(tau, v) from
+    v = Phi = 0 over the tau nodes; varphi = varphi_of(tau, v) (part of it
+    may be integrated in closed form).  Stops where varphi is non-finite or
+    exceeds BLOW_UP_THRESHOLD.  Returns (tau, varphi, Phi, blow_up).
     """
-    eta = p.derived().eta
-    kap, sig2 = p.kappa, p.sigma ** 2
-
-    def dvarphi(tau, v):
-        return forcing(tau) - kap * v + 0.5 * sig2 * v * v
-
-    def dphi_big(tau, v):
-        extra = extra_phi_big(tau) if extra_phi_big is not None else 0.0
-        return p.gamma * p.r + p.v0 * eta + kap * p.theta * (v + extra)
-
-    if tau_nodes is None:
-        n = max(1, round(horizon / ode_step))
-        tau_nodes = np.linspace(0.0, horizon, n + 1)
     taus = [0.0]
     vs = [0.0]
     pbs = [0.0]
@@ -110,13 +95,32 @@ def _rk4_system(forcing, p: ModelParams, horizon: float, ode_step: float,
         k4p = dphi_big(t1, v + dt * k3v)
         v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         pb = pb + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if not np.isfinite(v) or abs(v) > BLOW_UP_THRESHOLD:
+        varphi = varphi_of(t1, v)
+        if not np.isfinite(varphi) or abs(varphi) > BLOW_UP_THRESHOLD:
             blow_up = float(t1)
             break
         taus.append(float(t1))
-        vs.append(float(v))
+        vs.append(float(varphi))
         pbs.append(float(pb))
     return np.array(taus), np.array(vs), np.array(pbs), blow_up
+
+
+def _rk4_system(forcing, p: ModelParams, horizon: float, ode_step: float):
+    """Integrate varphi' = forcing(tau) - kappa*varphi + sigma^2/2 * varphi^2
+    and Phi' = gamma r + v0 eta + kappa theta varphi on a uniform tau grid;
+    returns (tau, varphi, Phi, blow_up).
+    """
+    eta = p.derived().eta
+    kap, sig2 = p.kappa, p.sigma ** 2
+
+    def dvarphi(tau, v):
+        return forcing(tau) - kap * v + 0.5 * sig2 * v * v
+
+    def dphi_big(tau, v):
+        return p.gamma * p.r + p.v0 * eta + kap * p.theta * v
+
+    n = max(1, round(horizon / ode_step))
+    return _rk4(dvarphi, dphi_big, np.linspace(0.0, horizon, n + 1))
 
 
 def solve_riccati_finite(qm: QuantizedMeasure, p: ModelParams,
@@ -229,34 +233,10 @@ def solve_riccati_rough(qm_tilde: QuantizedMeasure, p: ModelParams,
         return (p.gamma * p.r + p.v0 * eta
                 + kap * p.theta * (vs + psing(tau) + eta * h_of_tau(tau)))
 
-    nodes = _rough_tau_nodes(horizon, ode_step, graded_substeps)
-    taus = [0.0]
-    vs_list = [0.0]
-    pbs = [0.0]
-    vs, pb = 0.0, 0.0
-    blow = None
-    for i in range(len(nodes) - 1):
-        t0, t1 = nodes[i], nodes[i + 1]
-        dt = t1 - t0
-        k1v = dsmooth(t0, vs)
-        k1p = dphi_big(t0, vs)
-        k2v = dsmooth(t0 + dt / 2, vs + dt / 2 * k1v)
-        k2p = dphi_big(t0 + dt / 2, vs + dt / 2 * k1v)
-        k3v = dsmooth(t0 + dt / 2, vs + dt / 2 * k2v)
-        k3p = dphi_big(t0 + dt / 2, vs + dt / 2 * k2v)
-        k4v = dsmooth(t1, vs + dt * k3v)
-        k4p = dphi_big(t1, vs + dt * k3v)
-        vs = vs + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        pb = pb + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        v_full = vs + psing(t1)
-        if not np.isfinite(v_full) or abs(v_full) > BLOW_UP_THRESHOLD:
-            blow = float(t1)
-            break
-        taus.append(float(t1))
-        vs_list.append(float(v_full))
-        pbs.append(float(pb))
-    return RiccatiSolution(tau_grid=np.array(taus), varphi=np.array(vs_list),
-                           phi_big=np.array(pbs), regime=Regime.ROUGH,
+    tau, v, pb, blow = _rk4(dsmooth, dphi_big,
+                            _rough_tau_nodes(horizon, ode_step, graded_substeps),
+                            lambda tau, vs: vs + psing(tau))
+    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, regime=Regime.ROUGH,
                            qm=qm_tilde, blow_up=blow)
 
 
@@ -355,29 +335,3 @@ def optimal_strategy(p: ModelParams, z: float | None = None,
     d = p.derived()
     return base + d.c_exponent * p.sigma * p.gamma / (1.0 - p.gamma) \
         * math.sqrt(z / nu) * grad_ratio
-
-
-def epsilon_diagnostic(level: int, p: ModelParams, mc_budget: int,
-                       grid, master_seed: int = 20240801) -> float:
-    """Certificate for the near-optimality of the level-n strategy.
-
-    Sum of (a) the Riccati value gap between the level and the next dyadic
-    refinement and (b) the common-random-number gap between the Monte Carlo
-    utility of the Merton strategy under the quantized volatility and under
-    the direct fractional Euler volatility.
-    """
-    from . import mc
-    from .quantize import measure_for_atoms
-    from .vol import SchemeKind, VolScheme, PositivityMap
-
-    qm = measure_for_atoms(level, p.alpha, MeasureKind.MU)
-    qm2 = qm.refined()
-    v1 = value_function(p, solve_riccati_finite(qm, p)).value
-    v2 = value_function(p, solve_riccati_finite(qm2, p)).value
-    gap_value = abs(v1 - v2)
-    strat = mc.StrategySpec.merton()
-    u_quant = mc.mc_utility(p, strat, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm),
-                            PositivityMap.IDENTITY, mc_budget, grid, master_seed)
-    u_euler = mc.mc_utility(p, strat, VolScheme(SchemeKind.FRACTIONAL_EULER),
-                            PositivityMap.IDENTITY, mc_budget, grid, master_seed)
-    return gap_value + abs(u_quant.mean - u_euler.mean)

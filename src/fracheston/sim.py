@@ -6,10 +6,14 @@ across runs and thread schedules.  The CIR process uses full-truncation
 Euler (reported values are clipped at zero); the exponential factor
 processes use exact exponential integrators, which are unconditionally
 stable for the stiff large-x atoms produced by quantization.
+
+simulate_tilde_z, the rho != 0 Feynman-Kac driver, is the one loop that
+carries factor state (nu feeds back into its drift); simulate_factors[_rough]
+are the test oracle of the quantized volatility schemes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,71 +85,53 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float) -> 
     return BrownianPair(dBz=dBz, dBs=dBs)
 
 
-def _cir_like_paths(p: ModelParams, grid: TimeGrid, dBz: np.ndarray,
-                    qm: QuantizedMeasure | None, drift_coef: float):
-    """Full-truncation Euler for Z (or the drift-corrected Z-tilde).
-
-    When qm is given, the fractional factor processes driven by the
-    simulated path are maintained alongside and enter the drift correction
-    through nu = v0 + q . Y.  With drift_coef == 0 the update is the exact
-    same floating-point expression as the plain CIR scheme, so the rho = 0
-    path is bit-identical to simulate_cir on shared increments.
-
-    Returns (z_clipped, nu) where nu = v0 + q . Y along the path (None
-    without qm).  Only the running factor state is kept, so large batches
-    stay memory-light.  Shapes: dBz.shape[:-1] + (steps+1,).
-    """
+def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
+    """CIR path(s) by full-truncation Euler; output is clipped at zero.
+    Shape: dBz.shape[:-1] + (steps+1,)."""
     h = grid.h
-    lead = dBz.shape[:-1]
-    z = np.empty(lead + (grid.steps + 1,))
+    z = np.empty(dBz.shape[:-1] + (grid.steps + 1,))
     z[..., 0] = p.z0
-    zk = np.full(lead, float(p.z0))
-    if qm is not None:
-        x = qm.nodes
-        q = qm.weights
-        decay = np.exp(-x * h)
-        gain = (1.0 - decay) / x
-        y = np.zeros(lead + (len(x),))
-        nu_out = np.empty(lead + (grid.steps + 1,))
-        nu_out[..., 0] = p.v0
-    else:
-        y = None
-        nu_out = None
-    sig = p.sigma
+    zk = np.full(dBz.shape[:-1], float(p.z0))
     for k in range(grid.steps):
         zp = np.maximum(zk, 0.0)
-        if qm is not None:
-            nu = p.v0 + y @ q
-            corr = drift_coef * np.sqrt(zp * np.maximum(nu, 0.0))
-        else:
-            corr = 0.0
-        zk = zk + (p.kappa * (p.theta - zp) + corr) * h + sig * np.sqrt(zp) * dBz[..., k]
-        if qm is not None:
-            y = y * decay + zp[..., None] * gain
-            nu_out[..., k + 1] = p.v0 + y @ q
+        zk = zk + p.kappa * (p.theta - zp) * h + p.sigma * np.sqrt(zp) * dBz[..., k]
         z[..., k + 1] = zk
-    return np.maximum(z, 0.0), nu_out
-
-
-def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
-    """CIR path(s) by full-truncation Euler; output is clipped at zero."""
-    z, _ = _cir_like_paths(p, grid, dBz, qm=None, drift_coef=0.0)
-    return z
+    return np.maximum(z, 0.0)
 
 
 def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
                      dBz: np.ndarray):
-    """Drift-corrected CIR (the Feynman-Kac driving process).
+    """Drift-corrected CIR (the Feynman-Kac driving process) by
+    full-truncation Euler.
 
     Returns (z, nu) where nu = v0 + q . Y is maintained concurrently from
-    the factors of the simulated path.  The correction
-    lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu) vanishes at rho = 0,
-    where the path coincides with simulate_cir bit for bit.
+    the exponential-integrator factors of the simulated path; only the
+    running factor state is kept, so large batches stay memory-light.
+    The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu) vanishes
+    at rho = 0, where the path coincides with simulate_cir bit for bit.
+    Shapes: dBz.shape[:-1] + (steps+1,).
     """
     if qm.kind is not MeasureKind.MU:
         raise ValueError("simulate_tilde_z needs a fractional-kind measure")
     coef = p.lam * p.gamma * p.sigma * p.rho / (1.0 - p.gamma)
-    return _cir_like_paths(p, grid, dBz, qm=qm, drift_coef=coef)
+    h = grid.h
+    lead = dBz.shape[:-1]
+    decay = np.exp(-qm.nodes * h)
+    gain = (1.0 - decay) / qm.nodes
+    y = np.zeros(lead + (qm.n_atoms,))
+    z = np.empty(lead + (grid.steps + 1,))
+    z[..., 0] = p.z0
+    nu = np.empty_like(z)
+    nu[..., 0] = p.v0
+    zk = np.full(lead, float(p.z0))
+    for k in range(grid.steps):
+        zp = np.maximum(zk, 0.0)
+        corr = coef * np.sqrt(zp * np.maximum(nu[..., k], 0.0))
+        zk = zk + (p.kappa * (p.theta - zp) + corr) * h + p.sigma * np.sqrt(zp) * dBz[..., k]
+        y = y * decay + zp[..., None] * gain
+        nu[..., k + 1] = p.v0 + y @ qm.weights
+        z[..., k + 1] = zk
+    return np.maximum(z, 0.0), nu
 
 
 def simulate_factors(qm: QuantizedMeasure, z_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -253,35 +239,3 @@ def sample_cir_exact(p: ModelParams, t: float, n: int,
     df = 4.0 * p.kappa * p.theta / p.sigma ** 2
     nc = p.z0 * np.exp(-p.kappa * t) / c
     return c * gen.noncentral_chisquare(df, nc, size=n)
-
-
-@dataclass
-class PathBundle:
-    """One path's time-gridded sample: Z, factors, nu, stock, wealth."""
-    grid: TimeGrid
-    z: np.ndarray
-    nu: np.ndarray
-    s: np.ndarray | None = None
-    w: np.ndarray | None = None
-    y_factors: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
-
-    def to_csv(self, path, include_factors: bool = False) -> None:
-        import csv
-        cols = ["t", "Z", "nu"]
-        data = [self.grid.times, self.z, self.nu]
-        if self.s is not None:
-            cols.append("S")
-            data.append(self.s)
-        if self.w is not None:
-            cols.append("W")
-            data.append(self.w)
-        if include_factors and self.y_factors is not None:
-            for i in range(self.y_factors.shape[-1]):
-                cols.append(f"Y{i}")
-                data.append(self.y_factors[..., i])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for k in range(self.grid.steps + 1):
-                w.writerow([f"{col[k]:.17g}" for col in data])

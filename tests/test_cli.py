@@ -142,3 +142,15 @@ def test_seed_override_changes_output(tmp_path, cfg_path):
     a = (out1 / "paths_a0.5_r0.csv").read_bytes()
     b = (out2 / "paths_a0.5_r0.csv").read_bytes()
     assert a != b
+
+
+def test_cli_binds_no_private_library_name():
+    # the CLI goes through the public API of the other modules only
+    import fracheston.cli as cli
+    leaked = sorted(
+        name for name, obj in vars(cli).items()
+        if not name.startswith("__")
+        and getattr(obj, "__module__", "").startswith("fracheston.")
+        and obj.__module__ != cli.__name__
+        and (name.startswith("_") or getattr(obj, "__name__", "").startswith("_")))
+    assert leaked == []

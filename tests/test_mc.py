@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from fracheston import (MeasureKind, PositivityMap, SchemeKind, StrategySpec,
-                        TimeGrid, VolScheme, convergence_study, default_params,
-                        fk_gradient_ratio, mc_feynman_kac, mc_utility,
-                        mc_value_rough, measure_for_atoms,
-                        solve_riccati_finite)
+                        TimeGrid, VolScheme, brownian_batch, convergence_study,
+                        default_params, fk_gradient_ratio, mc_feynman_kac,
+                        mc_utility, mc_value_rough, measure_for_atoms,
+                        merton_ratio, nu_quantized_paths, simulate_cir,
+                        simulate_wealth, solve_riccati_finite)
 from fracheston.mc import BATCH_SIZE, McEstimate, _map_batches
 
 
@@ -100,6 +101,24 @@ def test_utility_bond_case(params, quant_scheme):
     assert est.std_error == pytest.approx(0.0, abs=1e-16)
 
 
+def test_utility_drives_physical_z_at_nonzero_rho(quant_scheme):
+    # utilities live under the physical measure: at rho != 0 the quantized
+    # scheme must see plain Z, not the Feynman-Kac Z-tilde
+    p = default_params(rho=-0.7)
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    n = 300
+    est = mc_utility(p, StrategySpec.merton(), quant_scheme,
+                     PositivityMap.IDENTITY, n, grid, 17)
+    bp = brownian_batch(17, range(n), grid, p.rho)
+    z = simulate_cir(p, grid, bp.dBz)
+    nu = nu_quantized_paths(p.v0, quant_scheme.qm, z, grid)
+    u = simulate_wealth(merton_ratio(p), nu, grid, bp.dBs, p)[:, -1] ** p.gamma / p.gamma
+    mean = math.fsum(u) / n
+    se = math.sqrt(math.fsum((v - mean) ** 2 for v in u) / (n - 1) / n)
+    assert est.mean == mean
+    assert est.std_error == se
+
+
 def test_utility_strategy_specs(params, quant_scheme):
     grid = TimeGrid.from_horizon(1.0, 0.01)
     merton = mc_utility(params, StrategySpec.merton(), quant_scheme,
@@ -160,6 +179,11 @@ def test_convergence_study(params):
     kernel_errs = [r.kernel_error for r in rows]
     assert kernel_errs == sorted(kernel_errs, reverse=True)
     assert all(r.epsilon >= 0.0 for r in rows)
+    # the near-optimality certificate tightens with every refinement
+    assert all(a.epsilon > b.epsilon for a, b in zip(rows, rows[1:]))
     assert math.isnan(rows[-1].value_gap_to_next)
+    # without a risk premium every strategy holds the bond: no gap at all
+    bond = convergence_study(params.with_(lam=0.0), qms, 500, grid, 61)
+    assert all(r.epsilon == pytest.approx(0.0, abs=1e-18) for r in bond)
     with pytest.raises(ValueError):
         convergence_study(default_params(alpha=-0.75), qms, 100, grid, 61)

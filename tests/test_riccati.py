@@ -6,7 +6,7 @@ from scipy.integrate import simpson
 
 from fracheston import (MeasureKind, RiccatiBlowUp, TimeGrid, brownian_batch,
                         default_params, h_closed_form, history_term,
-                        measure_for_atoms, epsilon_diagnostic, optimal_strategy,
+                        measure_for_atoms, optimal_strategy,
                         psi, psi_vector, simulate_cir, simulate_factors,
                         solve_riccati_finite, solve_riccati_limit,
                         solve_riccati_rough, value_function, value_function_at_t)
@@ -287,17 +287,6 @@ def test_optimal_strategy(params):
         optimal_strategy(p7)
     corrected = optimal_strategy(p7, z=0.05, nu=0.05, grad_ratio=-0.01)
     assert corrected != pytest.approx(1.0 / 6.0)
-
-
-def test_epsilon_diagnostic(params):
-    grid = TimeGrid.from_horizon(1.0, 0.005)
-    eps16 = epsilon_diagnostic(16, params, 2000, grid, master_seed=55)
-    eps64 = epsilon_diagnostic(64, params, 2000, grid, master_seed=55)
-    assert eps16 >= 0.0 and eps64 >= 0.0
-    assert eps64 < eps16
-    p0 = params.with_(lam=0.0)
-    assert epsilon_diagnostic(16, p0, 500, grid, master_seed=55) == \
-        pytest.approx(0.0, abs=1e-18)
 
 
 def test_solution_csv(tmp_path, params):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracheston import (MeasureKind, PathBundle, RngSpec, TimeGrid,
+from fracheston import (MeasureKind, RngSpec, TimeGrid,
                         brownian_batch, brownian_pair, cov_cir,
                         measure_for_atoms, optimal_wealth_closed_form,
                         sample_cir_exact, simulate_cir, simulate_factors,
@@ -168,14 +168,3 @@ def test_stock_deterministic_when_flat(params, coarse_grid):
     nu = np.zeros(coarse_grid.steps + 1)
     s = simulate_stock(nu, coarse_grid, np.zeros(coarse_grid.steps), params)
     assert s[-1] == pytest.approx(100.0 * math.exp(params.r), rel=1e-12)
-
-
-def test_path_bundle_csv(tmp_path, params, coarse_grid):
-    bp = brownian_batch(2, range(1), coarse_grid, 0.0)
-    z = simulate_cir(params, coarse_grid, bp.dBz)[0]
-    pb = PathBundle(grid=coarse_grid, z=z, nu=z.copy())
-    out = tmp_path / "bundle.csv"
-    pb.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,Z,nu"
-    assert len(lines) == coarse_grid.steps + 2
