@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import simpson
 
 from fracheston import (MeasureKind, RiccatiBlowUp, TimeGrid, brownian_batch,
-                        default_params, h_closed_form, history_term,
-                        measure_for_atoms, optimal_strategy,
+                        convergence_study, default_params, h_closed_form,
+                        history_term, measure_for_atoms, optimal_strategy,
                         psi, psi_vector, simulate_cir, simulate_factors,
                         solve_riccati_finite, solve_riccati_limit,
                         solve_riccati_rough, value_function, value_function_at_t)
@@ -287,6 +287,22 @@ def test_optimal_strategy(params):
         optimal_strategy(p7)
     corrected = optimal_strategy(p7, z=0.05, nu=0.05, grad_ratio=-0.01)
     assert corrected != pytest.approx(1.0 / 6.0)
+
+
+def test_epsilon_diagnostic(params):
+    # the near-optimality certificate of a level is the epsilon column of a
+    # convergence study over that level and its dyadic refinement
+    grid = TimeGrid.from_horizon(1.0, 0.005)
+
+    def eps(level, p, n_paths):
+        qm = measure_for_atoms(level, p.alpha, MeasureKind.MU)
+        return convergence_study(p, [qm, qm.refined()], n_paths, grid, 55)[0].epsilon
+
+    eps16 = eps(16, params, 2000)
+    eps64 = eps(64, params, 2000)
+    assert eps16 >= 0.0 and eps64 >= 0.0
+    assert eps64 < eps16
+    assert eps(16, params.with_(lam=0.0), 500) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_solution_csv(tmp_path, params):
