@@ -5,26 +5,22 @@ measure quantization (finite-atom Markovian approximation), Riccati-based
 affine value functions, and Monte Carlo cross-validation.
 """
 from .config import ScenarioConfig, load_config
-from .kernels import cov_cir, cov_nu, frac_kernel, mu_density, mu_tilde_density
 from .mc import (McEstimate, StrategyKind, StrategySpec, convergence_study,
                  fk_gradient_ratio, map_paths, mc_feynman_kac, mc_utility,
-                 mc_value_rough, path_batch)
+                 mc_value_rough, optimal_strategy, path_batch)
 from .params import (DerivedConstants, ModelParams, Regime, default_params,
                      hurst_of_alpha, merton_ratio, regime_of_alpha)
 from .quantize import (MeasureKind, Partition, QuantizedMeasure, approx_kernel,
-                       cell_barycenter, cell_weight, dyadic_chain,
+                       cell_barycenter, cell_weight, dyadic_chain, frac_kernel,
                        make_partition, measure_for_atoms, quantize, refine)
 from .riccati import (AffineValue, RiccatiBlowUp, RiccatiSolution,
-                      h_closed_form, history_term, optimal_strategy, psi,
-                      psi_vector, solve_riccati_finite, solve_riccati_limit,
+                      h_closed_form, history_term, psi, psi_vector,
+                      solve_riccati_finite, solve_riccati_limit,
                       solve_riccati_rough, value_function, value_function_at_t)
 from .sim import (BrownianPair, RngSpec, TimeGrid, brownian_batch, brownian_pair,
-                  optimal_wealth_closed_form, sample_cir_exact, simulate_cir,
-                  simulate_factors, simulate_factors_rough, simulate_stock,
-                  simulate_tilde_z, simulate_wealth)
+                  simulate_cir, simulate_stock, simulate_tilde_z, simulate_wealth)
 from .vol import (PositivityMap, SchemeKind, VolScheme, apply_positivity,
-                  nu_fractional_euler, nu_quantized, nu_quantized_paths,
-                  nu_quantized_rough, nu_quantized_rough_paths,
-                  nu_rough_marchaud)
+                  nu_fractional_euler, nu_quantized_paths,
+                  nu_quantized_rough_paths, nu_rough_marchaud)
 
 __version__ = "0.1.0"

@@ -121,8 +121,10 @@ def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
         kind = MeasureKind.MU if p.regime is Regime.FRACTIONAL else MeasureKind.MU_TILDE
         for n in cfg.levels:
             qm = measure_for_atoms(n, alpha, kind)
+            pts = qm.source.points
             name = f"quantized_a{_tag(alpha)}_n{qm.n_atoms}.csv"
-            qm.to_csv(out_dir / name)
+            _write_csv(out_dir / name, ["index", "xi_lo", "xi_hi", "node", "weight"],
+                       zip(range(qm.n_atoms), pts[:-1], pts[1:], qm.nodes, qm.weights))
             files.append(name)
     return files
 

@@ -1,6 +1,8 @@
 """Scenario configuration: a versioned JSON document with fail-fast parsing.
 
-Unknown keys are rejected so a typo cannot silently fall back to a default.
+Unknown keys are rejected so a typo cannot silently fall back to a default,
+and every field is checked at load time, so a bad scenario fails before any
+file is written rather than halfway through a command.
 All numeric defaults mirror the experiment parameter set used throughout
 (sigma = 0.5 is a documented non-published default; the Feller condition
 2*6*0.05 = 0.6 >= 0.25 holds).
@@ -10,11 +12,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .params import ModelParams, hurst_of_alpha
+from .params import ModelParams, Regime, check_delta_window, hurst_of_alpha
+from .sim import TimeGrid
+from .vol import PositivityMap
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,6 @@ class ScenarioConfig:
     delta: float = 0.49
     n_paths: int = 1000
     n_sample_paths: int = 5
-    atoms: int = 64
     levels: tuple = (64, 128, 256)
     seed: int = 20240801
     out_dir: str = "out"
@@ -52,8 +55,20 @@ class ScenarioConfig:
             raise ValueError("step must be positive")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
+        if not self.levels:
+            raise ValueError("levels must not be empty")
+        if not (0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed={self.seed} outside [0, 2^64)")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        TimeGrid.from_horizon(self.horizon, self.step)
+        PositivityMap(self.positivity_map)
         for a in self.alphas:
-            self.model_params(a, 0.0)  # validates regime + Feller at load time
+            p = self.model_params(a, 0.0)  # regime and Feller
+            for rho in self.rhos:
+                self.model_params(a, rho)  # every (alpha, rho) cell a command builds
+            if p.regime is Regime.ROUGH:
+                check_delta_window(p.alpha, self.delta)
 
     def model_params(self, alpha: float, rho: float) -> ModelParams:
         """ModelParams for one (alpha, rho) cell; alpha in {-1, 0} selects

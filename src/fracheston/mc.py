@@ -16,9 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import frac_kernel
 from .params import ModelParams, Regime, merton_ratio
-from .quantize import QuantizedMeasure, approx_kernel
+from .quantize import QuantizedMeasure, approx_kernel, frac_kernel
 from .riccati import solve_riccati_finite, value_function
 from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_tilde_z,
                   simulate_wealth)
@@ -150,6 +149,27 @@ def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
     return _reduce(values, master_seed, f"feynman_kac[{scheme.kind.value}]")
 
 
+def optimal_strategy(p: ModelParams, z=None, nu=None, grad_ratio: float | None = None):
+    """Optimal risky fraction, elementwise in the states z and nu.
+
+    rho = 0: the constant Merton fraction lam/(1-gamma), independent of the
+    state.  rho != 0: Merton fraction plus the correlation correction
+    c sigma gamma/(1-gamma) sqrt(z/nu) * (g_z/g), with sqrt(z/nu) taken as
+    0 where nu <= 0 and the gradient ratio estimated externally (e.g.
+    fk_gradient_ratio).
+    """
+    base = merton_ratio(p)
+    if p.rho == 0.0:
+        return base
+    if grad_ratio is None or z is None or nu is None:
+        raise ValueError("rho != 0 needs z, nu and a g_z/g estimate")
+    d = p.derived()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(nu > 0, z / np.maximum(nu, 1e-300), 0.0)
+    return base + d.c_exponent * p.sigma * p.gamma / (1.0 - p.gamma) \
+        * np.sqrt(ratio) * grad_ratio
+
+
 def _strategy_paths(p: ModelParams, strategy: StrategySpec, nu, z):
     if strategy.kind is StrategyKind.CONSTANT:
         return strategy.pi
@@ -157,11 +177,7 @@ def _strategy_paths(p: ModelParams, strategy: StrategySpec, nu, z):
         return merton_ratio(p)
     if strategy.grad_ratio is None:
         raise ValueError("affine correction strategy needs a g_z/g estimate")
-    d = p.derived()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(nu[..., :-1] > 0, z[..., :-1] / np.maximum(nu[..., :-1], 1e-300), 0.0)
-    return merton_ratio(p) + d.c_exponent * p.sigma * p.gamma / (1.0 - p.gamma) \
-        * np.sqrt(ratio) * strategy.grad_ratio
+    return optimal_strategy(p, z[..., :-1], nu[..., :-1], strategy.grad_ratio)
 
 
 def mc_utility(p: ModelParams, strategy: StrategySpec, scheme: VolScheme,

@@ -29,6 +29,12 @@ def regime_of_alpha(alpha: float) -> Regime:
                      "and classical (0) ranges")
 
 
+def check_delta_window(alpha: float, delta: float) -> None:
+    """The Marchaud scheme at rough alpha needs delta in (alpha+1, 1/2)."""
+    if not (alpha + 1.0 < delta < 0.5):
+        raise ValueError(f"delta={delta} outside the window (alpha+1, 1/2)")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Market and preference constants of the stochastic-volatility market.

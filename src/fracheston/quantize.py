@@ -5,12 +5,12 @@ finitely many atoms sitting at cell barycenters and carrying the exact
 cell masses.  Both weights and barycenters have closed-form
 antiderivatives, so no quadrature is involved in building a measure.
 Nested refinement (log-midpoint insertion plus endpoint extension) gives
-the monotone-convergence chain used by the convergence diagnostics.
+the monotone-convergence chain used by the convergence diagnostics: the
+discrete Laplace transform approx_kernel of the fractional measure rises
+to the power kernel frac_kernel.
 """
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,15 +139,6 @@ class QuantizedMeasure:
         shrink = 4.0 ** (1.0 / _mass_exponent(self.alpha, self.kind))
         return quantize(refine(self.source, low_shrink=shrink), self.alpha, self.kind)
 
-    def to_csv(self, path) -> None:
-        pts = self.source.points
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "xi_lo", "xi_hi", "node", "weight"])
-            for i in range(self.n_atoms):
-                w.writerow([i, f"{pts[i]:.17g}", f"{pts[i + 1]:.17g}",
-                            f"{self.nodes[i]:.17g}", f"{self.weights[i]:.17g}"])
-
 
 def quantize(p: Partition, alpha: float, kind: MeasureKind = MeasureKind.MU) -> QuantizedMeasure:
     """Build the discrete measure carried by the partition's cells."""
@@ -159,6 +150,15 @@ def quantize(p: Partition, alpha: float, kind: MeasureKind = MeasureKind.MU) -> 
                         for lo, hi in zip(pts[:-1], pts[1:])])
     return QuantizedMeasure(kind=kind, alpha=alpha, nodes=nodes,
                             weights=weights, source=p)
+
+
+def frac_kernel(t: float, alpha: float) -> float:
+    """Fractional integration kernel t^(alpha-1)/Gamma(alpha), t > 0."""
+    if t <= 0:
+        raise ValueError("kernel is singular at t <= 0")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("fractional kernel requires alpha in (0, 1)")
+    return t ** (alpha - 1.0) / gamma_fn(alpha)
 
 
 def approx_kernel(t: float, qm: QuantizedMeasure) -> float:

@@ -13,13 +13,12 @@ horizon) and return an immutable solution object on a tau grid.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams, Regime, gamma_fn, merton_ratio
+from .params import ModelParams, Regime, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
 
 BLOW_UP_THRESHOLD = 1e6
@@ -51,13 +50,6 @@ class RiccatiSolution:
             raise ValueError(f"tau={tau} outside the solved range [0, {self.horizon}]")
         return (float(np.interp(tau, self.tau_grid, self.varphi)),
                 float(np.interp(tau, self.tau_grid, self.phi_big)))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau", "varphi", "phi_big"])
-            for tau, vp, pb in zip(self.tau_grid, self.varphi, self.phi_big):
-                w.writerow([f"{tau:.17g}", f"{vp:.17g}", f"{pb:.17g}"])
 
 
 def psi(tau: float, q: float, x: float, eta: float) -> float:
@@ -287,13 +279,12 @@ def value_function_at_t(p: ModelParams, sol: RiccatiSolution, qm: QuantizedMeasu
 
 
 def history_term(z_history: np.ndarray, t: float, horizon: float, alpha: float,
-                 eta: float, method: str = "closed_form") -> float:
+                 eta: float) -> float:
     """Exponent contribution of a realized Z history on [0, t].
 
     Closed form of the inner x-integral gives
         eta * int_0^t Z_u ((T-u)^alpha - (t-u)^alpha) / Gamma(alpha+1) du,
-    evaluated by trapezoid on the history grid.  method="quadrature" keeps
-    the double-integral form as an independent oracle.
+    evaluated by trapezoid on the history grid.
     """
     if t >= horizon:
         raise ValueError("history term requires t < horizon")
@@ -301,37 +292,5 @@ def history_term(z_history: np.ndarray, t: float, horizon: float, alpha: float,
         raise ValueError("history term is fractional-regime only")
     z_history = np.asarray(z_history, dtype=float)
     u = np.linspace(0.0, t, len(z_history))
-    if method == "closed_form":
-        inner = ((horizon - u) ** alpha - (t - u) ** alpha) / gamma_fn(alpha + 1.0)
-    elif method == "quadrature":
-        from scipy.integrate import quad
-        spa = math.sin(math.pi * alpha) / math.pi
-        inner = np.empty_like(u)
-        for i, ui in enumerate(u):
-            a, b = t - ui, horizon - ui
-            val, _ = quad(lambda x: (np.exp(-a * x) - np.exp(-b * x)) / x
-                          * spa * x ** (-alpha), 0.0, np.inf, limit=200)
-            inner[i] = val
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    inner = ((horizon - u) ** alpha - (t - u) ** alpha) / gamma_fn(alpha + 1.0)
     return eta * float(np.trapezoid(z_history * inner, u))
-
-
-def optimal_strategy(p: ModelParams, z: float | None = None,
-                     nu: float | None = None,
-                     grad_ratio: float | None = None) -> float:
-    """Optimal risky fraction.
-
-    rho = 0: the constant Merton fraction lam/(1-gamma), independent of the
-    state.  rho != 0: Merton fraction plus the correlation correction
-    c sigma gamma/(1-gamma) sqrt(z/nu) * (g_z/g), with the gradient ratio
-    estimated externally (e.g. mc.fk_gradient_ratio).
-    """
-    base = merton_ratio(p)
-    if p.rho == 0.0:
-        return base
-    if grad_ratio is None or z is None or nu is None:
-        raise ValueError("rho != 0 needs z, nu and a g_z/g estimate")
-    d = p.derived()
-    return base + d.c_exponent * p.sigma * p.gamma / (1.0 - p.gamma) \
-        * math.sqrt(z / nu) * grad_ratio

@@ -8,8 +8,7 @@ processes use exact exponential integrators, which are unconditionally
 stable for the stiff large-x atoms produced by quantization.
 
 simulate_tilde_z, the rho != 0 Feynman-Kac driver, is the one loop that
-carries factor state (nu feeds back into its drift); simulate_factors[_rough]
-are the test oracle of the quantized volatility schemes.
+carries factor state (nu feeds back into its drift).
 """
 from __future__ import annotations
 
@@ -134,48 +133,6 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
     return np.maximum(z, 0.0), nu
 
 
-def simulate_factors(qm: QuantizedMeasure, z_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Exponential-integrator factors Y^x for each atom of a fractional measure.
-
-    Y_{k+1} = exp(-x h) Y_k + Z_k (1 - exp(-x h))/x, exact for piecewise-
-    constant Z.  Output shape: z_path.shape[:-1] + (steps+1, n_atoms).
-    """
-    if qm.kind is not MeasureKind.MU:
-        raise ValueError("simulate_factors needs a fractional-kind measure")
-    return _exp_integrator(qm.nodes, z_path, grid)
-
-
-def _exp_integrator(x: np.ndarray, z_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    h = grid.h
-    decay = np.exp(-x * h)
-    gain = (1.0 - decay) / x
-    lead = z_path.shape[:-1]
-    out = np.zeros(lead + (grid.steps + 1, len(x)))
-    y = np.zeros(lead + (len(x),))
-    for k in range(grid.steps):
-        y = y * decay + z_path[..., k, None] * gain
-        out[..., k + 1, :] = y
-    return out
-
-
-def simulate_factors_rough(qm: QuantizedMeasure, z_path: np.ndarray,
-                           grid: TimeGrid) -> np.ndarray:
-    """Rough factors via the decomposition Y~_t = Z_t J_t - I_t.
-
-    I_t^x = int_0^t exp(-(t-s)x) Z_s ds is the fractional factor integrator;
-    J_t^x = (1 - exp(-t x))/x is deterministic.  This avoids discretizing
-    the Y~ SDE directly and reuses the exact exponential update.
-    """
-    if qm.kind is not MeasureKind.MU_TILDE:
-        raise ValueError("simulate_factors_rough needs a rough-kind measure")
-    x = qm.nodes
-    i_fac = _exp_integrator(x, z_path, grid)
-    t = grid.times
-    with np.errstate(invalid="ignore"):
-        j = np.where(t[:, None] > 0, (1.0 - np.exp(-np.outer(t, x))) / x, 0.0)
-    return z_path[..., None] * j - i_fac
-
-
 def simulate_stock(nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,
                    p: ModelParams, s0: float = 100.0) -> np.ndarray:
     """Log-Euler stock path: S_{k+1} = S_k exp((r + lam*nu - nu/2) h + sqrt(nu) dBs)."""
@@ -193,49 +150,14 @@ def simulate_wealth(pi, nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,
     """Wealth path under a strategy, in log space (exact lognormal solution
     with left-endpoint quadrature of the drift integral).
 
-    pi may be a scalar, an array of per-step fractions, or a callable
-    pi(t_k, nu_k) evaluated at the left endpoint of each step.
+    pi is a scalar or an array of per-step fractions, applied at the left
+    endpoint of each step.
     """
     if np.any(nu_path < 0):
         raise ValueError("wealth simulation needs a nonnegative volatility path")
     nu = nu_path[..., :-1]
-    if callable(pi):
-        t = grid.times[:-1]
-        pis = np.array([pi(t[k], nu[..., k]) for k in range(grid.steps)])
-        pis = np.moveaxis(pis, 0, -1)
-    else:
-        pis = np.broadcast_to(np.asarray(pi, dtype=float), nu.shape)
+    pis = np.broadcast_to(np.asarray(pi, dtype=float), nu.shape)
     log_incr = (p.r + pis * nu * (p.lam - 0.5 * pis)) * grid.h + pis * np.sqrt(nu) * dBs
     logs = np.concatenate([np.zeros(nu.shape[:-1] + (1,)),
                            np.cumsum(log_incr, axis=-1)], axis=-1)
     return p.w0 * np.exp(logs)
-
-
-def optimal_wealth_closed_form(nu_path: np.ndarray, grid: TimeGrid,
-                               dBs: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Closed-form optimal wealth under the Merton fraction lam/(1-gamma).
-
-    W_t = w0 exp(r t + int (lam^2/(1-gamma) - lam^2/(2(1-gamma)^2)) nu ds
-                 + int lam/(1-gamma) sqrt(nu) dBs),
-    with left-endpoint quadrature on the same grid and increments.
-    """
-    m = p.lam / (1.0 - p.gamma)
-    nu = nu_path[..., :-1]
-    drift = p.r + (p.lam ** 2 / (1.0 - p.gamma)
-                   - 0.5 * p.lam ** 2 / (1.0 - p.gamma) ** 2) * nu
-    log_incr = drift * grid.h + m * np.sqrt(nu) * dBs
-    logs = np.concatenate([np.zeros(nu.shape[:-1] + (1,)),
-                           np.cumsum(log_incr, axis=-1)], axis=-1)
-    return p.w0 * np.exp(logs)
-
-
-def sample_cir_exact(p: ModelParams, t: float, n: int,
-                     gen: np.random.Generator) -> np.ndarray:
-    """Exact CIR marginal via the noncentral chi-square transition.
-
-    Validation oracle for the Euler scheme; not used by the simulators.
-    """
-    c = p.sigma ** 2 * (1.0 - np.exp(-p.kappa * t)) / (4.0 * p.kappa)
-    df = 4.0 * p.kappa * p.theta / p.sigma ** 2
-    nc = p.z0 * np.exp(-p.kappa * t) / c
-    return c * gen.noncentral_chisquare(df, nc, size=n)

@@ -13,12 +13,11 @@ At rho = 0 all four are one computation,
 and differ only in the kernel w and the local term: the fractional Euler
 weights, the Marchaud weights, or the summed exponential-factor kernel of a
 quantized measure (with the singular and q . J terms in the rough case).
-The convolution runs through one row-blocked FFT engine.  The O(k^2) loop
-(method="direct") is its correctness baseline, and the per-atom factor
-recurrence (sim.simulate_factors[_rough] with nu_quantized[_rough]) is the
-oracle for the quantized schemes; the test suite holds both to 1e-12.  The
-only genuine recurrence left is the rho != 0 drift-corrected Z-tilde in
-sim, where nu feeds back into the drift of Z.
+The convolution runs through one row-blocked FFT engine; the test suite
+holds it to 1e-12 against the O(k^2) sums and the per-atom factor
+recurrence (tests/oracles.py).  The only genuine recurrence left is the
+rho != 0 drift-corrected Z-tilde in sim, where nu feeds back into the
+drift of Z.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from enum import Enum
 import numpy as np
 from scipy import fft as sfft
 
-from .params import ModelParams, gamma_fn
+from .params import ModelParams, check_delta_window, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
 from .sim import TimeGrid
 
@@ -55,21 +54,17 @@ def apply_positivity(nu_path: np.ndarray, pmap: PositivityMap) -> np.ndarray:
     return np.exp(nu_path)
 
 
-def _causal_convolve(z: np.ndarray, w: np.ndarray, method: str) -> np.ndarray:
+def _causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(w * z)_k = sum_{j=0}^{k-1} w[k-j] z[j] for k = 1..len(w)-1; z is the
     step-left-endpoint slice, w[0] unused.
 
-    The FFT path transforms w once at a fast length >= 2*steps (no circular
-    wrap-around) and z in blocks of _ROW_BLOCK rows, so its scratch memory
+    w is transformed once at a fast length >= 2*steps (no circular
+    wrap-around) and z in blocks of _ROW_BLOCK rows, so the scratch memory
     does not grow with the batch.
     """
     steps = len(w) - 1
     zk = z[..., :steps]
     out = np.empty(zk.shape)
-    if method == "direct":
-        for k in range(1, steps + 1):
-            out[..., k - 1] = np.einsum("...j,j->...", zk[..., :k], w[k:0:-1])
-        return out
     n = sfft.next_fast_len(2 * steps, real=True)
     w_hat = sfft.rfft(w[1:], n)
     rows = zk.reshape(-1, steps)
@@ -82,19 +77,19 @@ def _causal_convolve(z: np.ndarray, w: np.ndarray, method: str) -> np.ndarray:
 
 
 def _volterra_paths(z_path: np.ndarray, w: np.ndarray, v0: float,
-                    local=0.0, method: str = "fft") -> np.ndarray:
+                    local=0.0) -> np.ndarray:
     """nu_0 = v0, nu_k = v0 + local_k + (w * Z)_k for k = 1..steps; local is
     broadcast against nu[..., 1:]."""
     nu = np.empty(z_path.shape)
     nu[..., 0] = v0
-    nu[..., 1:] = _causal_convolve(z_path, w, method)
+    nu[..., 1:] = _causal_convolve(z_path, w)
     nu[..., 1:] += local
     nu[..., 1:] += v0
     return nu
 
 
 def nu_fractional_euler(z_path: np.ndarray, alpha: float, grid: TimeGrid,
-                        v0: float = 0.0, method: str = "fft") -> np.ndarray:
+                        v0: float = 0.0) -> np.ndarray:
     """Forward Euler scheme of the fractional volatility convolution.
 
     nu_k = v0 + h^alpha sum_{j<k} ((k-j)^alpha - (k-j-1)^alpha)/Gamma(alpha+1) Z_j.
@@ -104,12 +99,11 @@ def nu_fractional_euler(z_path: np.ndarray, alpha: float, grid: TimeGrid,
     m = np.arange(grid.steps + 1, dtype=float)
     w = np.zeros(grid.steps + 1)
     w[1:] = grid.h ** alpha * (m[1:] ** alpha - m[:-1] ** alpha) / gamma_fn(alpha + 1.0)
-    return _volterra_paths(z_path, w, v0, method=method)
+    return _volterra_paths(z_path, w, v0)
 
 
 def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
-                      v0: float = 0.0, delta: float = 0.49,
-                      method: str = "fft") -> np.ndarray:
+                      v0: float = 0.0, delta: float = 0.49) -> np.ndarray:
     """Forward Euler scheme of the rough (Marchaud) volatility.
 
     nu_k = v0 + Z_k t_k^(-alpha-1)/Gamma(-alpha)
@@ -121,8 +115,7 @@ def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
     """
     if not (-1.0 < alpha < -0.5):
         raise ValueError("rough scheme requires alpha in (-1, -1/2)")
-    if not (alpha + 1.0 < delta < 0.5):
-        raise ValueError(f"delta={delta} outside the window (alpha+1, 1/2)")
+    check_delta_window(alpha, delta)
     steps = grid.steps
     m = np.arange(steps + 1, dtype=float)
     # c_m = m^-delta * ((m-1)^(delta-alpha-1) - m^(delta-alpha-1)), c at m-1=0 is -m^(..)
@@ -133,14 +126,7 @@ def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
     # the Z_k part of the sum is local: Z_k * pref * sum_{m<=k} c_m
     local = z_path[..., 1:] * (grid.times[1:] ** (-alpha - 1.0) / gamma_fn(-alpha)
                                + pref * np.cumsum(c[1:]))
-    return _volterra_paths(z_path, -pref * c, v0, local, method)
-
-
-def nu_quantized(v0: float, qm: QuantizedMeasure, factor_matrix: np.ndarray) -> np.ndarray:
-    """Finite-atom fractional volatility: nu = v0 + sum_i q_i Y^{x_i}."""
-    if qm.kind is not MeasureKind.MU:
-        raise ValueError("nu_quantized needs a fractional-kind measure")
-    return v0 + factor_matrix @ qm.weights
+    return _volterra_paths(z_path, -pref * c, v0, local)
 
 
 def _factor_kernel(qm: QuantizedMeasure, grid: TimeGrid) -> np.ndarray:
@@ -164,8 +150,8 @@ def nu_quantized_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
 
     The factors are linear in Z, so q . Y is the causal convolution of Z
     with the summed kernel of the measure: no factor state is kept and the
-    cost does not grow with the atom count.  Agrees with simulate_factors
-    + nu_quantized (the per-atom recurrence) up to rounding.
+    cost does not grow with the atom count.  Agrees with the per-atom
+    factor recurrence up to rounding.
     """
     if qm.kind is not MeasureKind.MU:
         raise ValueError("nu_quantized_paths needs a fractional-kind measure")
@@ -178,8 +164,8 @@ def nu_quantized_rough_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray
 
     With Y~_t = Z_t J_t - I_t, nu = v0 + Z_t (t^(-alpha-1)/Gamma(-alpha)
     + q . J_t) - q . I_t: a local term in Z_t minus the same causal
-    convolution as nu_quantized_paths.  Agrees with simulate_factors_rough
-    + nu_quantized_rough (the per-atom recurrence) up to rounding.
+    convolution as nu_quantized_paths.  Agrees with the per-atom factor
+    recurrence up to rounding.
     """
     if qm.kind is not MeasureKind.MU_TILDE:
         raise ValueError("nu_quantized_rough_paths needs a rough-kind measure")
@@ -189,21 +175,6 @@ def nu_quantized_rough_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray
     qj = ((1.0 - np.exp(-np.outer(t, qm.nodes))) / qm.nodes) @ qm.weights
     local = z_path[..., 1:] * (t ** (-alpha - 1.0) / gamma_fn(-alpha) + qj)
     return _volterra_paths(z_path, -_factor_kernel(qm, grid), v0, local)
-
-
-def nu_quantized_rough(v0: float, z_path: np.ndarray, qm: QuantizedMeasure,
-                       rough_factor_matrix: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Finite-atom rough volatility:
-    nu = v0 + Z_t t^(-alpha-1)/Gamma(-alpha) + sum_i q~_i Y~^{x_i};
-    the t = 0 value is defined as v0.
-    """
-    if qm.kind is not MeasureKind.MU_TILDE:
-        raise ValueError("nu_quantized_rough needs a rough-kind measure")
-    alpha = qm.alpha
-    t = grid.times
-    sing = np.zeros_like(t)
-    sing[1:] = t[1:] ** (-alpha - 1.0) / gamma_fn(-alpha)
-    return v0 + z_path * sing + rough_factor_matrix @ qm.weights
 
 
 class SchemeKind(Enum):

@@ -1,0 +1,244 @@
+"""Reference implementations the test suite checks the library against.
+
+Each function restates a computation of the library, or a closed form it
+should agree with, in its plainest form: the per-atom exponential-factor
+recurrence behind the quantized volatility, the O(k^2) sums of the direct
+Euler schemes, the exact CIR law, the mixing densities, the CIR and
+volatility covariances, and a double-integral quadrature of the history
+term.  None of it is part of the library; the tests import it from here.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import roots_jacobi
+
+from fracheston import MeasureKind, ModelParams, QuantizedMeasure, Regime, TimeGrid
+from fracheston.params import gamma_fn
+
+# --- per-atom factor recurrence (oracle of nu_quantized[_rough]_paths) ---
+
+
+def _exp_integrator(x: np.ndarray, z_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    h = grid.h
+    decay = np.exp(-x * h)
+    gain = (1.0 - decay) / x
+    lead = z_path.shape[:-1]
+    out = np.zeros(lead + (grid.steps + 1, len(x)))
+    y = np.zeros(lead + (len(x),))
+    for k in range(grid.steps):
+        y = y * decay + z_path[..., k, None] * gain
+        out[..., k + 1, :] = y
+    return out
+
+
+def simulate_factors(qm: QuantizedMeasure, z_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Exponential-integrator factors Y^x for each atom of a fractional measure.
+
+    Y_{k+1} = exp(-x h) Y_k + Z_k (1 - exp(-x h))/x, exact for piecewise-
+    constant Z.  Output shape: z_path.shape[:-1] + (steps+1, n_atoms).
+    """
+    if qm.kind is not MeasureKind.MU:
+        raise ValueError("simulate_factors needs a fractional-kind measure")
+    return _exp_integrator(qm.nodes, z_path, grid)
+
+
+def simulate_factors_rough(qm: QuantizedMeasure, z_path: np.ndarray,
+                           grid: TimeGrid) -> np.ndarray:
+    """Rough factors via the decomposition Y~_t = Z_t J_t - I_t.
+
+    I_t^x = int_0^t exp(-(t-s)x) Z_s ds is the fractional factor integrator;
+    J_t^x = (1 - exp(-t x))/x is deterministic.
+    """
+    if qm.kind is not MeasureKind.MU_TILDE:
+        raise ValueError("simulate_factors_rough needs a rough-kind measure")
+    x = qm.nodes
+    i_fac = _exp_integrator(x, z_path, grid)
+    t = grid.times
+    with np.errstate(invalid="ignore"):
+        j = np.where(t[:, None] > 0, (1.0 - np.exp(-np.outer(t, x))) / x, 0.0)
+    return z_path[..., None] * j - i_fac
+
+
+def nu_quantized(v0: float, qm: QuantizedMeasure, factor_matrix: np.ndarray) -> np.ndarray:
+    """Finite-atom fractional volatility: nu = v0 + sum_i q_i Y^{x_i}."""
+    if qm.kind is not MeasureKind.MU:
+        raise ValueError("nu_quantized needs a fractional-kind measure")
+    return v0 + factor_matrix @ qm.weights
+
+
+def nu_quantized_rough(v0: float, z_path: np.ndarray, qm: QuantizedMeasure,
+                       rough_factor_matrix: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Finite-atom rough volatility:
+    nu = v0 + Z_t t^(-alpha-1)/Gamma(-alpha) + sum_i q~_i Y~^{x_i};
+    the t = 0 value is defined as v0.
+    """
+    if qm.kind is not MeasureKind.MU_TILDE:
+        raise ValueError("nu_quantized_rough needs a rough-kind measure")
+    alpha = qm.alpha
+    t = grid.times
+    sing = np.zeros_like(t)
+    sing[1:] = t[1:] ** (-alpha - 1.0) / gamma_fn(-alpha)
+    return v0 + z_path * sing + rough_factor_matrix @ qm.weights
+
+
+# --- O(k^2) sums (oracles of the FFT convolution engine) ---
+
+
+def direct_causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(w * z)_k = sum_{j=0}^{k-1} w[k-j] z[j] for k = 1..len(w)-1."""
+    steps = len(w) - 1
+    zk = z[..., :steps]
+    out = np.empty(zk.shape)
+    for k in range(1, steps + 1):
+        out[..., k - 1] = np.einsum("...j,j->...", zk[..., :k], w[k:0:-1])
+    return out
+
+
+def nu_fractional_euler_direct(z_path: np.ndarray, alpha: float, grid: TimeGrid,
+                               v0: float = 0.0) -> np.ndarray:
+    """nu_k = v0 + h^alpha sum_{j<k} ((k-j)^alpha - (k-j-1)^alpha)/Gamma(alpha+1) Z_j."""
+    nu = np.full(z_path.shape, float(v0))
+    for k in range(1, grid.steps + 1):
+        m = k - np.arange(k, dtype=float)  # k - j for j < k
+        w = grid.h ** alpha * (m ** alpha - (m - 1.0) ** alpha) / gamma_fn(alpha + 1.0)
+        nu[..., k] += z_path[..., :k] @ w
+    return nu
+
+
+def nu_rough_marchaud_direct(z_path: np.ndarray, alpha: float, grid: TimeGrid,
+                             v0: float = 0.0, delta: float = 0.49) -> np.ndarray:
+    """nu_k = v0 + Z_k t_k^(-alpha-1)/Gamma(-alpha)
+    + (alpha+1)/((alpha+0.5) Gamma(-alpha) h^(alpha+1))
+      * sum_{j<k} (Z_k - Z_j)/(k-j)^delta
+        * ((k-j-1)^(delta-alpha-1) - (k-j)^(delta-alpha-1)),  nu_0 = v0.
+    """
+    e = delta - alpha - 1.0
+    pref = (alpha + 1.0) / ((alpha + 0.5) * gamma_fn(-alpha) * grid.h ** (alpha + 1.0))
+    nu = np.full(z_path.shape, float(v0))
+    for k in range(1, grid.steps + 1):
+        m = k - np.arange(k, dtype=float)
+        c = m ** (-delta) * ((m - 1.0) ** e - m ** e)
+        diff = z_path[..., k, None] - z_path[..., :k]
+        nu[..., k] += (z_path[..., k] * grid.times[k] ** (-alpha - 1.0) / gamma_fn(-alpha)
+                       + pref * (diff @ c))
+    return nu
+
+
+# --- closed forms and exact laws ---
+
+
+def sample_cir_exact(p: ModelParams, t: float, n: int,
+                     gen: np.random.Generator) -> np.ndarray:
+    """Exact CIR marginal via the noncentral chi-square transition."""
+    c = p.sigma ** 2 * (1.0 - np.exp(-p.kappa * t)) / (4.0 * p.kappa)
+    df = 4.0 * p.kappa * p.theta / p.sigma ** 2
+    nc = p.z0 * np.exp(-p.kappa * t) / c
+    return c * gen.noncentral_chisquare(df, nc, size=n)
+
+
+def optimal_wealth_closed_form(nu_path: np.ndarray, grid: TimeGrid,
+                               dBs: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Closed-form optimal wealth under the Merton fraction lam/(1-gamma).
+
+    W_t = w0 exp(r t + int (lam^2/(1-gamma) - lam^2/(2(1-gamma)^2)) nu ds
+                 + int lam/(1-gamma) sqrt(nu) dBs),
+    with left-endpoint quadrature on the same grid and increments.
+    """
+    m = p.lam / (1.0 - p.gamma)
+    nu = nu_path[..., :-1]
+    drift = p.r + (p.lam ** 2 / (1.0 - p.gamma)
+                   - 0.5 * p.lam ** 2 / (1.0 - p.gamma) ** 2) * nu
+    log_incr = drift * grid.h + m * np.sqrt(nu) * dBs
+    logs = np.concatenate([np.zeros(nu.shape[:-1] + (1,)),
+                           np.cumsum(log_incr, axis=-1)], axis=-1)
+    return p.w0 * np.exp(logs)
+
+
+def mu_density(x: float, alpha: float) -> float:
+    """Density of the exponential mixing measure of the fractional kernel.
+
+    mu(dx) = dx / (x^alpha * Gamma(alpha) * Gamma(1-alpha)); by reflection
+    this equals sin(pi*alpha)/(pi * x^alpha).
+    """
+    if x <= 0:
+        raise ValueError("mu density requires x > 0")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("mu requires alpha in (0, 1)")
+    return 1.0 / (x ** alpha * gamma_fn(alpha) * gamma_fn(1.0 - alpha))
+
+
+def mu_tilde_density(x: float, alpha: float) -> float:
+    """Density of the rough mixing measure: x^(alpha+1)/(Gamma(-alpha)*Gamma(alpha+1))."""
+    if x <= 0:
+        raise ValueError("mu_tilde density requires x > 0")
+    if not (-1.0 < alpha < -0.5):
+        raise ValueError("mu_tilde requires alpha in (-1, -1/2)")
+    return x ** (alpha + 1.0) / (gamma_fn(-alpha) * gamma_fn(alpha + 1.0))
+
+
+def cov_cir(s: float, u: float, p: ModelParams) -> float:
+    """Closed-form covariance Cov(Z_s, Z_u) of the CIR process."""
+    if s < 0 or u < 0:
+        raise ValueError("times must be nonnegative")
+    k, th, z0, sig = p.kappa, p.theta, p.z0, p.sigma
+    return sig ** 2 * (th / (2 * k) * math.exp(-k * abs(s - u))
+                       + (z0 - th) / k * math.exp(-k * min(s, u))
+                       - (2 * z0 - th) / (2 * k) * math.exp(-k * (s + u)))
+
+
+def cov_nu(t: float, lag: float, p: ModelParams, quad_nodes: int = 60) -> float:
+    """Covariance Cov(nu_{t+lag}, nu_t) of the fractional volatility.
+
+    Double integral of (t-s)^(alpha-1) (t+lag-u)^(alpha-1) Cov(Z_s, Z_u)
+    over [0,t] x [0,t+lag], divided by Gamma(alpha)^2.  The integrable
+    power singularities at s -> t and u -> t+lag are absorbed into
+    Gauss-Jacobi weights (exponent alpha-1), so the quadrature sees only
+    the smooth covariance factor.
+    """
+    if p.regime is not Regime.FRACTIONAL:
+        raise ValueError("cov_nu is defined in the fractional regime only")
+    if lag < 0:
+        raise ValueError("lag must be nonnegative")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0.0:
+        return 0.0
+    alpha = p.alpha
+    xs, ws = roots_jacobi(quad_nodes, alpha - 1.0, 0.0)
+    # s-axis over [0, t]: s = t*(x+1)/2, (t-s)^(alpha-1) folded into weights
+    s_nodes = t * (xs + 1.0) / 2.0
+    s_scale = (t / 2.0) ** alpha
+    # u-axis over [0, t+lag]
+    tu = t + lag
+    u_nodes = tu * (xs + 1.0) / 2.0
+    u_scale = (tu / 2.0) ** alpha
+    S, U = np.meshgrid(s_nodes, u_nodes, indexing="ij")
+    k, th, z0, sig = p.kappa, p.theta, p.z0, p.sigma
+    cov = sig ** 2 * (th / (2 * k) * np.exp(-k * np.abs(S - U))
+                      + (z0 - th) / k * np.exp(-k * np.minimum(S, U))
+                      - (2 * z0 - th) / (2 * k) * np.exp(-k * (S + U)))
+    total = ws @ cov @ ws
+    return float(s_scale * u_scale * total / gamma_fn(alpha) ** 2)
+
+
+def history_term_quadrature(z_history: np.ndarray, t: float, horizon: float,
+                            alpha: float, eta: float) -> float:
+    """riccati.history_term with the inner x-integral left as a quadrature:
+
+        eta * int_0^t Z_u int_0^inf (e^{-(t-u)x} - e^{-(T-u)x})/x mu(dx) du,
+
+    the outer integral by trapezoid on the history grid.
+    """
+    z_history = np.asarray(z_history, dtype=float)
+    u = np.linspace(0.0, t, len(z_history))
+    spa = math.sin(math.pi * alpha) / math.pi
+    inner = np.empty_like(u)
+    for i, ui in enumerate(u):
+        a, b = t - ui, horizon - ui
+        val, _ = quad(lambda x: (np.exp(-a * x) - np.exp(-b * x)) / x
+                      * spa * x ** (-alpha), 0.0, np.inf, limit=200)
+        inner[i] = val
+    return eta * float(np.trapezoid(z_history * inner, u))

@@ -11,15 +11,16 @@ import time
 import numpy as np
 
 from fracheston import (MeasureKind, PositivityMap, SchemeKind, StrategySpec,
-                        TimeGrid, VolScheme, brownian_batch, cov_cir,
-                        default_params, dyadic_chain, approx_kernel,
-                        frac_kernel, mc_feynman_kac, mc_utility,
-                        mc_value_rough, measure_for_atoms, merton_ratio,
-                        nu_quantized_paths, nu_quantized_rough_paths,
-                        nu_rough_marchaud, psi, simulate_cir, simulate_factors,
-                        solve_riccati_finite, solve_riccati_limit,
-                        solve_riccati_rough, value_function)
+                        TimeGrid, VolScheme, brownian_batch, default_params,
+                        dyadic_chain, approx_kernel, frac_kernel,
+                        mc_feynman_kac, mc_utility, mc_value_rough,
+                        measure_for_atoms, merton_ratio, nu_quantized_paths,
+                        nu_quantized_rough_paths, nu_rough_marchaud, psi,
+                        simulate_cir, solve_riccati_finite,
+                        solve_riccati_limit, solve_riccati_rough,
+                        value_function)
 from fracheston.cli import main
+from oracles import cov_cir, simulate_factors
 
 SEED = 20240801
 
@@ -217,7 +218,7 @@ def test_criterion_09_solver_and_integrator_orders():
 def test_criterion_10_cli_determinism(tmp_path):
     cfg = {"alphas": [0.5, -0.75], "rhos": [0.0], "step": 0.02,
            "n_paths": 64, "n_sample_paths": 2, "levels": [8, 16],
-           "atoms": 8, "seed": 7}
+           "seed": 7}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     for command in ("simulate", "value"):

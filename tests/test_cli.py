@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fracheston import MeasureKind, measure_for_atoms
 from fracheston.cli import main
 from fracheston.mc import BATCH_SIZE
 
@@ -12,7 +13,6 @@ SMALL = {
     "n_paths": 64,
     "n_sample_paths": 2,
     "levels": [8, 16],
-    "atoms": 8,
     "seed": 7,
 }
 
@@ -52,6 +52,14 @@ def test_quantize_outputs(tmp_path, cfg_path):
     # one file per (non-classical alpha, level)
     assert any(n.startswith("quantized_a0.5_") for n in names)
     assert any(n.startswith("quantized_am0.75_") for n in names)
+    qm = measure_for_atoms(16, 0.5, MeasureKind.MU)
+    lines = (out / f"quantized_a0.5_n{qm.n_atoms}.csv").read_text().strip().splitlines()
+    assert lines[0] == "index,xi_lo,xi_hi,node,weight"
+    assert len(lines) == qm.n_atoms + 1
+    first = lines[1].split(",")
+    assert float(first[3]) == pytest.approx(qm.nodes[0])
+    # every CLI CSV, the manifest included, ends its lines with LF alone
+    assert not any(b"\r" in data for data in _read_all(out).values())
 
 
 def test_value_outputs(tmp_path, cfg_path):
@@ -133,6 +141,26 @@ def test_invalid_config_exit_code(tmp_path):
     bad.write_text(json.dumps({"sigma": 9.0}))
     assert main(["--config", str(bad), "--out", str(tmp_path / "o"),
                  "simulate"]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "value"])
+@pytest.mark.parametrize("change", [
+    {"rhos": [1.5]},
+    {"positivity_map": "foo"},
+    {"delta": 0.9},  # outside (alpha+1, 1/2) at alpha = -0.75
+    {"seed": -1},
+    {"levels": []},
+    {"step": 0.3},  # does not divide the horizon
+    {"threads": 0},
+    {"atoms": 8},  # removed in schema version 2
+    {"schema_version": 1},
+], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL, **change}))
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out", str(out), command]) == 2
+    assert not out.exists()
 
 
 def test_seed_override_changes_output(tmp_path, cfg_path):

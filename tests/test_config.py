@@ -35,7 +35,7 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_schema_version_enforced(tmp_path):
-    path = _write(tmp_path, {"schema_version": 2})
+    path = _write(tmp_path, {"schema_version": 1})
     with pytest.raises(ValueError, match="schema_version"):
         load_config(path)
 

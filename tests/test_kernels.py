@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracheston import (TimeGrid, brownian_batch, cov_cir, cov_nu,
-                        default_params, frac_kernel, mu_density,
-                        mu_tilde_density, nu_fractional_euler, simulate_cir)
+from fracheston import (TimeGrid, brownian_batch, frac_kernel,
+                        nu_fractional_euler, simulate_cir)
+from oracles import cov_cir, cov_nu, mu_density, mu_tilde_density
 
 
 def test_frac_kernel_values():

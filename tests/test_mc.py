@@ -132,6 +132,17 @@ def test_utility_strategy_specs(params, quant_scheme):
                    500, grid, 31)
 
 
+def test_affine_correction_is_merton_at_rho_zero(params, quant_scheme):
+    # at rho = 0 the optimal strategy is the Merton fraction whatever g_z/g
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    merton = mc_utility(params, StrategySpec.merton(), quant_scheme,
+                        PositivityMap.IDENTITY, 300, grid, 19)
+    affine = mc_utility(params, StrategySpec.affine_correction(0.3), quant_scheme,
+                        PositivityMap.IDENTITY, 300, grid, 19)
+    assert affine.mean == merton.mean
+    assert affine.std_error == merton.std_error
+
+
 def test_mc_value_rough_validation(rough_params):
     qm = measure_for_atoms(16, rough_params.alpha, MeasureKind.MU_TILDE)
     grid = TimeGrid.from_horizon(1.0, 0.01)

@@ -118,13 +118,3 @@ def test_approx_kernel_validation():
     with pytest.raises(ValueError):
         approx_kernel(0.0, qm)
 
-
-def test_to_csv(tmp_path):
-    qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
-    path = tmp_path / "qm.csv"
-    qm.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,xi_lo,xi_hi,node,weight"
-    assert len(lines) == qm.n_atoms + 1
-    first = lines[1].split(",")
-    assert float(first[3]) == pytest.approx(qm.nodes[0])

@@ -7,9 +7,10 @@ from scipy.integrate import simpson
 from fracheston import (MeasureKind, RiccatiBlowUp, TimeGrid, brownian_batch,
                         convergence_study, default_params, h_closed_form,
                         history_term, measure_for_atoms, optimal_strategy,
-                        psi, psi_vector, simulate_cir, simulate_factors,
-                        solve_riccati_finite, solve_riccati_limit,
-                        solve_riccati_rough, value_function, value_function_at_t)
+                        psi, psi_vector, simulate_cir, solve_riccati_finite,
+                        solve_riccati_limit, solve_riccati_rough,
+                        value_function, value_function_at_t)
+from oracles import history_term_quadrature, simulate_factors
 
 ETA = -1.0 / 12.0  # lam=0.5, gamma=-2
 
@@ -256,8 +257,7 @@ def test_history_term_closed_form_vs_quadrature(rng, params):
     for _ in range(3):
         z_hist = rng.uniform(0.01, 0.2, size=41)
         cf = history_term(z_hist, 0.5, 1.0, params.alpha, eta)
-        qd = history_term(z_hist, 0.5, 1.0, params.alpha, eta,
-                          method="quadrature")
+        qd = history_term_quadrature(z_hist, 0.5, 1.0, params.alpha, eta)
         assert cf == pytest.approx(qd, rel=1e-6)
 
 
@@ -304,12 +304,3 @@ def test_epsilon_diagnostic(params):
     assert eps64 < eps16
     assert eps(16, params.with_(lam=0.0), 500) == pytest.approx(0.0, abs=1e-18)
 
-
-def test_solution_csv(tmp_path, params):
-    qm = measure_for_atoms(16, params.alpha, MeasureKind.MU)
-    sol = solve_riccati_finite(qm, params, ode_step=0.05)
-    out = tmp_path / "sol.csv"
-    sol.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "tau,varphi,phi_big"
-    assert len(lines) == len(sol.tau_grid) + 1

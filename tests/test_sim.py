@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracheston import (MeasureKind, RngSpec, TimeGrid,
-                        brownian_batch, brownian_pair, cov_cir,
-                        measure_for_atoms, optimal_wealth_closed_form,
-                        sample_cir_exact, simulate_cir, simulate_factors,
-                        simulate_factors_rough, simulate_stock,
-                        simulate_tilde_z, simulate_wealth)
+                        brownian_batch, brownian_pair, measure_for_atoms,
+                        simulate_cir, simulate_stock, simulate_tilde_z,
+                        simulate_wealth)
+from oracles import (cov_cir, optimal_wealth_closed_form, sample_cir_exact,
+                     simulate_factors, simulate_factors_rough)
 
 
 def test_time_grid():
@@ -144,9 +144,7 @@ def test_wealth_strategy_forms_agree(params, coarse_grid):
     w_scalar = simulate_wealth(0.25, nu, coarse_grid, bp.dBs, params)
     w_array = simulate_wealth(np.full((3, coarse_grid.steps), 0.25), nu,
                               coarse_grid, bp.dBs, params)
-    w_callable = simulate_wealth(lambda t, n: 0.25, nu, coarse_grid, bp.dBs, params)
     assert np.allclose(w_scalar, w_array, rtol=1e-14)
-    assert np.allclose(w_scalar, w_callable, rtol=1e-14)
 
 
 def test_wealth_rejects_negative_volatility(params, coarse_grid):

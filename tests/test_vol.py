@@ -3,11 +3,13 @@ import pytest
 
 from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         VolScheme, apply_positivity, brownian_batch,
-                        default_params, measure_for_atoms, nu_fractional_euler,
-                        nu_quantized, nu_quantized_paths, nu_quantized_rough,
-                        nu_quantized_rough_paths, nu_rough_marchaud,
-                        simulate_cir, simulate_factors, simulate_factors_rough)
+                        measure_for_atoms, nu_fractional_euler,
+                        nu_quantized_paths, nu_quantized_rough_paths,
+                        nu_rough_marchaud, simulate_cir)
 from fracheston.vol import _ROW_BLOCK, _causal_convolve
+from oracles import (direct_causal_convolve, nu_fractional_euler_direct,
+                     nu_quantized, nu_quantized_rough, nu_rough_marchaud_direct,
+                     simulate_factors, simulate_factors_rough)
 
 
 @pytest.fixture
@@ -32,16 +34,16 @@ def test_positivity_maps():
 def test_fft_matches_direct_fractional(z_batch):
     grid, z = z_batch
     for alpha in (0.05, 0.5, 0.95):
-        fft = nu_fractional_euler(z, alpha, grid, method="fft")
-        direct = nu_fractional_euler(z, alpha, grid, method="direct")
+        fft = nu_fractional_euler(z, alpha, grid)
+        direct = nu_fractional_euler_direct(z, alpha, grid)
         assert np.max(np.abs(fft - direct)) < 1e-12
 
 
 def test_fft_matches_direct_rough(z_batch):
     grid, z = z_batch
     for alpha in (-0.95, -0.75, -0.55):
-        fft = nu_rough_marchaud(z, alpha, grid, method="fft")
-        direct = nu_rough_marchaud(z, alpha, grid, method="direct")
+        fft = nu_rough_marchaud(z, alpha, grid)
+        direct = nu_rough_marchaud_direct(z, alpha, grid)
         assert np.max(np.abs(fft - direct)) < 1e-12
 
 
@@ -132,8 +134,8 @@ def test_fft_matches_direct_on_ragged_batch(params):
     grid, z = _z_paths(params, 0.01, _ROW_BLOCK + 45)
     w = np.zeros(grid.steps + 1)
     w[1:] = np.linspace(1.0, 0.1, grid.steps) ** 3
-    fft = _causal_convolve(z, w, "fft")
-    direct = _causal_convolve(z, w, "direct")
+    fft = _causal_convolve(z, w)
+    direct = direct_causal_convolve(z, w)
     assert fft.shape == direct.shape == (_ROW_BLOCK + 45, grid.steps)
     assert np.max(np.abs(fft - direct)) < 1e-12
 
