@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracheston import (MeasureKind, approx_kernel, cell_barycenter,
-                        cell_weight, dyadic_chain, frac_kernel, make_partition,
-                        measure_for_atoms, quantize, refine)
+from fracheston import (MeasureKind, ScenarioConfig, approx_kernel,
+                        cell_barycenter, cell_weight, dyadic_chain, frac_kernel,
+                        make_partition, measure_for_atoms, quantize, refine)
+from fracheston.cli import cmd_quantize
 
 
 @given(lo=st.floats(1e-6, 10.0), width1=st.floats(1e-6, 10.0),
@@ -117,4 +118,17 @@ def test_approx_kernel_validation():
     qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
     with pytest.raises(ValueError):
         approx_kernel(0.0, qm)
+
+
+def test_to_csv(tmp_path):
+    # the quantize command writes one CSV per measure through the CLI writer
+    cfg = ScenarioConfig(alphas=(0.75,), levels=(16,))
+    qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
+    name = f"quantized_a0.75_n{qm.n_atoms}.csv"
+    assert cmd_quantize(cfg, tmp_path) == [name]
+    lines = (tmp_path / name).read_text().strip().splitlines()
+    assert lines[0] == "index,xi_lo,xi_hi,node,weight"
+    assert len(lines) == qm.n_atoms + 1
+    first = lines[1].split(",")
+    assert float(first[3]) == pytest.approx(qm.nodes[0])
 
