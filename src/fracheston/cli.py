@@ -181,7 +181,7 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     files = []
     summary = []
-    for alpha in (0.0, 0.5, 0.95, -0.75, -0.55):
+    for alpha in cfg.alphas:
         p = cfg.model_params(alpha, 0.0)
         scheme, pmap = _scheme_for(p, cfg), _stock_map(p, cfg)
         pi_star = merton_ratio(p)
@@ -208,13 +208,12 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
 
 
 def cmd_longterm(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
-    """Terminal nu and S quantiles for a long horizon, fractional vs rough."""
-    horizon = cfg.horizon if cfg.horizon != 1.0 else 10.0
-    grid = TimeGrid.from_horizon(horizon, cfg.step)
+    """Terminal nu and S quantiles at the scenario horizon, per alpha."""
+    grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     rows = []
-    for alpha in (0.75, -0.75):
-        p = cfg.model_params(alpha, 0.0).with_(horizon=horizon)
+    for alpha in cfg.alphas:
+        p = cfg.model_params(alpha, 0.0)
 
         def terminal(bp, z, nu):
             s = simulate_stock(nu, grid, bp.dBs, p, s0=cfg.s0)
@@ -223,7 +222,7 @@ def cmd_longterm(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
         term = map_paths(terminal, p, _scheme_for(p, cfg), grid, cfg.seed,
                          cfg.n_paths, threads, _stock_map(p, cfg))
         for q in qs:
-            rows.append((p.regime.value, alpha, horizon, q,
+            rows.append((p.regime.value, alpha, cfg.horizon, q,
                          float(np.quantile(term[:, 0], q)),
                          float(np.quantile(term[:, 1], q))))
     _write_csv(out_dir / "longterm.csv",

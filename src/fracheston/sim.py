@@ -8,7 +8,10 @@ processes use exact exponential integrators, which are unconditionally
 stable for the stiff large-x atoms produced by quantization.
 
 simulate_tilde_z, the rho != 0 Feynman-Kac driver, is the one loop that
-carries factor state (nu feeds back into its drift).
+carries factor state (nu feeds back into its drift).  It is a step-blocked
+update: the factor state advances once per block of steps by two GEMMs,
+and nu inside a block comes from that state plus a buffer of the block's
+Z values, so only the state and one block-long buffer are kept.
 """
 from __future__ import annotations
 
@@ -98,39 +101,76 @@ def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+# Steps per block of simulate_tilde_z: its factor state advances by two GEMMs
+# per block, and nu inside a block by a dot of at most this length.
+_STEP_BLOCK = 32
+
+
 def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
                      dBz: np.ndarray):
     """Drift-corrected CIR (the Feynman-Kac driving process) by
     full-truncation Euler.
 
-    Returns (z, nu) where nu = v0 + q . Y is maintained concurrently from
-    the exponential-integrator factors of the simulated path; only the
-    running factor state is kept, so large batches stay memory-light.
-    The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu) vanishes
-    at rho = 0, where the path coincides with simulate_cir bit for bit.
-    Shapes: dBz.shape[:-1] + (steps+1,).
+    Returns (z, nu) where nu = v0 + q . Y comes from the exponential-
+    integrator factors Y of the simulated path.  nu feeds back into the
+    drift, so Z is stepped one step at a time, but Y only advances once per
+    block of B = _STEP_BLOCK steps.  With d = e^{-x h}, Z+ = max(Z, 0) and
+    w the summed factor kernel (vol._factor_kernel), a block that starts at
+    step s with factor state Y_s has
+
+        nu_{k+1} = v0 + sum_i q_i d_i^{k+1-s} Y_s^i + sum_{j=s..k} w[k+1-j] Z+_j:
+
+    one GEMM per block for the far history, a dot of length <= B per step
+    for the near one, and Y_{s+B} = d^B Y_s + (Z+ buffer) @ G with
+    G[t, i] = (1 - d_i)/x_i d_i^{B-1-t}, a second GEMM.  Only Y and one
+    B-step buffer are kept, so large batches stay memory-light.  This is
+    the per-step recurrence Y_{k+1} = d Y_k + Z+_k (1 - d)/x with its sums
+    reordered.  The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu)
+    vanishes at rho = 0, where the path coincides with simulate_cir bit for
+    bit.  Shapes: dBz.shape[:-1] + (steps+1,).
     """
     if qm.kind is not MeasureKind.MU:
         raise ValueError("simulate_tilde_z needs a fractional-kind measure")
     coef = p.lam * p.gamma * p.sigma * p.rho / (1.0 - p.gamma)
-    h = grid.h
-    lead = dBz.shape[:-1]
-    decay = np.exp(-qm.nodes * h)
-    gain = (1.0 - decay) / qm.nodes
-    y = np.zeros(lead + (qm.n_atoms,))
-    z = np.empty(lead + (grid.steps + 1,))
-    z[..., 0] = p.z0
+    h, steps = grid.h, grid.steps
+    db = dBz.reshape(-1, steps)
+    n = db.shape[0]
+    blk = min(_STEP_BLOCK, steps)
+    powers = np.exp(-np.outer(np.arange(blk + 1), qm.nodes * h))  # d_i^m
+    gain = (1.0 - powers[1]) / qm.nodes
+    far = powers[1:] * qm.weights                         # q_i d_i^{t+1}
+    w_rev = (powers[:blk] @ (qm.weights * gain))[::-1]    # w[B], ..., w[1]
+    push = (powers[blk - 1::-1] * gain).T                 # G transposed
+    # work arrays are time-major (row t of a block holds every path at step
+    # s+t) and allocated once, so the loop allocates nothing larger than a row
+    y = np.zeros((qm.n_atoms, n))
+    y_push = np.empty_like(y)
+    db_blk, hist, zp_blk, z_blk, nu_blk = np.empty((5, blk, n))
+    z = np.empty((n, steps + 1))
+    z[:, 0] = p.z0
     nu = np.empty_like(z)
-    nu[..., 0] = p.v0
-    zk = np.full(lead, float(p.z0))
-    for k in range(grid.steps):
-        zp = np.maximum(zk, 0.0)
-        corr = coef * np.sqrt(zp * np.maximum(nu[..., k], 0.0))
-        zk = zk + (p.kappa * (p.theta - zp) + corr) * h + p.sigma * np.sqrt(zp) * dBz[..., k]
-        y = y * decay + zp[..., None] * gain
-        nu[..., k + 1] = p.v0 + y @ qm.weights
-        z[..., k + 1] = zk
-    return np.maximum(z, 0.0), nu
+    nu[:, 0] = p.v0
+    zk = np.full(n, float(p.z0))
+    nuk = np.full(n, float(p.v0))
+    for s in range(0, steps, blk):
+        b = min(blk, steps - s)
+        db_blk[:b] = db[:, s:s + b].T
+        np.matmul(far[:b], y, out=hist[:b])
+        hist[:b] += p.v0
+        for t in range(b):
+            zp = np.maximum(zk, 0.0, out=zp_blk[t])
+            corr = coef * np.sqrt(zp * np.maximum(nuk, 0.0))
+            zk = zk + (p.kappa * (p.theta - zp) + corr) * h + p.sigma * np.sqrt(zp) * db_blk[t]
+            z_blk[t] = zk
+            nuk = hist[t] + w_rev[blk - 1 - t:] @ zp_blk[:t + 1]
+            nu_blk[t] = nuk
+        z[:, s + 1:s + b + 1] = z_blk[:b].T
+        nu[:, s + 1:s + b + 1] = nu_blk[:b].T
+        if s + b < steps:
+            y *= powers[blk, :, None]
+            y += np.matmul(push, zp_blk, out=y_push)
+    shape = dBz.shape[:-1] + (steps + 1,)
+    return np.maximum(z, 0.0, out=z).reshape(shape), nu.reshape(shape)
 
 
 def simulate_stock(nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,

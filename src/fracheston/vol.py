@@ -17,7 +17,9 @@ The convolution runs through one row-blocked FFT engine; the test suite
 holds it to 1e-12 against the O(k^2) sums and the per-atom factor
 recurrence (tests/oracles.py).  The only genuine recurrence left is the
 rho != 0 drift-corrected Z-tilde in sim, where nu feeds back into the
-drift of Z.
+drift of Z; it steps Z one step at a time but advances its factor state
+once per block of steps, with this module's summed kernel for the steps
+inside a block.
 """
 from __future__ import annotations
 

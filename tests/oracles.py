@@ -2,10 +2,11 @@
 
 Each function restates a computation of the library, or a closed form it
 should agree with, in its plainest form: the per-atom exponential-factor
-recurrence behind the quantized volatility, the O(k^2) sums of the direct
-Euler schemes, the exact CIR law, the mixing densities, the CIR and
-volatility covariances, and a double-integral quadrature of the history
-term.  None of it is part of the library; the tests import it from here.
+recurrence behind the quantized volatility and the rho != 0 Z-tilde
+driver, the O(k^2) sums of the direct Euler schemes, the exact CIR law,
+the mixing densities, the CIR and volatility covariances, and a
+double-integral quadrature of the history term.  None of it is part of
+the library; the tests import it from here.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from scipy.special import roots_jacobi
 from fracheston import MeasureKind, ModelParams, QuantizedMeasure, Regime, TimeGrid
 from fracheston.params import gamma_fn
 
-# --- per-atom factor recurrence (oracle of nu_quantized[_rough]_paths) ---
+# --- per-atom factor recurrences (oracles of nu_quantized[_rough]_paths
+#     and of the step-blocked simulate_tilde_z) ---
 
 
 def _exp_integrator(x: np.ndarray, z_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -82,6 +84,36 @@ def nu_quantized_rough(v0: float, z_path: np.ndarray, qm: QuantizedMeasure,
     sing = np.zeros_like(t)
     sing[1:] = t[1:] ** (-alpha - 1.0) / gamma_fn(-alpha)
     return v0 + z_path * sing + rough_factor_matrix @ qm.weights
+
+
+def simulate_tilde_z_recurrence(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
+                                dBz: np.ndarray):
+    """Drift-corrected CIR with nu = v0 + q . Y, one factor update per step
+    (oracle of the step-blocked sim.simulate_tilde_z).
+
+    Shapes: dBz.shape[:-1] + (steps+1,).
+    """
+    if qm.kind is not MeasureKind.MU:
+        raise ValueError("simulate_tilde_z needs a fractional-kind measure")
+    coef = p.lam * p.gamma * p.sigma * p.rho / (1.0 - p.gamma)
+    h = grid.h
+    lead = dBz.shape[:-1]
+    decay = np.exp(-qm.nodes * h)
+    gain = (1.0 - decay) / qm.nodes
+    y = np.zeros(lead + (qm.n_atoms,))
+    z = np.empty(lead + (grid.steps + 1,))
+    z[..., 0] = p.z0
+    nu = np.empty_like(z)
+    nu[..., 0] = p.v0
+    zk = np.full(lead, float(p.z0))
+    for k in range(grid.steps):
+        zp = np.maximum(zk, 0.0)
+        corr = coef * np.sqrt(zp * np.maximum(nu[..., k], 0.0))
+        zk = zk + (p.kappa * (p.theta - zp) + corr) * h + p.sigma * np.sqrt(zp) * dBz[..., k]
+        y = y * decay + zp[..., None] * gain
+        nu[..., k + 1] = p.v0 + y @ qm.weights
+        z[..., k + 1] = zk
+    return np.maximum(z, 0.0), nu
 
 
 # --- O(k^2) sums (oracles of the FFT convolution engine) ---

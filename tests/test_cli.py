@@ -88,12 +88,24 @@ def test_wealth_outputs(tmp_path, cfg_path):
     assert float(first[2]) == 1000.0  # W0 = w0 in every path file
 
 
+def test_wealth_reads_scenario_alphas(tmp_path):
+    # a delta that is valid for every scenario alpha but not for alpha = -0.55:
+    # wealth must stay on the scenario's alphas, which the load-time check covers
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alphas": [0.5], "delta": 0.3, "n_paths": 50,
+                               "step": 0.01}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "wealth"]) == 0
+    assert {f.name for f in out.iterdir()} == {
+        "wealth_a0.5.csv", "wealth_summary.csv", "manifest.csv"}
+
+
 def test_longterm_outputs(tmp_path, cfg_path):
     out = tmp_path / "out"
     assert _run(cfg_path, out, "longterm", "--paths", "32", "--step", "0.05") == 0
     lines = (out / "longterm.csv").read_text().strip().splitlines()
     assert lines[0] == "regime,alpha,horizon,quantile,nu_T,s_T"
-    assert len(lines) == 11  # 5 quantiles x 2 regimes
+    assert len(lines) == 1 + 5 * len(SMALL["alphas"])  # 5 quantiles per alpha
 
 
 def test_converge_outputs(tmp_path, cfg_path):

@@ -42,6 +42,15 @@ def test_feynman_kac_thread_determinism(params, quant_scheme):
     assert one.std_error == four.std_error
 
 
+def test_feynman_kac_thread_determinism_at_nonzero_rho(params, quant_scheme):
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    p = params.with_(rho=-0.7)
+    n = BATCH_SIZE + 52  # two batches
+    one = mc_feynman_kac(p, quant_scheme, n, grid, 11, threads=1)
+    two = mc_feynman_kac(p, quant_scheme, n, grid, 11, threads=2)
+    assert one == two
+
+
 def test_mc_value_rough_thread_determinism(rough_params):
     qm = measure_for_atoms(16, rough_params.alpha, MeasureKind.MU_TILDE)
     grid = TimeGrid.from_horizon(1.0, 0.01)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from fracheston import (MeasureKind, RngSpec, TimeGrid,
                         brownian_batch, brownian_pair, measure_for_atoms,
-                        simulate_cir, simulate_stock, simulate_tilde_z,
-                        simulate_wealth)
+                        nu_quantized_paths, simulate_cir, simulate_stock,
+                        simulate_tilde_z, simulate_wealth)
 from oracles import (cov_cir, optimal_wealth_closed_form, sample_cir_exact,
-                     simulate_factors, simulate_factors_rough)
+                     simulate_factors, simulate_factors_rough,
+                     simulate_tilde_z_recurrence)
 
 
 def test_time_grid():
@@ -87,6 +88,35 @@ def test_tilde_z_differs_at_nonzero_rho(params, coarse_grid):
     z_plain = simulate_cir(p, coarse_grid, bp.dBz)
     z_tilde, _ = simulate_tilde_z(p, qm, coarse_grid, bp.dBz)
     assert not np.array_equal(z_plain, z_tilde)
+
+
+@pytest.mark.parametrize("rho", [-0.7, 0.7])
+@pytest.mark.parametrize("lead, grid", [
+    ((4,), TimeGrid.from_horizon(1.0, 0.01)),
+    ((301,), TimeGrid(h=0.001, steps=1001)),  # steps not a multiple of the block
+    ((3,), TimeGrid.from_horizon(0.1, 0.01)),  # shorter than one block
+    ((), TimeGrid.from_horizon(1.0, 0.001)),   # a single 1-D path
+])
+def test_tilde_z_blocks_match_recurrence(params, rho, lead, grid):
+    qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)
+    assert qm.n_atoms == 142
+    p = params.with_(rho=rho, v0=0.01)
+    dBz = brownian_batch(5, range(math.prod(lead)), grid, rho).dBz.reshape(
+        lead + (grid.steps,))
+    z, nu = simulate_tilde_z(p, qm, grid, dBz)
+    z_ref, nu_ref = simulate_tilde_z_recurrence(p, qm, grid, dBz)
+    assert z.shape == nu.shape == lead + (grid.steps + 1,)
+    assert np.max(np.abs(z - z_ref)) <= 1e-12
+    assert np.max(np.abs(nu - nu_ref)) <= 1e-12
+
+
+def test_tilde_z_nu_is_quantized_volatility_at_rho_zero(params):
+    grid = TimeGrid(h=0.001, steps=1001)
+    qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)
+    p = params.with_(v0=0.01)
+    bp = brownian_batch(5, range(8), grid, 0.0)
+    z, nu = simulate_tilde_z(p, qm, grid, bp.dBz)
+    assert np.max(np.abs(nu - nu_quantized_paths(p.v0, qm, z, grid))) <= 1e-12
 
 
 @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
