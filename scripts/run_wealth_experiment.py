@@ -11,8 +11,8 @@ import json
 import sys
 import tempfile
 
-from fracheston import (MeasureKind, PositivityMap, SchemeKind, StrategySpec,
-                        TimeGrid, VolScheme, default_params, measure_for_atoms,
+from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
+                        VolScheme, default_params, measure_for_atoms,
                         merton_ratio, mc_utility)
 from fracheston.cli import main
 
@@ -31,8 +31,8 @@ def utility_table(alpha, n_paths, step, seed, threads):
     star = merton_ratio(p)
     print(f"alpha={alpha}  pi_star={star:.6f}")
     for c in (0.5, 0.8, 1.0, 1.2, 1.5):
-        est = mc_utility(p, StrategySpec.constant(c * star), scheme, pmap,
-                         n_paths, grid, seed, threads=threads)
+        est = mc_utility(p, c * star, scheme, pmap, n_paths, grid, seed,
+                         threads=threads)
         print(f"  c={c:>3}: utility={est.mean:.8e}  se={est.std_error:.2e}")
 
 

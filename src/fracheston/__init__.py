@@ -5,9 +5,8 @@ measure quantization (finite-atom Markovian approximation), Riccati-based
 affine value functions, and Monte Carlo cross-validation.
 """
 from .config import ScenarioConfig, load_config
-from .mc import (McEstimate, StrategyKind, StrategySpec, convergence_study,
-                 fk_gradient_ratio, map_paths, mc_feynman_kac, mc_utility,
-                 mc_value_rough, optimal_strategy, path_batch)
+from .mc import (McEstimate, convergence_study, map_paths, mc_feynman_kac,
+                 mc_utility, mc_value_rough, path_batch)
 from .params import (DerivedConstants, ModelParams, Regime, default_params,
                      hurst_of_alpha, merton_ratio, regime_of_alpha)
 from .quantize import (MeasureKind, Partition, QuantizedMeasure, approx_kernel,

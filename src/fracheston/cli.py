@@ -230,10 +230,17 @@ def cmd_longterm(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
     return ["longterm.csv"]
 
 
+def _converge_alpha(cfg: ScenarioConfig) -> float:
+    """The first fractional scenario alpha, which the convergence study runs at."""
+    for a in cfg.alphas:
+        if cfg.model_params(a, 0.0).regime is Regime.FRACTIONAL:
+            return a
+    raise ValueError("converge needs a fractional alpha (0 < alpha < 1) in alphas")
+
+
 def cmd_converge(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
     """Refinement-level convergence report in the fractional regime."""
-    alpha = next((a for a in cfg.alphas
-                  if cfg.model_params(a, 0.0).regime is Regime.FRACTIONAL), 0.75)
+    alpha = _converge_alpha(cfg)
     p = cfg.model_params(alpha, 0.0)
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     base = measure_for_atoms(cfg.levels[0], alpha, MeasureKind.MU)
@@ -287,6 +294,8 @@ def main(argv=None) -> int:
             overrides["step"] = args.step
         if overrides:
             cfg = cfg.with_(**overrides)
+        if args.command == "converge":
+            _converge_alpha(cfg)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,10 @@ class ScenarioConfig:
             raise ValueError("step must be positive")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
+        if self.n_sample_paths < 0:
+            raise ValueError("n_sample_paths must not be negative")
+        if not self.s0 > 0:
+            raise ValueError("s0 must be positive")
         if not self.levels:
             raise ValueError("levels must not be empty")
         if not (0 <= self.seed < 2 ** 64):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,45 +31,17 @@ class McEstimate:
     mean: float
     std_error: float
     n_paths: int
-    master_seed: int
-    functional_tag: str
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("need at least 2 paths for a standard error")
 
 
-class StrategyKind(Enum):
-    CONSTANT = "constant"
-    MERTON = "merton"
-    AFFINE_CORRECTION = "affine_correction"
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    kind: StrategyKind
-    pi: float | None = None          # for CONSTANT
-    grad_ratio: float | None = None  # g_z/g estimate for AFFINE_CORRECTION
-
-    @classmethod
-    def constant(cls, pi: float) -> "StrategySpec":
-        return cls(kind=StrategyKind.CONSTANT, pi=pi)
-
-    @classmethod
-    def merton(cls) -> "StrategySpec":
-        return cls(kind=StrategyKind.MERTON)
-
-    @classmethod
-    def affine_correction(cls, grad_ratio: float) -> "StrategySpec":
-        return cls(kind=StrategyKind.AFFINE_CORRECTION, grad_ratio=grad_ratio)
-
-
-def _reduce(values: np.ndarray, master_seed: int, tag: str) -> McEstimate:
+def _reduce(values: np.ndarray) -> McEstimate:
     n = len(values)
     mean = math.fsum(values) / n
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n,
-                      master_seed=master_seed, functional_tag=tag)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n)
 
 
 def _map_batches(batch_fn, n_paths: int, threads: int = 1,
@@ -146,55 +117,22 @@ def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
 
     values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
                        pos_map, tilde=True)
-    return _reduce(values, master_seed, f"feynman_kac[{scheme.kind.value}]")
+    return _reduce(values)
 
 
-def optimal_strategy(p: ModelParams, z=None, nu=None, grad_ratio: float | None = None):
-    """Optimal risky fraction, elementwise in the states z and nu.
-
-    rho = 0: the constant Merton fraction lam/(1-gamma), independent of the
-    state.  rho != 0: Merton fraction plus the correlation correction
-    c sigma gamma/(1-gamma) sqrt(z/nu) * (g_z/g), with sqrt(z/nu) taken as
-    0 where nu <= 0 and the gradient ratio estimated externally (e.g.
-    fk_gradient_ratio).
-    """
-    base = merton_ratio(p)
-    if p.rho == 0.0:
-        return base
-    if grad_ratio is None or z is None or nu is None:
-        raise ValueError("rho != 0 needs z, nu and a g_z/g estimate")
-    d = p.derived()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(nu > 0, z / np.maximum(nu, 1e-300), 0.0)
-    return base + d.c_exponent * p.sigma * p.gamma / (1.0 - p.gamma) \
-        * np.sqrt(ratio) * grad_ratio
-
-
-def _strategy_paths(p: ModelParams, strategy: StrategySpec, nu, z):
-    if strategy.kind is StrategyKind.CONSTANT:
-        return strategy.pi
-    if strategy.kind is StrategyKind.MERTON:
-        return merton_ratio(p)
-    if strategy.grad_ratio is None:
-        raise ValueError("affine correction strategy needs a g_z/g estimate")
-    return optimal_strategy(p, z[..., :-1], nu[..., :-1], strategy.grad_ratio)
-
-
-def mc_utility(p: ModelParams, strategy: StrategySpec, scheme: VolScheme,
+def mc_utility(p: ModelParams, pi: float, scheme: VolScheme,
                pos_map: PositivityMap, n_paths: int, grid: TimeGrid,
                master_seed: int, threads: int = 1) -> McEstimate:
-    """Expected power utility (1/gamma) W_T^gamma of a strategy, on the
-    physical Z at any rho."""
+    """Expected power utility (1/gamma) W_T^gamma of the constant risky
+    fraction pi (e.g. merton_ratio(p)), on the physical Z at any rho."""
 
     def integrand(bp, z, nu):
-        pis = _strategy_paths(p, strategy, nu, z)
-        w = simulate_wealth(pis, nu, grid, bp.dBs, p)
+        w = simulate_wealth(pi, nu, grid, bp.dBs, p)
         return w[..., -1] ** p.gamma / p.gamma
 
     values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
                        pos_map)
-    return _reduce(values, master_seed,
-                   f"utility[{strategy.kind.value},{scheme.kind.value}]")
+    return _reduce(values)
 
 
 def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
@@ -215,21 +153,7 @@ def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
 
     values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
                        pos_map)
-    return _reduce(values, master_seed, f"rough_value[{pos_map.value}]")
-
-
-def fk_gradient_ratio(p: ModelParams, scheme: VolScheme, n_paths: int,
-                      grid: TimeGrid, master_seed: int,
-                      rel_bump: float = 1e-3, threads: int = 1) -> float:
-    """g_z/g at time 0 by central finite difference of the Feynman-Kac
-    estimator in z0, with common random numbers."""
-    dz = max(p.z0, 1e-8) * rel_bump
-    up = mc_feynman_kac(p.with_(z0=p.z0 + dz), scheme, n_paths, grid,
-                        master_seed, threads)
-    dn = mc_feynman_kac(p.with_(z0=max(p.z0 - dz, 0.0)), scheme, n_paths, grid,
-                        master_seed, threads)
-    mid = mc_feynman_kac(p, scheme, n_paths, grid, master_seed, threads)
-    return (up.mean - dn.mean) / (2.0 * dz) / mid.mean
+    return _reduce(values)
 
 
 @dataclass(frozen=True)
@@ -260,8 +184,8 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
     schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm) for qm in qms]
     nus = [path_batch(p, s, grid, master_seed, 0, n_monotone_paths, pos_map=None)[2]
            for s in schemes]
-    strat = StrategySpec.merton()
-    euler_util = mc_utility(p, strat, VolScheme(SchemeKind.FRACTIONAL_EULER),
+    pi = merton_ratio(p)
+    euler_util = mc_utility(p, pi, VolScheme(SchemeKind.FRACTIONAL_EULER),
                             PositivityMap.IDENTITY, n_paths, grid, master_seed,
                             threads)
     rows = []
@@ -274,7 +198,7 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
         else:
             violations = 0
             value_gap = math.nan
-        util = mc_utility(p, strat, schemes[i], PositivityMap.IDENTITY, n_paths,
+        util = mc_utility(p, pi, schemes[i], PositivityMap.IDENTITY, n_paths,
                           grid, master_seed, threads)
         eps = (value_gap if math.isfinite(value_gap) else 0.0) \
             + abs(util.mean - euler_util.mean)

@@ -34,8 +34,6 @@ class RiccatiSolution:
     tau_grid: np.ndarray
     varphi: np.ndarray
     phi_big: np.ndarray
-    regime: Regime
-    qm: QuantizedMeasure | None = None
     blow_up: float | None = None
 
     @property
@@ -97,10 +95,10 @@ def _rk4(dvarphi, dphi_big, tau_nodes: np.ndarray, varphi_of=lambda tau, v: v):
     return np.array(taus), np.array(vs), np.array(pbs), blow_up
 
 
-def _rk4_system(forcing, p: ModelParams, horizon: float, ode_step: float):
+def _rk4_system(forcing, p: ModelParams, ode_step: float):
     """Integrate varphi' = forcing(tau) - kappa*varphi + sigma^2/2 * varphi^2
-    and Phi' = gamma r + v0 eta + kappa theta varphi on a uniform tau grid;
-    returns (tau, varphi, Phi, blow_up).
+    and Phi' = gamma r + v0 eta + kappa theta varphi on a uniform tau grid
+    over [0, p.horizon]; returns (tau, varphi, Phi, blow_up).
     """
     eta = p.derived().eta
     kap, sig2 = p.kappa, p.sigma ** 2
@@ -111,30 +109,26 @@ def _rk4_system(forcing, p: ModelParams, horizon: float, ode_step: float):
     def dphi_big(tau, v):
         return p.gamma * p.r + p.v0 * eta + kap * p.theta * v
 
-    n = max(1, round(horizon / ode_step))
-    return _rk4(dvarphi, dphi_big, np.linspace(0.0, horizon, n + 1))
+    n = max(1, round(p.horizon / ode_step))
+    return _rk4(dvarphi, dphi_big, np.linspace(0.0, p.horizon, n + 1))
 
 
 def solve_riccati_finite(qm: QuantizedMeasure, p: ModelParams,
-                         horizon: float | None = None,
                          ode_step: float = 1e-3) -> RiccatiSolution:
     """Finite-atom fractional system: forcing eta * sum_i q_i (1-exp(-x_i tau))/x_i."""
     if qm.kind is not MeasureKind.MU:
         raise ValueError("finite fractional Riccati needs a mu-kind measure")
-    horizon = p.horizon if horizon is None else horizon
     eta = p.derived().eta
     x, q = qm.nodes, qm.weights
 
     def forcing(tau):
         return eta * float(np.dot(q, (1.0 - np.exp(-x * tau)) / x))
 
-    tau, v, pb, blow = _rk4_system(forcing, p, horizon, ode_step)
-    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb,
-                           regime=Regime.FRACTIONAL, qm=qm, blow_up=blow)
+    tau, v, pb, blow = _rk4_system(forcing, p, ode_step)
+    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, blow_up=blow)
 
 
-def solve_riccati_limit(p: ModelParams, horizon: float | None = None,
-                        ode_step: float = 1e-3,
+def solve_riccati_limit(p: ModelParams, ode_step: float = 1e-3,
                         alpha: float | None = None) -> RiccatiSolution:
     """Limiting fractional system: forcing eta * tau^alpha / Gamma(alpha+1).
 
@@ -143,7 +137,6 @@ def solve_riccati_limit(p: ModelParams, horizon: float | None = None,
     alpha = p.alpha if alpha is None else alpha
     if not (0.0 <= alpha < 1.0):
         raise ValueError("limit Riccati requires alpha in [0, 1)")
-    horizon = p.horizon if horizon is None else horizon
     eta = p.derived().eta
     ga1 = gamma_fn(alpha + 1.0)
 
@@ -152,10 +145,8 @@ def solve_riccati_limit(p: ModelParams, horizon: float | None = None,
             return eta
         return eta * tau ** alpha / ga1 if tau > 0 else 0.0
 
-    tau, v, pb, blow = _rk4_system(forcing, p, horizon, ode_step)
-    regime = Regime.CLASSICAL_HESTON if alpha == 0.0 else Regime.FRACTIONAL
-    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb,
-                           regime=regime, blow_up=blow)
+    tau, v, pb, blow = _rk4_system(forcing, p, ode_step)
+    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, blow_up=blow)
 
 
 def h_closed_form(t: float, horizon: float, qm: QuantizedMeasure) -> float:
@@ -183,7 +174,6 @@ def _rough_tau_nodes(horizon: float, ode_step: float,
 
 
 def solve_riccati_rough(qm_tilde: QuantizedMeasure, p: ModelParams,
-                        horizon: float | None = None,
                         ode_step: float = 1e-3,
                         graded_substeps: int = 200) -> RiccatiSolution:
     """Rough finite-atom system in tau = T - t.
@@ -202,7 +192,7 @@ def solve_riccati_rough(qm_tilde: QuantizedMeasure, p: ModelParams,
     alpha = qm_tilde.alpha
     if p.regime is not Regime.ROUGH or p.alpha != alpha:
         raise ValueError("params alpha must match the rough measure alpha")
-    horizon = p.horizon if horizon is None else horizon
+    horizon = p.horizon
     eta = p.derived().eta
     kap, sig2 = p.kappa, p.sigma ** 2
     gna = gamma_fn(-alpha)
@@ -228,8 +218,7 @@ def solve_riccati_rough(qm_tilde: QuantizedMeasure, p: ModelParams,
     tau, v, pb, blow = _rk4(dsmooth, dphi_big,
                             _rough_tau_nodes(horizon, ode_step, graded_substeps),
                             lambda tau, vs: vs + psing(tau))
-    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, regime=Regime.ROUGH,
-                           qm=qm_tilde, blow_up=blow)
+    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, blow_up=blow)
 
 
 @dataclass(frozen=True)
@@ -240,13 +229,11 @@ class AffineValue:
     exponent_phi_big: float
     exponent_phi_z: float
     exponent_psi_y: float = 0.0
-    exponent_history: float = 0.0
 
     def reassemble(self) -> float:
         return self.wealth_factor * math.exp(self.exponent_phi_big
                                              + self.exponent_phi_z
-                                             + self.exponent_psi_y
-                                             + self.exponent_history)
+                                             + self.exponent_psi_y)
 
 
 def value_function(p: ModelParams, sol: RiccatiSolution, w: float | None = None,

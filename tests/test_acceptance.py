@@ -10,8 +10,8 @@ import time
 
 import numpy as np
 
-from fracheston import (MeasureKind, PositivityMap, SchemeKind, StrategySpec,
-                        TimeGrid, VolScheme, brownian_batch, default_params,
+from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
+                        VolScheme, brownian_batch, default_params,
                         dyadic_chain, approx_kernel, frac_kernel,
                         mc_feynman_kac, mc_utility, mc_value_rough,
                         measure_for_atoms, merton_ratio, nu_quantized_paths,
@@ -143,11 +143,11 @@ def test_criterion_07_merton_optimality_both_regimes():
     ]
     for label, p, scheme, pmap in cases:
         star = merton_ratio(p)
-        u_star = mc_utility(p, StrategySpec.constant(star), scheme, pmap,
-                            20_000, grid, SEED, threads=4)
+        u_star = mc_utility(p, star, scheme, pmap, 20_000, grid, SEED,
+                            threads=4)
         for frac in (0.8, 1.2):
-            u_alt = mc_utility(p, StrategySpec.constant(frac * star), scheme,
-                               pmap, 20_000, grid, SEED, threads=4)
+            u_alt = mc_utility(p, frac * star, scheme, pmap, 20_000, grid,
+                               SEED, threads=4)
             slack = 3.0 * max(u_star.std_error, u_alt.std_error)
             assert u_star.mean >= u_alt.mean - slack, label
     _ok(7, "Merton fraction beats 0.8x and 1.2x perturbations under common "

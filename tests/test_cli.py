@@ -166,12 +166,25 @@ def test_invalid_config_exit_code(tmp_path):
     {"threads": 0},
     {"atoms": 8},  # removed in schema version 2
     {"schema_version": 1},
+    {"s0": -100},
+    {"n_sample_paths": -1},
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SMALL, **change}))
     out = tmp_path / "o"
     assert main(["--config", str(bad), "--out", str(out), command]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", [[], [-0.75, 0]], ids=["empty", "rough-classical"])
+def test_converge_without_fractional_alpha_fails_before_any_output(tmp_path, alphas):
+    # the convergence study needs a fractional alpha; none in the scenario
+    # is a config error, not a run at some other alpha
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL, "alphas": alphas}))
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out", str(out), "converge"]) == 2
     assert not out.exists()
 
 

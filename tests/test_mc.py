@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fracheston import (MeasureKind, PositivityMap, SchemeKind, StrategySpec,
-                        TimeGrid, VolScheme, brownian_batch, convergence_study,
-                        default_params, fk_gradient_ratio, mc_feynman_kac,
-                        mc_utility, mc_value_rough, measure_for_atoms,
-                        merton_ratio, nu_quantized_paths, simulate_cir,
-                        simulate_wealth, solve_riccati_finite)
+from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
+                        VolScheme, brownian_batch, convergence_study,
+                        default_params, mc_feynman_kac, mc_utility,
+                        mc_value_rough, measure_for_atoms, merton_ratio,
+                        nu_quantized_paths, simulate_cir, simulate_wealth,
+                        solve_riccati_finite)
 from fracheston.mc import BATCH_SIZE, McEstimate, _map_batches
 
 
@@ -20,8 +20,7 @@ def quant_scheme(params):
 
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
-        McEstimate(mean=0.0, std_error=0.0, n_paths=1, master_seed=0,
-                   functional_tag="x")
+        McEstimate(mean=0.0, std_error=0.0, n_paths=1)
 
 
 def test_map_batches_order_independent_of_threads():
@@ -103,7 +102,7 @@ def test_feynman_kac_matches_affine(params, quant_scheme):
 def test_utility_bond_case(params, quant_scheme):
     p = params.with_(lam=0.0)
     grid = TimeGrid.from_horizon(1.0, 0.01)
-    est = mc_utility(p, StrategySpec.merton(), quant_scheme,
+    est = mc_utility(p, merton_ratio(p), quant_scheme,
                      PositivityMap.IDENTITY, 100, grid, 11)
     bond = p.w0 ** p.gamma / p.gamma * math.exp(p.gamma * p.r)
     assert est.mean == pytest.approx(bond, rel=1e-14)
@@ -116,7 +115,7 @@ def test_utility_drives_physical_z_at_nonzero_rho(quant_scheme):
     p = default_params(rho=-0.7)
     grid = TimeGrid.from_horizon(1.0, 0.01)
     n = 300
-    est = mc_utility(p, StrategySpec.merton(), quant_scheme,
+    est = mc_utility(p, merton_ratio(p), quant_scheme,
                      PositivityMap.IDENTITY, n, grid, 17)
     bp = brownian_batch(17, range(n), grid, p.rho)
     z = simulate_cir(p, grid, bp.dBz)
@@ -126,30 +125,6 @@ def test_utility_drives_physical_z_at_nonzero_rho(quant_scheme):
     se = math.sqrt(math.fsum((v - mean) ** 2 for v in u) / (n - 1) / n)
     assert est.mean == mean
     assert est.std_error == se
-
-
-def test_utility_strategy_specs(params, quant_scheme):
-    grid = TimeGrid.from_horizon(1.0, 0.01)
-    merton = mc_utility(params, StrategySpec.merton(), quant_scheme,
-                        PositivityMap.IDENTITY, 500, grid, 31)
-    const = mc_utility(params, StrategySpec.constant(1.0 / 6.0), quant_scheme,
-                       PositivityMap.IDENTITY, 500, grid, 31)
-    assert merton.mean == const.mean  # same fraction, same streams
-    bad = StrategySpec(kind=StrategySpec.affine_correction(0.0).kind)
-    with pytest.raises(ValueError):
-        mc_utility(params, bad, quant_scheme, PositivityMap.IDENTITY,
-                   500, grid, 31)
-
-
-def test_affine_correction_is_merton_at_rho_zero(params, quant_scheme):
-    # at rho = 0 the optimal strategy is the Merton fraction whatever g_z/g
-    grid = TimeGrid.from_horizon(1.0, 0.01)
-    merton = mc_utility(params, StrategySpec.merton(), quant_scheme,
-                        PositivityMap.IDENTITY, 300, grid, 19)
-    affine = mc_utility(params, StrategySpec.affine_correction(0.3), quant_scheme,
-                        PositivityMap.IDENTITY, 300, grid, 19)
-    assert affine.mean == merton.mean
-    assert affine.std_error == merton.std_error
 
 
 def test_mc_value_rough_validation(rough_params):
@@ -171,13 +146,6 @@ def test_mc_value_rough_bond_case(rough_params):
     est = mc_value_rough(p, qm, PositivityMap.ABSOLUTE, 100, grid, 5)
     bond = p.w0 ** p.gamma / p.gamma * math.exp(p.gamma * p.r)
     assert est.mean == pytest.approx(bond, rel=1e-14)
-
-
-def test_gradient_ratio_tracks_varphi(params, quant_scheme):
-    grid = TimeGrid.from_horizon(1.0, 0.005)
-    ratio = fk_gradient_ratio(params, quant_scheme, 4000, grid, 77, threads=2)
-    sol = solve_riccati_finite(quant_scheme.qm, params, ode_step=0.005)
-    assert ratio == pytest.approx(sol.at(1.0)[0], rel=0.05)
 
 
 def test_correlated_case_uses_drift_corrected_process(quant_scheme):

@@ -6,8 +6,8 @@ from scipy.integrate import simpson
 
 from fracheston import (MeasureKind, RiccatiBlowUp, TimeGrid, brownian_batch,
                         convergence_study, default_params, h_closed_form,
-                        history_term, measure_for_atoms, optimal_strategy,
-                        psi, psi_vector, simulate_cir, solve_riccati_finite,
+                        history_term, measure_for_atoms, psi, psi_vector,
+                        simulate_cir, solve_riccati_finite,
                         solve_riccati_limit, solve_riccati_rough,
                         value_function, value_function_at_t)
 from oracles import history_term_quadrature, simulate_factors
@@ -274,19 +274,6 @@ def test_history_term_lower_bound_positive_eta(rng):
     bound = (eta * (horizon - t) * horizon ** (p.alpha - 1.0)
              / math.gamma(p.alpha) * np.trapezoid(z_hist, u))
     assert term >= bound > 0.0
-
-
-def test_optimal_strategy(params):
-    assert optimal_strategy(params) == pytest.approx(1.0 / 6.0)
-    # rho = 0: state-independent
-    for z, nu in ((0.01, 0.3), (1.0, 0.001)):
-        assert optimal_strategy(params, z=z, nu=nu, grad_ratio=5.0) == \
-            pytest.approx(1.0 / 6.0)
-    p7 = params.with_(rho=0.7)
-    with pytest.raises(ValueError):
-        optimal_strategy(p7)
-    corrected = optimal_strategy(p7, z=0.05, nu=0.05, grad_ratio=-0.01)
-    assert corrected != pytest.approx(1.0 / 6.0)
 
 
 def test_epsilon_diagnostic(params):
