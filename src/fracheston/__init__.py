@@ -16,8 +16,8 @@ from .riccati import (AffineValue, RiccatiBlowUp, RiccatiSolution,
                       h_closed_form, history_term, psi, psi_vector,
                       solve_riccati_finite, solve_riccati_limit,
                       solve_riccati_rough, value_function, value_function_at_t)
-from .sim import (BrownianPair, RngSpec, TimeGrid, brownian_batch, brownian_pair,
-                  simulate_cir, simulate_stock, simulate_tilde_z, simulate_wealth)
+from .sim import (BrownianPair, TimeGrid, brownian_batch, simulate_cir,
+                  simulate_stock, simulate_tilde_z, simulate_wealth)
 from .vol import (PositivityMap, SchemeKind, VolScheme, apply_positivity,
                   nu_fractional_euler, nu_quantized_paths,
                   nu_quantized_rough_paths, nu_rough_marchaud)

@@ -59,8 +59,9 @@ class ScenarioConfig:
             raise ValueError("n_sample_paths must not be negative")
         if not self.s0 > 0:
             raise ValueError("s0 must be positive")
-        if not self.levels:
-            raise ValueError("levels must not be empty")
+        for name in ("alphas", "rhos", "levels"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed={self.seed} outside [0, 2^64)")
         if self.threads < 1:

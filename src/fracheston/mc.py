@@ -60,18 +60,20 @@ def _map_batches(batch_fn, n_paths: int, threads: int = 1,
 def path_batch(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
                master_seed: int, start: int, stop: int,
                pos_map: PositivityMap | None = PositivityMap.IDENTITY,
-               tilde: bool = False) -> tuple:
+               tilde: bool = False, draw_dBs: bool = True) -> tuple:
     """(Brownian pair, Z, nu) for paths start..stop, nu after pos_map (raw
     with pos_map=None).  tilde=True asks for the drift-corrected Z-tilde of
     the Feynman-Kac measure, which only the quantized fractional scheme
     provides (others raise ValueError at rho != 0); at rho = 0 it is Z.
+    draw_dBs=False skips the stock increments (the pair's dBs is None) for
+    callers that read only Z and nu.
     """
     tilde = tilde and p.rho != 0.0
     if tilde and scheme.kind is not SchemeKind.QUANTIZED_FRACTIONAL:
         raise ValueError(f"rho={p.rho} needs the drift-corrected Z-tilde, which only "
                          f"{SchemeKind.QUANTIZED_FRACTIONAL.value} provides; "
                          f"got {scheme.kind.value}")
-    bp = brownian_batch(master_seed, range(start, stop), grid, p.rho)
+    bp = brownian_batch(master_seed, range(start, stop), grid, p.rho, draw_dBs)
     if tilde:
         z, nu = simulate_tilde_z(p, scheme.qm, grid, bp.dBz)
     else:
@@ -85,12 +87,12 @@ def path_batch(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
 def map_paths(integrand, p: ModelParams, scheme: VolScheme, grid: TimeGrid,
               master_seed: int, n_paths: int, threads: int = 1,
               pos_map: PositivityMap | None = PositivityMap.IDENTITY,
-              tilde: bool = False) -> np.ndarray:
+              tilde: bool = False, draw_dBs: bool = True) -> np.ndarray:
     """integrand(*path_batch) over fixed BATCH_SIZE batches of paths
     0..n_paths, concatenated in path order whatever the worker count."""
     def batch(start, stop):
         return integrand(*path_batch(p, scheme, grid, master_seed, start, stop,
-                                     pos_map, tilde))
+                                     pos_map, tilde, draw_dBs))
 
     return _map_batches(batch, n_paths, threads)
 
@@ -116,7 +118,7 @@ def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
         return np.exp(p.gamma * p.r / c * grid.horizon + d.eta / c * integral)
 
     values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
-                       pos_map, tilde=True)
+                       pos_map, tilde=True, draw_dBs=False)
     return _reduce(values)
 
 
@@ -152,7 +154,7 @@ def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
         return wfac * np.exp(p.gamma * p.r * grid.horizon + eta * integral)
 
     values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
-                       pos_map)
+                       pos_map, draw_dBs=False)
     return _reduce(values)
 
 
@@ -182,7 +184,8 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
     if p.regime is not Regime.FRACTIONAL:
         raise ValueError("the convergence study runs in the fractional regime")
     schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm) for qm in qms]
-    nus = [path_batch(p, s, grid, master_seed, 0, n_monotone_paths, pos_map=None)[2]
+    nus = [path_batch(p, s, grid, master_seed, 0, n_monotone_paths, pos_map=None,
+                      draw_dBs=False)[2]
            for s in schemes]
     pi = merton_ratio(p)
     euler_util = mc_utility(p, pi, VolScheme(SchemeKind.FRACTIONAL_EULER),

@@ -2,7 +2,9 @@
 
 Randomness is organized as counter-based Philox streams keyed by
 (master_seed, stream_id), one stream per path, so any path is bit-identical
-across runs and thread schedules.  The CIR process uses full-truncation
+across runs and thread schedules.  brownian_batch draws a batch from one
+reused Philox, reset to each path's stream in turn, and draws the dBs
+normals only when they are read.  The CIR process uses full-truncation
 Euler (reported values are clipped at zero); the exponential factor
 processes use exact exponential integrators, which are unconditionally
 stable for the stiff large-x atoms produced by quantization.
@@ -50,40 +52,45 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class RngSpec:
-    """Key of one reproducible random stream."""
-    master_seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = (int(self.master_seed) << 64) + int(self.stream_id)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
 class BrownianPair:
-    """Per-step increments of B^Z and B^S with Corr(dBz, dBs) = rho."""
+    """Per-step increments of B^Z and B^S with Corr(dBz, dBs) = rho; dBs is
+    None when it was not drawn."""
     dBz: np.ndarray
-    dBs: np.ndarray
+    dBs: np.ndarray | None
 
 
-def brownian_pair(spec: RngSpec, grid: TimeGrid, rho: float) -> BrownianPair:
-    gen = spec.generator()
-    normals = gen.standard_normal((2, grid.steps))
-    sqh = np.sqrt(grid.h)
-    dBz = normals[0] * sqh
-    dBs = rho * dBz + np.sqrt(1.0 - rho ** 2) * normals[1] * sqh
-    return BrownianPair(dBz=dBz, dBs=dBs)
+def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
+                   draw_dBs: bool = True) -> BrownianPair:
+    """Stacked increments for a batch of path streams, shape (n_paths, steps).
 
-
-def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float) -> BrownianPair:
-    """Stacked increments for a batch of path streams, shape (n_paths, steps)."""
-    dBz = np.empty((len(stream_ids), grid.steps))
-    dBs = np.empty_like(dBz)
+    Row i holds the stream keyed (master_seed << 64) + stream_ids[i]: its
+    first `steps` standard normals scaled by sqrt(h) give dBz, the next
+    `steps` the independent part of dBs.  One Philox is reused for the
+    batch; resetting its key, counter and buffer per stream gives the same
+    sequence as a fresh Philox(key=...).  With draw_dBs=False only the dBz
+    normals are drawn and dBs is None.
+    """
+    normals = np.empty((2 if draw_dBs else 1, len(stream_ids), grid.steps))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # zero counter, empty buffer
+    key = fresh["state"]["key"]
     for row, sid in enumerate(stream_ids):
-        bp = brownian_pair(RngSpec(master_seed, sid), grid, rho)
-        dBz[row] = bp.dBz
-        dBs[row] = bp.dBs
+        key[1], key[0] = divmod((int(master_seed) << 64) + int(sid), 1 << 64)
+        bitgen.state = fresh
+        for rows in normals:
+            gen.standard_normal(out=rows[row])
+    sqh = np.sqrt(grid.h)
+    dBz = normals[0]
+    dBz *= sqh
+    if not draw_dBs:
+        return BrownianPair(dBz=dBz, dBs=None)
+    # in place but with the products of rho*dBz + (sqrt(1-rho^2)*n1)*sqh, so
+    # every increment is bit-identical to that expression
+    dBs = normals[1]
+    dBs *= np.sqrt(1.0 - rho ** 2)
+    dBs *= sqh
+    dBs += rho * dBz
     return BrownianPair(dBz=dBz, dBs=dBs)
 
 

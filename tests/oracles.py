@@ -1,7 +1,8 @@
 """Reference implementations the test suite checks the library against.
 
 Each function restates a computation of the library, or a closed form it
-should agree with, in its plainest form: the per-atom exponential-factor
+should agree with, in its plainest form: a fresh Philox generator per path
+stream behind the batched Brownian draw, the per-atom exponential-factor
 recurrence behind the quantized volatility and the rho != 0 Z-tilde
 driver, the O(k^2) sums of the direct Euler schemes, the exact CIR law,
 the mixing densities, the CIR and volatility covariances, and a
@@ -11,13 +12,38 @@ the library; the tests import it from here.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from fracheston import MeasureKind, ModelParams, QuantizedMeasure, Regime, TimeGrid
+from fracheston import (BrownianPair, MeasureKind, ModelParams, QuantizedMeasure,
+                        Regime, TimeGrid)
 from fracheston.params import gamma_fn
+
+# --- one fresh generator per path stream (oracle of brownian_batch) ---
+
+
+@dataclass(frozen=True)
+class RngSpec:
+    """Key of one reproducible random stream."""
+    master_seed: int
+    stream_id: int = 0
+
+    def generator(self) -> np.random.Generator:
+        key = (int(self.master_seed) << 64) + int(self.stream_id)
+        return np.random.Generator(np.random.Philox(key=key))
+
+
+def brownian_pair(spec: RngSpec, grid: TimeGrid, rho: float) -> BrownianPair:
+    gen = spec.generator()
+    normals = gen.standard_normal((2, grid.steps))
+    sqh = np.sqrt(grid.h)
+    dBz = normals[0] * sqh
+    dBs = rho * dBz + np.sqrt(1.0 - rho ** 2) * normals[1] * sqh
+    return BrownianPair(dBz=dBz, dBs=dBs)
+
 
 # --- per-atom factor recurrences (oracles of nu_quantized[_rough]_paths
 #     and of the step-blocked simulate_tilde_z) ---

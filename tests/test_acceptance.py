@@ -120,7 +120,7 @@ def test_criterion_06_rough_affine_vs_mc():
     negatives = 0
     for start in range(0, 100_000, 4096):
         bp = brownian_batch(SEED, range(start, min(start + 4096, 100_000)),
-                            grid, 0.0)
+                            grid, 0.0, draw_dBs=False)
         z = simulate_cir(p, grid, bp.dBz)
         nu = nu_quantized_rough_paths(p.v0, qm, z, grid)
         negatives += int(np.sum(nu < 0.0))
@@ -161,7 +161,7 @@ def test_criterion_08_cir_statistics():
     z_half, z_one = [], []
     for start in range(0, 100_000, 4096):
         bp = brownian_batch(SEED, range(start, min(start + 4096, 100_000)),
-                            grid, 0.0)
+                            grid, 0.0, draw_dBs=False)
         z = simulate_cir(p, grid, bp.dBz)
         z_half.append(z[:, i_half])
         z_one.append(z[:, i_one])

@@ -162,6 +162,8 @@ def test_invalid_config_exit_code(tmp_path):
     {"delta": 0.9},  # outside (alpha+1, 1/2) at alpha = -0.75
     {"seed": -1},
     {"levels": []},
+    {"alphas": []},
+    {"rhos": []},
     {"step": 0.3},  # does not divide the horizon
     {"threads": 0},
     {"atoms": 8},  # removed in schema version 2

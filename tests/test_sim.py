@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracheston import (MeasureKind, RngSpec, TimeGrid,
-                        brownian_batch, brownian_pair, measure_for_atoms,
-                        nu_quantized_paths, simulate_cir, simulate_stock,
-                        simulate_tilde_z, simulate_wealth)
-from oracles import (cov_cir, optimal_wealth_closed_form, sample_cir_exact,
-                     simulate_factors, simulate_factors_rough,
+from fracheston import (MeasureKind, TimeGrid, brownian_batch,
+                        measure_for_atoms, nu_quantized_paths, simulate_cir,
+                        simulate_stock, simulate_tilde_z, simulate_wealth)
+from fracheston.mc import BATCH_SIZE
+from oracles import (RngSpec, brownian_pair, cov_cir, optimal_wealth_closed_form,
+                     sample_cir_exact, simulate_factors, simulate_factors_rough,
                      simulate_tilde_z_recurrence)
 
 
@@ -46,6 +46,24 @@ def test_brownian_batch_matches_streams(coarse_grid):
     one = brownian_pair(RngSpec(42, 1), coarse_grid, 0.3)
     assert np.array_equal(bp.dBz[1], one.dBz)
     assert np.array_equal(bp.dBs[1], one.dBs)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.7, 0.7])
+@pytest.mark.parametrize("seed, start, n", [
+    (42, 0, 1),
+    (2 ** 63 + 12345, 3, BATCH_SIZE + 52),  # high key word set, nonzero first stream
+], ids=["one-row", "batch+52"])
+def test_brownian_batch_matches_fresh_streams(seed, start, n, rho):
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    bp = brownian_batch(seed, range(start, start + n), grid, rho)
+    assert bp.dBz.shape == bp.dBs.shape == (n, grid.steps)
+    for row, sid in enumerate(range(start, start + n)):
+        one = brownian_pair(RngSpec(seed, sid), grid, rho)
+        assert np.array_equal(bp.dBz[row], one.dBz), sid
+        assert np.array_equal(bp.dBs[row], one.dBs), sid
+    only_z = brownian_batch(seed, range(start, start + n), grid, rho, draw_dBs=False)
+    assert only_z.dBs is None
+    assert np.array_equal(only_z.dBz, bp.dBz)
 
 
 def test_cir_nonnegative_and_start(params, coarse_grid):
