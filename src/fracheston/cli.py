@@ -69,6 +69,10 @@ def _stock_map(p: ModelParams, cfg: ScenarioConfig) -> PositivityMap:
     return PositivityMap.IDENTITY
 
 
+def _whole(dBs, z, nu):
+    return dBs, z, nu
+
+
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     """Sample paths of Z, nu and S per (alpha, rho) cell, plus positivity
     diagnostics for rough alphas."""
@@ -79,10 +83,10 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     for alpha in cfg.alphas:
         for rho in cfg.rhos:
             p = cfg.model_params(alpha, rho)
-            bp, z, nu = path_batch(p, _scheme_for(p, cfg), grid, cfg.seed, 0,
-                                   npaths, pos_map=None)
+            (dBs, z, nu), = path_batch([(p, _scheme_for(p, cfg), None, _whole)],
+                                      grid, cfg.seed, 0, npaths)
             s = simulate_stock(apply_positivity(nu, _stock_map(p, cfg)),
-                               grid, bp.dBs, p, s0=cfg.s0)
+                               grid, dBs, p, s0=cfg.s0)
             header = ["t"]
             cols = [grid.times]
             for i in range(npaths):
@@ -97,8 +101,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
                                       float(np.mean(nu[i] < 0.0))))
         p0 = cfg.model_params(alpha, 0.0)
         if p0.regime is Regime.ROUGH:
-            _, _, nu = path_batch(p0, _scheme_for(p0, cfg), grid, cfg.seed, 0, 1,
-                                  pos_map=None)
+            (_, _, nu), = path_batch([(p0, _scheme_for(p0, cfg), None, _whole)],
+                                     grid, cfg.seed, 0, 1)
             nu = nu[0]
             name = f"posmap_a{_tag(alpha)}.csv"
             _write_csv(out_dir / name, ["t", "nu_raw", "nu_abs", "nu_exp"],
@@ -176,27 +180,36 @@ def cmd_value(cfg: ScenarioConfig, out_dir: Path, threads: int,
     return ["value.csv"]
 
 
+def _alpha_legs(cfg: ScenarioConfig, functional) -> list:
+    """One path_batch leg per scenario alpha at rho = 0: that alpha's scheme
+    and positivity map, with integrand functional(p)."""
+    ps = [cfg.model_params(alpha, 0.0) for alpha in cfg.alphas]
+    return [(p, _scheme_for(p, cfg), _stock_map(p, cfg), functional(p)) for p in ps]
+
+
 def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
-    """Optimal-wealth sample paths and terminal-wealth statistics per alpha."""
+    """Optimal-wealth sample paths and terminal-wealth statistics per alpha,
+    every alpha on one shared draw."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    files = []
-    summary = []
-    for alpha in cfg.alphas:
-        p = cfg.model_params(alpha, 0.0)
-        scheme, pmap = _scheme_for(p, cfg), _stock_map(p, cfg)
+
+    def wealth(p):
+        return lambda dBs, z, nu: simulate_wealth(merton_ratio(p), nu, grid, dBs, p)
+
+    def terminal(p):
+        return lambda *batch: wealth(p)(*batch)[..., -1].copy()
+
+    legs = _alpha_legs(cfg, terminal)
+    samples = path_batch(_alpha_legs(cfg, wealth), grid, cfg.seed, 0,
+                         cfg.n_sample_paths)
+    terminals = map_paths(legs, grid, cfg.seed, cfg.n_paths, threads)
+    files, summary = [], []
+    for alpha, (p, *_), w, wt in zip(cfg.alphas, legs, samples, terminals):
         pi_star = merton_ratio(p)
-
-        def wealth(bp, z, nu):
-            return simulate_wealth(pi_star, nu, grid, bp.dBs, p)
-
-        w = wealth(*path_batch(p, scheme, grid, cfg.seed, 0, cfg.n_sample_paths, pmap))
         header = ["t", "pi_star"] + [f"w{i}" for i in range(cfg.n_sample_paths)]
         cols = [grid.times, np.full(grid.steps + 1, pi_star)] + list(w)
         name = f"wealth_a{_tag(alpha)}.csv"
         _write_csv(out_dir / name, header, zip(*cols))
         files.append(name)
-        wt = map_paths(lambda bp, z, nu: wealth(bp, z, nu)[..., -1], p, scheme,
-                       grid, cfg.seed, cfg.n_paths, threads, pmap)
         summary.append((p.regime.value, alpha, pi_star, p.w0,
                         math.fsum(wt) / len(wt),
                         float(np.var(wt, ddof=1)), len(wt)))
@@ -208,19 +221,21 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
 
 
 def cmd_longterm(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
-    """Terminal nu and S quantiles at the scenario horizon, per alpha."""
+    """Terminal nu and S quantiles at the scenario horizon, per alpha, every
+    alpha on one shared draw."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    rows = []
-    for alpha in cfg.alphas:
-        p = cfg.model_params(alpha, 0.0)
 
-        def terminal(bp, z, nu):
-            s = simulate_stock(nu, grid, bp.dBs, p, s0=cfg.s0)
+    def terminal(p):
+        def nu_s(dBs, z, nu):
+            s = simulate_stock(nu, grid, dBs, p, s0=cfg.s0)
             return np.stack([nu[..., -1], s[..., -1]], axis=-1)
+        return nu_s
 
-        term = map_paths(terminal, p, _scheme_for(p, cfg), grid, cfg.seed,
-                         cfg.n_paths, threads, _stock_map(p, cfg))
+    legs = _alpha_legs(cfg, terminal)
+    terms = map_paths(legs, grid, cfg.seed, cfg.n_paths, threads)
+    rows = []
+    for alpha, (p, *_), term in zip(cfg.alphas, legs, terms):
         for q in qs:
             rows.append((p.regime.value, alpha, cfg.horizon, q,
                          float(np.quantile(term[:, 0], q)),
@@ -318,6 +333,9 @@ def main(argv=None) -> int:
             files = cmd_converge(cfg, out_dir, cfg.threads)
     except OSError as exc:
         print(f"i/o error ({args.command}): {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"run error ({args.command}): {exc}", file=sys.stderr)
         return 1
     _write_manifest(out_dir, files, cfg)
     for msg in errors:

@@ -1,11 +1,12 @@
 """Monte Carlo engines and affine cross-validation.
 
-Every estimator and CLI command simulates through path_batch (Brownian
-pair, then Z or the Feynman-Kac Z-tilde, nu, positivity map), mapped by
+Every estimator and CLI command simulates through path_batch, mapped by
 map_paths over fixed batches of per-path Philox streams and reduced with
 exact (fsum) summation, so results are bit-identical for any worker
-count.  Common random numbers (shared master seed) are used for every
-strategy or refinement-level comparison.
+count.  A batch draws the Brownian pair and drives Z once for all its
+legs (alphas, levels or schemes compared on common random numbers); nu,
+the positivity map and the integrand run per leg.  The rho != 0 Z-tilde
+depends on nu, so it drives a single leg.
 """
 from __future__ import annotations
 
@@ -45,54 +46,83 @@ def _reduce(values: np.ndarray) -> McEstimate:
 
 
 def _map_batches(batch_fn, n_paths: int, threads: int = 1,
-                 batch_size: int = BATCH_SIZE) -> np.ndarray:
-    """Run batch_fn(start, stop) over fixed path-index slices; batch layout
-    is independent of the worker count, so the concatenated output is too."""
+                 batch_size: int = BATCH_SIZE) -> list:
+    """Run batch_fn(start, stop), which returns one array per leg, over fixed
+    path-index slices and concatenate each leg's arrays; batch layout is
+    independent of the worker count, so the output is too."""
     slices = [(s, min(s + batch_size, n_paths)) for s in range(0, n_paths, batch_size)]
     if threads <= 1 or len(slices) == 1:
         parts = [batch_fn(a, b) for a, b in slices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             parts = list(ex.map(lambda ab: batch_fn(*ab), slices))
-    return np.concatenate(parts)
+    return [np.concatenate(leg) for leg in zip(*parts)]
 
 
-def path_batch(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
-               master_seed: int, start: int, stop: int,
-               pos_map: PositivityMap | None = PositivityMap.IDENTITY,
-               tilde: bool = False, draw_dBs: bool = True) -> tuple:
-    """(Brownian pair, Z, nu) for paths start..stop, nu after pos_map (raw
-    with pos_map=None).  tilde=True asks for the drift-corrected Z-tilde of
-    the Feynman-Kac measure, which only the quantized fractional scheme
-    provides (others raise ValueError at rho != 0); at rho = 0 it is Z.
-    draw_dBs=False skips the stock increments (the pair's dBs is None) for
-    callers that read only Z and nu.
-    """
-    tilde = tilde and p.rho != 0.0
-    if tilde and scheme.kind is not SchemeKind.QUANTIZED_FRACTIONAL:
+_DRIVER_FIELDS = ("rho", "z0", "kappa", "theta", "sigma")  # what Z depends on
+
+
+def _driver_params(legs, tilde: bool) -> ModelParams:
+    """The first leg's params, once every leg shares its rho and CIR
+    constants and a Z-tilde run has the one leg that can drive it."""
+    p = legs[0][0]
+    if any(getattr(q, f) != getattr(p, f) for q, *_ in legs for f in _DRIVER_FIELDS):
+        raise ValueError("legs of one path batch must share rho and the CIR "
+                         "constants (z0, kappa, theta, sigma)")
+    kinds = [leg[1].kind.value for leg in legs]
+    if tilde and p.rho != 0.0 and kinds != [SchemeKind.QUANTIZED_FRACTIONAL.value]:
         raise ValueError(f"rho={p.rho} needs the drift-corrected Z-tilde, which only "
-                         f"{SchemeKind.QUANTIZED_FRACTIONAL.value} provides; "
-                         f"got {scheme.kind.value}")
-    bp = brownian_batch(master_seed, range(start, stop), grid, p.rho, draw_dBs)
-    if tilde:
-        z, nu = simulate_tilde_z(p, scheme.qm, grid, bp.dBz)
-    else:
-        z = simulate_cir(p, grid, bp.dBz)
+                         f"one {SchemeKind.QUANTIZED_FRACTIONAL.value} leg provides; "
+                         f"got {kinds}")
+    return p
+
+
+def _run_leg(leg, dBs, z: np.ndarray, grid: TimeGrid, nu=None):
+    # nu lives only in this frame, so one leg's nu is freed before the next
+    # leg builds its own
+    p, scheme, pos_map, integrand = leg
+    if nu is None:
         nu = scheme.nu_paths(p, z, grid)
     if pos_map is not None:
         nu = apply_positivity(nu, pos_map)
-    return bp, z, nu
+    return integrand(dBs, z, nu)
 
 
-def map_paths(integrand, p: ModelParams, scheme: VolScheme, grid: TimeGrid,
-              master_seed: int, n_paths: int, threads: int = 1,
-              pos_map: PositivityMap | None = PositivityMap.IDENTITY,
-              tilde: bool = False, draw_dBs: bool = True) -> np.ndarray:
-    """integrand(*path_batch) over fixed BATCH_SIZE batches of paths
-    0..n_paths, concatenated in path order whatever the worker count."""
+def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
+               tilde: bool = False, draw_dBs: bool = True) -> list:
+    """integrand(dBs, Z, nu) of each leg (p, scheme, pos_map, integrand) for
+    paths start..stop, in leg order.
+
+    The legs share rho and the CIR constants, so the Brownian pair and Z
+    are drawn once; every leg gets the same read-only dBs and Z (dBz only
+    drives Z and is freed before the legs run), and nu is built per leg,
+    after pos_map (raw with pos_map=None).  Outputs are kept until the map
+    ends, so an integrand copies a slice (w[..., -1]) rather than return a
+    view.  tilde=True drives a single quantized fractional leg by the
+    Feynman-Kac Z-tilde (others raise ValueError at rho != 0; at rho = 0 it
+    is Z).  draw_dBs=False passes dBs=None, for legs that do not read it.
+    """
+    p = _driver_params(legs, tilde)
+    bp = brownian_batch(master_seed, range(start, stop), grid, p.rho, draw_dBs)
+    dBs = bp.dBs
+    if tilde and p.rho != 0.0:
+        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, bp.dBz)
+    else:
+        z, nu = simulate_cir(p, grid, bp.dBz), None
+    del bp
+    for a in (dBs, z):
+        if a is not None:
+            a.flags.writeable = False
+    return [_run_leg(leg, dBs, z, grid, nu) for leg in legs]
+
+
+def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
+              threads: int = 1, tilde: bool = False,
+              draw_dBs: bool = True) -> list:
+    """path_batch over fixed BATCH_SIZE batches of paths 0..n_paths: one
+    array per leg, concatenated in path order whatever the worker count."""
     def batch(start, stop):
-        return integrand(*path_batch(p, scheme, grid, master_seed, start, stop,
-                                     pos_map, tilde, draw_dBs))
+        return path_batch(legs, grid, master_seed, start, stop, tilde, draw_dBs)
 
     return _map_batches(batch, n_paths, threads)
 
@@ -113,13 +143,22 @@ def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
     c = d.c_exponent
     h = grid.h
 
-    def integrand(bp, z, nu):
+    def integrand(dBs, z, nu):
         integral = h * np.sum(nu[..., :-1], axis=-1)
         return np.exp(p.gamma * p.r / c * grid.horizon + d.eta / c * integral)
 
-    values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
-                       pos_map, tilde=True, draw_dBs=False)
+    values, = map_paths([(p, scheme, pos_map, integrand)], grid, master_seed,
+                        n_paths, threads, tilde=True, draw_dBs=False)
     return _reduce(values)
+
+
+def _utility(p: ModelParams, pi: float, grid: TimeGrid):
+    """Integrand of mc_utility: per-path (1/gamma) W_T^gamma."""
+    def integrand(dBs, z, nu):
+        w = simulate_wealth(pi, nu, grid, dBs, p)
+        return w[..., -1] ** p.gamma / p.gamma
+
+    return integrand
 
 
 def mc_utility(p: ModelParams, pi: float, scheme: VolScheme,
@@ -127,13 +166,8 @@ def mc_utility(p: ModelParams, pi: float, scheme: VolScheme,
                master_seed: int, threads: int = 1) -> McEstimate:
     """Expected power utility (1/gamma) W_T^gamma of the constant risky
     fraction pi (e.g. merton_ratio(p)), on the physical Z at any rho."""
-
-    def integrand(bp, z, nu):
-        w = simulate_wealth(pi, nu, grid, bp.dBs, p)
-        return w[..., -1] ** p.gamma / p.gamma
-
-    values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
-                       pos_map)
+    values, = map_paths([(p, scheme, pos_map, _utility(p, pi, grid))], grid,
+                        master_seed, n_paths, threads)
     return _reduce(values)
 
 
@@ -149,12 +183,12 @@ def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
     h = grid.h
     wfac = p.w0 ** p.gamma / p.gamma
 
-    def integrand(bp, z, nu):
+    def integrand(dBs, z, nu):
         integral = h * np.sum(nu[..., :-1], axis=-1)
         return wfac * np.exp(p.gamma * p.r * grid.horizon + eta * integral)
 
-    values = map_paths(integrand, p, scheme, grid, master_seed, n_paths, threads,
-                       pos_map, draw_dBs=False)
+    values, = map_paths([(p, scheme, pos_map, integrand)], grid, master_seed,
+                        n_paths, threads, draw_dBs=False)
     return _reduce(values)
 
 
@@ -184,25 +218,23 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
     if p.regime is not Regime.FRACTIONAL:
         raise ValueError("the convergence study runs in the fractional regime")
     schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm) for qm in qms]
-    nus = [path_batch(p, s, grid, master_seed, 0, n_monotone_paths, pos_map=None,
-                      draw_dBs=False)[2]
-           for s in schemes]
-    pi = merton_ratio(p)
-    euler_util = mc_utility(p, pi, VolScheme(SchemeKind.FRACTIONAL_EULER),
-                            PositivityMap.IDENTITY, n_paths, grid, master_seed,
-                            threads)
+    nus = path_batch([(p, s, None, lambda dBs, z, nu: nu) for s in schemes], grid,
+                     master_seed, 0, n_monotone_paths, draw_dBs=False)
+    utility = _utility(p, merton_ratio(p), grid)
+    euler_util, *utils = map(_reduce, map_paths(
+        [(p, s, PositivityMap.IDENTITY, utility)
+         for s in [VolScheme(SchemeKind.FRACTIONAL_EULER), *schemes]],
+        grid, master_seed, n_paths, threads))
     rows = []
     values = [value_function(p, solve_riccati_finite(qm, p, ode_step=grid.h)).value
               for qm in qms]
-    for i, qm in enumerate(qms):
+    for i, (qm, util) in enumerate(zip(qms, utils)):
         if i + 1 < len(qms):
             violations = int(np.sum(nus[i] > nus[i + 1] + 1e-12))
             value_gap = abs(values[i] - values[i + 1])
         else:
             violations = 0
             value_gap = math.nan
-        util = mc_utility(p, pi, schemes[i], PositivityMap.IDENTITY, n_paths,
-                          grid, master_seed, threads)
         eps = (value_gap if math.isfinite(value_gap) else 0.0) \
             + abs(util.mean - euler_util.mean)
         rows.append(ConvergenceRow(

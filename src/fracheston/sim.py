@@ -70,7 +70,9 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
     sequence as a fresh Philox(key=...).  With draw_dBs=False only the dBz
     normals are drawn and dBs is None.
     """
-    normals = np.empty((2 if draw_dBs else 1, len(stream_ids), grid.steps))
+    # one array per row kind, so that dBz can be freed while dBs is in use
+    normals = [np.empty((len(stream_ids), grid.steps))
+               for _ in range(2 if draw_dBs else 1)]
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # zero counter, empty buffer

@@ -126,13 +126,23 @@ def test_rerun_byte_identical(tmp_path, cfg_path):
     assert _read_all(out1) == _read_all(out2)
 
 
-def test_value_byte_identical_across_threads(tmp_path, cfg_path):
+REPORTS = {
+    "value": {"value.csv"},
+    "wealth": {"wealth_a0.5.csv", "wealth_am0.75.csv", "wealth_a0.csv",
+               "wealth_summary.csv"},
+    "longterm": {"longterm.csv"},
+    "converge": {"converge.csv"},
+}
+
+
+@pytest.mark.parametrize("command", list(REPORTS))
+def test_value_byte_identical_across_threads(tmp_path, cfg_path, command):
     # more paths than one batch, so the workers really split the work
     paths = str(BATCH_SIZE + 52)
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert _run(cfg_path, out1, "value", "--paths", paths, "--threads", "1") == 0
-    assert _run(cfg_path, out2, "value", "--paths", paths, "--threads", "2") == 0
-    assert set(_read_all(out1)) == {"value.csv", "manifest.csv"}
+    assert _run(cfg_path, out1, command, "--paths", paths, "--threads", "1") == 0
+    assert _run(cfg_path, out2, command, "--paths", paths, "--threads", "2") == 0
+    assert set(_read_all(out1)) == REPORTS[command] | {"manifest.csv"}
     assert _read_all(out1) == _read_all(out2)
 
 
@@ -188,6 +198,20 @@ def test_converge_without_fractional_alpha_fails_before_any_output(tmp_path, alp
     out = tmp_path / "o"
     assert main(["--config", str(bad), "--out", str(out), "converge"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "wealth", "longterm"])
+def test_failing_run_exits_cleanly(tmp_path, capsys, command):
+    # the identity map is valid for some rough scenarios (v0 = 3, z0 = 0.15),
+    # so it is rejected while the run meets a negative path, not at load time
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL, "positivity_map": "identity"}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert not (out / "manifest.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"run error ({command}): identity positivity map")
+    assert "Traceback" not in err
 
 
 def test_seed_override_changes_output(tmp_path, cfg_path):

@@ -9,7 +9,7 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         mc_value_rough, measure_for_atoms, merton_ratio,
                         nu_quantized_paths, simulate_cir, simulate_wealth,
                         solve_riccati_finite)
-from fracheston.mc import BATCH_SIZE, McEstimate, _map_batches
+from fracheston.mc import BATCH_SIZE, McEstimate, _map_batches, map_paths
 
 
 @pytest.fixture
@@ -24,13 +24,76 @@ def test_mc_estimate_validation():
 
 
 def test_map_batches_order_independent_of_threads():
-    def batch(start, stop):
-        return np.arange(start, stop, dtype=float)
+    def batch(start, stop):  # one leg
+        return [np.arange(start, stop, dtype=float)]
 
-    a = _map_batches(batch, 1000, threads=1, batch_size=64)
-    b = _map_batches(batch, 1000, threads=4, batch_size=64)
+    a, = _map_batches(batch, 1000, threads=1, batch_size=64)
+    b, = _map_batches(batch, 1000, threads=4, batch_size=64)
     assert np.array_equal(a, np.arange(1000.0))
     assert np.array_equal(a, b)
+
+
+def _four_legs(grid):
+    """Classical (nu is Z itself), fractional Euler, rough Marchaud with the
+    abs map and quantized fractional legs; two read dBs, all share Z."""
+    classical, euler, rough = (default_params(alpha=a) for a in (0.0, 0.75, -0.75))
+    qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
+
+    def wealth(p):
+        return lambda dBs, z, nu: simulate_wealth(0.2, nu, grid, dBs, p)[:, -1]
+
+    def path_sum(dBs, z, nu):
+        return np.stack([nu.sum(axis=-1), z.sum(axis=-1)], axis=-1)
+
+    return [(classical, VolScheme(SchemeKind.CLASSICAL), PositivityMap.IDENTITY,
+             wealth(classical)),
+            (euler, VolScheme(SchemeKind.FRACTIONAL_EULER), PositivityMap.IDENTITY,
+             path_sum),
+            (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), PositivityMap.ABSOLUTE,
+             lambda dBs, z, nu: nu[:, -3:]),
+            (euler, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm),
+             PositivityMap.IDENTITY, wealth(euler))]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_multi_leg_map_equals_one_leg_calls(threads):
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    n = BATCH_SIZE + 52  # two batches
+    legs = _four_legs(grid)
+    shared = map_paths(legs, grid, 19, n, threads)
+    assert len(shared) == len(legs)
+    for leg, out in zip(legs, shared):
+        alone, = map_paths([leg], grid, 19, n, threads=1)
+        assert np.array_equal(out, alone)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda dBs, z, nu: nu.__iadd__(1.0),  # classical: nu is the shared Z
+    lambda dBs, z, nu: z.fill(0.0),
+    lambda dBs, z, nu: dBs.__imul__(2.0),
+], ids=["nu-of-classical", "z", "dBs"])
+def test_legs_cannot_mutate_shared_paths(mutate):
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    p = default_params(alpha=0.0)
+    leg = (p, VolScheme(SchemeKind.CLASSICAL), PositivityMap.IDENTITY, mutate)
+    with pytest.raises(ValueError, match="read-only"):
+        map_paths([leg], grid, 19, 10)
+
+
+def test_legs_must_share_the_driver(params, quant_scheme):
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+
+    def leg(p):
+        return (p, quant_scheme, PositivityMap.IDENTITY, lambda dBs, z, nu: nu[:, -1])
+
+    for other in (params.with_(kappa=5.0), params.with_(z0=0.04),
+                  params.with_(rho=0.5)):
+        with pytest.raises(ValueError, match="CIR constants"):
+            map_paths([leg(params), leg(other)], grid, 19, 10)
+    # the Z-tilde driver depends on the leg's nu, so it takes a single leg
+    p = params.with_(rho=-0.7)
+    with pytest.raises(ValueError, match="one quantized_fractional leg"):
+        map_paths([leg(p), leg(p)], grid, 19, 10, tilde=True)
 
 
 def test_feynman_kac_thread_determinism(params, quant_scheme):
