@@ -9,11 +9,9 @@ from .mc import (McEstimate, convergence_study, map_paths, mc_feynman_kac,
                  mc_utility, mc_value_rough, path_batch)
 from .params import (DerivedConstants, ModelParams, Regime, default_params,
                      hurst_of_alpha, merton_ratio, regime_of_alpha)
-from .quantize import (MeasureKind, Partition, QuantizedMeasure, approx_kernel,
-                       cell_barycenter, cell_weight, dyadic_chain, frac_kernel,
-                       make_partition, measure_for_atoms, quantize, refine)
-from .riccati import (AffineValue, RiccatiBlowUp, RiccatiSolution,
-                      h_closed_form, history_term, psi, psi_vector,
+from .quantize import (MeasureKind, QuantizedMeasure, approx_kernel,
+                       dyadic_chain, frac_kernel, measure_for_atoms)
+from .riccati import (AffineValue, RiccatiBlowUp, RiccatiSolution, psi,
                       solve_riccati_finite, solve_riccati_limit,
                       solve_riccati_rough, value_function, value_function_at_t)
 from .sim import (BrownianPair, TimeGrid, brownian_batch, simulate_cir,

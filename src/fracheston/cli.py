@@ -75,9 +75,10 @@ def _whole(dBs, z, nu):
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     """Sample paths of Z, nu and S per (alpha, rho) cell, plus positivity
-    diagnostics for rough alphas."""
+    diagnostics for rough alphas.  Every table is built before the first
+    file is written, so a failing cell leaves no partial output."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    files = []
+    tables = []  # (file name, header, rows)
     diag_rows = []
     npaths = cfg.n_sample_paths
     for alpha in cfg.alphas:
@@ -92,9 +93,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
             for i in range(npaths):
                 header += [f"z{i}", f"nu{i}", f"s{i}"]
                 cols += [z[i], nu[i], s[i]]
-            name = f"paths_a{_tag(alpha)}_r{_tag(rho)}.csv"
-            _write_csv(out_dir / name, header, zip(*cols))
-            files.append(name)
+            tables.append((f"paths_a{_tag(alpha)}_r{_tag(rho)}.csv", header,
+                           zip(*cols)))
             if p.regime is Regime.ROUGH:
                 for i in range(npaths):
                     diag_rows.append((alpha, rho, i,
@@ -104,15 +104,15 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
             (_, _, nu), = path_batch([(p0, _scheme_for(p0, cfg), None, _whole)],
                                      grid, cfg.seed, 0, 1)
             nu = nu[0]
-            name = f"posmap_a{_tag(alpha)}.csv"
-            _write_csv(out_dir / name, ["t", "nu_raw", "nu_abs", "nu_exp"],
-                       zip(grid.times, nu, np.abs(nu), np.exp(nu)))
-            files.append(name)
+            tables.append((f"posmap_a{_tag(alpha)}.csv",
+                           ["t", "nu_raw", "nu_abs", "nu_exp"],
+                           zip(grid.times, nu, np.abs(nu), np.exp(nu))))
     if diag_rows:
-        _write_csv(out_dir / "rough_diagnostics.csv",
-                   ["alpha", "rho", "path", "negative_fraction"], diag_rows)
-        files.append("rough_diagnostics.csv")
-    return files
+        tables.append(("rough_diagnostics.csv",
+                       ["alpha", "rho", "path", "negative_fraction"], diag_rows))
+    for name, header, rows in tables:
+        _write_csv(out_dir / name, header, rows)
+    return [name for name, _, _ in tables]
 
 
 def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:

@@ -21,6 +21,12 @@ from .vol import PositivityMap
 SCHEMA_VERSION = 2
 
 
+def _check_int(name: str, val) -> None:
+    # bool is an int subclass, but true/false is never a count or a seed
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     schema_version: int = SCHEMA_VERSION
@@ -51,6 +57,10 @@ class ScenarioConfig:
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {self.schema_version}; "
                              f"this build reads version {SCHEMA_VERSION}")
+        for name in ("n_paths", "n_sample_paths", "seed", "threads"):
+            _check_int(name, getattr(self, name))
+        for n in self.levels:
+            _check_int("levels entry", n)
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.n_paths < 2:

@@ -7,9 +7,11 @@ finite-atom fractional, the fractional limit (power-law forcing, reducing
 to classical Heston at alpha = 0) and the rough finite-atom system whose
 forcing carries an integrable power singularity at the terminal tau.
 
-All solvers share one classical RK4 driver in tau = T - t, detect
-blow-up of varphi (the affine ansatz may only exist up to a finite
-horizon) and return an immutable solution object on a tau grid.
+Each system is a tau-only forcing plus one derivative of (varphi, Phi)
+given that forcing.  All share one classical RK4 driver in tau = T - t
+that evaluates the forcing once per distinct node, detects blow-up of
+varphi (the affine ansatz may only exist up to a finite horizon) and
+returns an immutable solution object on a tau grid.
 """
 from __future__ import annotations
 
@@ -50,67 +52,64 @@ class RiccatiSolution:
                 float(np.interp(tau, self.tau_grid, self.phi_big)))
 
 
-def psi(tau: float, q: float, x: float, eta: float) -> float:
-    """Closed-form atom coefficient: eta * q * (1 - exp(-x tau)) / x."""
-    if x <= 0:
+def psi(tau: float, q, x, eta: float):
+    """Closed-form atom coefficient eta * q * (1 - exp(-x tau)) / x; q and x
+    may be arrays of weights and locations, one coefficient per atom."""
+    if np.any(x <= 0):
         raise ValueError("atom location must be positive")
-    return eta * q * (1.0 - math.exp(-x * tau)) / x
+    return eta * q * (1.0 - np.exp(-x * tau)) / x
 
 
-def psi_vector(tau: float, qm: QuantizedMeasure, eta: float) -> np.ndarray:
-    return eta * qm.weights * (1.0 - np.exp(-qm.nodes * tau)) / qm.nodes
-
-
-def _rk4(dvarphi, dphi_big, tau_nodes: np.ndarray, varphi_of=lambda tau, v: v):
-    """Classical RK4 of v' = dvarphi(tau, v), Phi' = dphi_big(tau, v) from
-    v = Phi = 0 over the tau nodes; varphi = varphi_of(tau, v) (part of it
-    may be integrated in closed form).  Stops where varphi is non-finite or
-    exceeds BLOW_UP_THRESHOLD.  Returns (tau, varphi, Phi, blow_up).
+def _rk4(forcing, deriv, tau_nodes: np.ndarray,
+         varphi_of=lambda f, v: v) -> RiccatiSolution:
+    """Classical RK4 of (v', Phi') = deriv(forcing(tau), v) from v = Phi = 0
+    over the tau nodes; varphi = varphi_of(forcing(tau), v) (part of it may
+    be integrated in closed form).  The tau-only forcing is evaluated once
+    per distinct node: t1 carries over as the next step's t0, and the two
+    midpoint stages share one value.  Stops where varphi is non-finite or
+    exceeds BLOW_UP_THRESHOLD.
     """
     taus = [0.0]
     vs = [0.0]
     pbs = [0.0]
     v, pb = 0.0, 0.0
     blow_up = None
+    f1 = forcing(tau_nodes[0])
     for i in range(len(tau_nodes) - 1):
         t0, t1 = tau_nodes[i], tau_nodes[i + 1]
         dt = t1 - t0
-        k1v = dvarphi(t0, v)
-        k1p = dphi_big(t0, v)
-        k2v = dvarphi(t0 + dt / 2, v + dt / 2 * k1v)
-        k2p = dphi_big(t0 + dt / 2, v + dt / 2 * k1v)
-        k3v = dvarphi(t0 + dt / 2, v + dt / 2 * k2v)
-        k3p = dphi_big(t0 + dt / 2, v + dt / 2 * k2v)
-        k4v = dvarphi(t1, v + dt * k3v)
-        k4p = dphi_big(t1, v + dt * k3v)
+        f0, fm, f1 = f1, forcing(t0 + dt / 2), forcing(t1)
+        k1v, k1p = deriv(f0, v)
+        k2v, k2p = deriv(fm, v + dt / 2 * k1v)
+        k3v, k3p = deriv(fm, v + dt / 2 * k2v)
+        k4v, k4p = deriv(f1, v + dt * k3v)
         v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         pb = pb + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        varphi = varphi_of(t1, v)
+        varphi = varphi_of(f1, v)
         if not np.isfinite(varphi) or abs(varphi) > BLOW_UP_THRESHOLD:
             blow_up = float(t1)
             break
         taus.append(float(t1))
         vs.append(float(varphi))
         pbs.append(float(pb))
-    return np.array(taus), np.array(vs), np.array(pbs), blow_up
+    return RiccatiSolution(tau_grid=np.array(taus), varphi=np.array(vs),
+                           phi_big=np.array(pbs), blow_up=blow_up)
 
 
-def _rk4_system(forcing, p: ModelParams, ode_step: float):
+def _rk4_system(forcing, p: ModelParams, ode_step: float) -> RiccatiSolution:
     """Integrate varphi' = forcing(tau) - kappa*varphi + sigma^2/2 * varphi^2
     and Phi' = gamma r + v0 eta + kappa theta varphi on a uniform tau grid
-    over [0, p.horizon]; returns (tau, varphi, Phi, blow_up).
+    over [0, p.horizon].
     """
     eta = p.derived().eta
     kap, sig2 = p.kappa, p.sigma ** 2
 
-    def dvarphi(tau, v):
-        return forcing(tau) - kap * v + 0.5 * sig2 * v * v
-
-    def dphi_big(tau, v):
-        return p.gamma * p.r + p.v0 * eta + kap * p.theta * v
+    def deriv(f, v):
+        return (f - kap * v + 0.5 * sig2 * v * v,
+                p.gamma * p.r + p.v0 * eta + kap * p.theta * v)
 
     n = max(1, round(p.horizon / ode_step))
-    return _rk4(dvarphi, dphi_big, np.linspace(0.0, p.horizon, n + 1))
+    return _rk4(forcing, deriv, np.linspace(0.0, p.horizon, n + 1))
 
 
 def solve_riccati_finite(qm: QuantizedMeasure, p: ModelParams,
@@ -124,8 +123,7 @@ def solve_riccati_finite(qm: QuantizedMeasure, p: ModelParams,
     def forcing(tau):
         return eta * float(np.dot(q, (1.0 - np.exp(-x * tau)) / x))
 
-    tau, v, pb, blow = _rk4_system(forcing, p, ode_step)
-    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, blow_up=blow)
+    return _rk4_system(forcing, p, ode_step)
 
 
 def solve_riccati_limit(p: ModelParams, ode_step: float = 1e-3,
@@ -145,8 +143,7 @@ def solve_riccati_limit(p: ModelParams, ode_step: float = 1e-3,
             return eta
         return eta * tau ** alpha / ga1 if tau > 0 else 0.0
 
-    tau, v, pb, blow = _rk4_system(forcing, p, ode_step)
-    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, blow_up=blow)
+    return _rk4_system(forcing, p, ode_step)
 
 
 def h_closed_form(t: float, horizon: float, qm: QuantizedMeasure) -> float:
@@ -197,28 +194,22 @@ def solve_riccati_rough(qm_tilde: QuantizedMeasure, p: ModelParams,
     kap, sig2 = p.kappa, p.sigma ** 2
     gna = gamma_fn(-alpha)
 
-    def psing(tau):
-        # antiderivative of eta (T-u)^(-alpha-1)/Gamma(-alpha), zero at tau=0
-        return eta * ((horizon - tau) ** (-alpha) - horizon ** (-alpha)) / (alpha * gna)
+    def forcing(tau):
+        # psing: antiderivative of eta (T-u)^(-alpha-1)/Gamma(-alpha), zero
+        # at tau=0; h: h^n at t = T - tau
+        return (eta * ((horizon - tau) ** (-alpha) - horizon ** (-alpha)) / (alpha * gna),
+                h_closed_form(horizon - tau, horizon, qm_tilde))
 
-    def h_of_tau(tau):
-        return h_closed_form(horizon - tau, horizon, qm_tilde)
-
-    def dsmooth(tau, vs):
-        v = vs + psing(tau)
-        hn = h_of_tau(tau)
+    def deriv(f, vs):
+        psing, hn = f
+        v = vs + psing
+        # the y-coefficients sum to eta*h(t), so h enters Phi scaled by eta
         return (-kap * v + 0.5 * sig2 * v * v
-                - eta * hn * (kap - sig2 * v - 0.5 * sig2 * eta * hn))
+                - eta * hn * (kap - sig2 * v - 0.5 * sig2 * eta * hn),
+                p.gamma * p.r + p.v0 * eta + kap * p.theta * (v + eta * hn))
 
-    def dphi_big(tau, vs):
-        # the y-coefficients sum to eta*h(t), so h enters scaled by eta
-        return (p.gamma * p.r + p.v0 * eta
-                + kap * p.theta * (vs + psing(tau) + eta * h_of_tau(tau)))
-
-    tau, v, pb, blow = _rk4(dsmooth, dphi_big,
-                            _rough_tau_nodes(horizon, ode_step, graded_substeps),
-                            lambda tau, vs: vs + psing(tau))
-    return RiccatiSolution(tau_grid=tau, varphi=v, phi_big=pb, blow_up=blow)
+    return _rk4(forcing, deriv, _rough_tau_nodes(horizon, ode_step, graded_substeps),
+                lambda f, vs: vs + f[0])
 
 
 @dataclass(frozen=True)
@@ -257,27 +248,10 @@ def value_function_at_t(p: ModelParams, sol: RiccatiSolution, qm: QuantizedMeasu
         raise ValueError("t beyond the horizon")
     vp, pb = sol.at(tau)
     eta = p.derived().eta
-    psis = psi_vector(tau, qm, eta)
+    psis = psi(tau, qm.weights, qm.nodes, eta)
     return AffineValue(value=(w ** p.gamma / p.gamma)
                        * math.exp(pb + float(np.dot(psis, y)) + vp * z),
                        wealth_factor=w ** p.gamma / p.gamma,
                        exponent_phi_big=pb, exponent_phi_z=vp * z,
                        exponent_psi_y=float(np.dot(psis, y)))
 
-
-def history_term(z_history: np.ndarray, t: float, horizon: float, alpha: float,
-                 eta: float) -> float:
-    """Exponent contribution of a realized Z history on [0, t].
-
-    Closed form of the inner x-integral gives
-        eta * int_0^t Z_u ((T-u)^alpha - (t-u)^alpha) / Gamma(alpha+1) du,
-    evaluated by trapezoid on the history grid.
-    """
-    if t >= horizon:
-        raise ValueError("history term requires t < horizon")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("history term is fractional-regime only")
-    z_history = np.asarray(z_history, dtype=float)
-    u = np.linspace(0.0, t, len(z_history))
-    inner = ((horizon - u) ** alpha - (t - u) ** alpha) / gamma_fn(alpha + 1.0)
-    return eta * float(np.trapezoid(z_history * inner, u))

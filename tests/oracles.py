@@ -4,9 +4,9 @@ Each function restates a computation of the library, or a closed form it
 should agree with, in its plainest form: a fresh Philox generator per path
 stream behind the batched Brownian draw, the per-atom exponential-factor
 recurrence behind the quantized volatility and the rho != 0 Z-tilde
-driver, the O(k^2) sums of the direct Euler schemes, the exact CIR law,
-the mixing densities, the CIR and volatility covariances, and a
-double-integral quadrature of the history term.  None of it is part of
+driver, a Girsanov-weighted Feynman-Kac estimator on the physical Z, the
+O(k^2) sums of the direct Euler schemes, the exact CIR law, the mixing
+densities, and the CIR and volatility covariances.  None of it is part of
 the library; the tests import it from here.
 """
 from __future__ import annotations
@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from fracheston import (BrownianPair, MeasureKind, ModelParams, QuantizedMeasure,
-                        Regime, TimeGrid)
+from fracheston import (BrownianPair, McEstimate, MeasureKind, ModelParams,
+                        QuantizedMeasure, Regime, TimeGrid, brownian_batch,
+                        nu_quantized_paths, simulate_cir)
 from fracheston.params import gamma_fn
 
 # --- one fresh generator per path stream (oracle of brownian_batch) ---
@@ -140,6 +140,43 @@ def simulate_tilde_z_recurrence(p: ModelParams, qm: QuantizedMeasure, grid: Time
         nu[..., k + 1] = p.v0 + y @ qm.weights
         z[..., k + 1] = zk
     return np.maximum(z, 0.0), nu
+
+
+def feynman_kac_girsanov(p: ModelParams, qm: QuantizedMeasure, n_paths: int,
+                         grid: TimeGrid, master_seed: int,
+                         sign: float = 1.0) -> McEstimate:
+    """mc.mc_feynman_kac at rho != 0 without the Z-tilde driver (its
+    independent check): the Feynman-Kac functional f on the physical Z,
+    weighted by the discrete Girsanov density
+
+        L = exp(sum_k beta_k dB_k - h/2 sum_k beta_k^2),
+        beta_k = coef/sigma * sqrt(nu_k^+) where Z_k > 0, else 0,
+
+    under which each dB_k has mean beta_k h, so the weighted Euler step of
+    Z is the Z-tilde step with its correction coef * sqrt(Z^+ nu^+).  The
+    estimator f L - b (L - 1), b = mean(f), uses E[L] = 1 as a control
+    variate.  sign = -1 flips the correction (a deliberately wrong density).
+    """
+    d = p.derived()
+    c = d.c_exponent
+    coef = sign * p.lam * p.gamma * p.sigma * p.rho / (1.0 - p.gamma)
+    fs, ls = [], []
+    for start in range(0, n_paths, 8192):  # in slices, to bound memory
+        dBz = brownian_batch(master_seed, range(start, min(start + 8192, n_paths)),
+                             grid, p.rho, draw_dBs=False).dBz
+        z = simulate_cir(p, grid, dBz)
+        nu = nu_quantized_paths(p.v0, qm, z, grid)[:, :-1]
+        fs.append(np.exp(p.gamma * p.r / c * grid.horizon
+                         + d.eta / c * grid.h * np.sum(nu, axis=1)))
+        beta = np.where(z[:, :-1] > 0.0,
+                        coef / p.sigma * np.sqrt(np.maximum(nu, 0.0)), 0.0)
+        ls.append(np.exp(np.sum(beta * dBz, axis=1)
+                         - 0.5 * grid.h * np.sum(beta * beta, axis=1)))
+    f, weight = np.concatenate(fs), np.concatenate(ls)
+    g = f * weight - f.mean() * (weight - 1.0)
+    return McEstimate(mean=float(g.mean()),
+                      std_error=float(g.std(ddof=1) / math.sqrt(n_paths)),
+                      n_paths=n_paths)
 
 
 # --- O(k^2) sums (oracles of the FFT convolution engine) ---
@@ -281,22 +318,3 @@ def cov_nu(t: float, lag: float, p: ModelParams, quad_nodes: int = 60) -> float:
     total = ws @ cov @ ws
     return float(s_scale * u_scale * total / gamma_fn(alpha) ** 2)
 
-
-def history_term_quadrature(z_history: np.ndarray, t: float, horizon: float,
-                            alpha: float, eta: float) -> float:
-    """riccati.history_term with the inner x-integral left as a quadrature:
-
-        eta * int_0^t Z_u int_0^inf (e^{-(t-u)x} - e^{-(T-u)x})/x mu(dx) du,
-
-    the outer integral by trapezoid on the history grid.
-    """
-    z_history = np.asarray(z_history, dtype=float)
-    u = np.linspace(0.0, t, len(z_history))
-    spa = math.sin(math.pi * alpha) / math.pi
-    inner = np.empty_like(u)
-    for i, ui in enumerate(u):
-        a, b = t - ui, horizon - ui
-        val, _ = quad(lambda x: (np.exp(-a * x) - np.exp(-b * x)) / x
-                      * spa * x ** (-alpha), 0.0, np.inf, limit=200)
-        inner[i] = val
-    return eta * float(np.trapezoid(z_history * inner, u))

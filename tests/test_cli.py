@@ -180,6 +180,13 @@ def test_invalid_config_exit_code(tmp_path):
     {"schema_version": 1},
     {"s0": -100},
     {"n_sample_paths": -1},
+    {"levels": ["a"]},
+    {"levels": [8, 16.0]},
+    {"n_paths": 20.5},
+    {"n_sample_paths": 2.0},
+    {"seed": 7.5},
+    {"threads": True},
+    {"seed": True},
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     bad = tmp_path / "bad.json"
@@ -209,6 +216,7 @@ def test_failing_run_exits_cleanly(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out), command]) == 1
     assert not (out / "manifest.csv").exists()
+    assert list(out.glob("*.csv")) == []
     err = capsys.readouterr().err
     assert err.startswith(f"run error ({command}): identity positivity map")
     assert "Traceback" not in err

@@ -1,11 +1,18 @@
-"""Every name a library module imports is used by that module."""
+"""Every name a library module imports is used by that module, and every
+library name the benchmark and the scripts reach still resolves."""
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fracheston"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fracheston"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CONSUMERS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
+# "module:attr[.attr]" strings name the functions the benchmark tracer wraps
+TARGET = re.compile(r"fracheston(\.\w+)*:\w+(\.\w+)*")
 
 
 def _unused_imports(path: Path) -> list:
@@ -31,3 +38,46 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _library_names(path: Path) -> list:
+    """(module, dotted attribute or None) for each fracheston import of the
+    file, plus each tracer target string outside its test files."""
+    tree = ast.parse(path.read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "fracheston":
+            names += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "fracheston"]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and TARGET.fullmatch(node.value) and not path.name.startswith("test_"):
+            module, _, attr = node.value.partition(":")
+            names.append((module, attr))
+    return names
+
+
+def _unresolved(module: str, attr) -> bool:
+    try:
+        owner = importlib.import_module(module)
+    except ImportError:
+        return True
+    if attr is None:
+        return False
+    try:  # `from package import submodule`
+        importlib.import_module(f"{module}.{attr}")
+        return False
+    except ImportError:
+        pass
+    for part in attr.split("."):
+        if not hasattr(owner, part):
+            return True
+        owner = getattr(owner, part)
+    return False
+
+
+@pytest.mark.parametrize("path", CONSUMERS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_benchmark_and_script_library_names_resolve(path):
+    assert [n for n in _library_names(path) if _unresolved(*n)] == []

@@ -10,6 +10,7 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         nu_quantized_paths, simulate_cir, simulate_wealth,
                         solve_riccati_finite)
 from fracheston.mc import BATCH_SIZE, McEstimate, _map_batches, map_paths
+from oracles import feynman_kac_girsanov
 
 
 @pytest.fixture
@@ -218,6 +219,25 @@ def test_correlated_case_uses_drift_corrected_process(quant_scheme):
     est7 = mc_feynman_kac(p, quant_scheme, 2000, grid, 41)
     est0 = mc_feynman_kac(p0, quant_scheme, 2000, grid, 41)
     assert est7.mean != est0.mean
+
+
+@pytest.mark.parametrize("rho", [-0.7, 0.7])
+def test_feynman_kac_at_nonzero_rho_matches_girsanov_weighted_physical_z(rho):
+    # the Z-tilde estimator against a Girsanov-weighted one that never
+    # builds Z-tilde, on independent seeds; a flipped correction must not pass
+    p = default_params(alpha=0.75, rho=rho)
+    qm = measure_for_atoms(32, p.alpha, MeasureKind.MU)
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    n = 40_000
+    fk = mc_feynman_kac(p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm),
+                        n, grid, 61)
+
+    def gap_in_se(sign):
+        w = feynman_kac_girsanov(p, qm, n, grid, 62, sign)
+        return (fk.mean - w.mean) / math.hypot(fk.std_error, w.std_error)
+
+    assert abs(gap_in_se(1.0)) <= 3.0
+    assert abs(gap_in_se(-1.0)) > 3.0
 
 
 def test_convergence_study(params):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracheston import (MeasureKind, ScenarioConfig, approx_kernel,
-                        cell_barycenter, cell_weight, dyadic_chain, frac_kernel,
-                        make_partition, measure_for_atoms, quantize, refine)
+                        dyadic_chain, frac_kernel, measure_for_atoms)
 from fracheston.cli import cmd_quantize
+from fracheston.quantize import (cell_barycenter, cell_weight, make_partition,
+                                 quantize, refine)
 
 
 @given(lo=st.floats(1e-6, 10.0), width1=st.floats(1e-6, 10.0),

@@ -5,12 +5,12 @@ import pytest
 from scipy.integrate import simpson
 
 from fracheston import (MeasureKind, RiccatiBlowUp, TimeGrid, brownian_batch,
-                        convergence_study, default_params, h_closed_form,
-                        history_term, measure_for_atoms, psi, psi_vector,
-                        simulate_cir, solve_riccati_finite,
+                        convergence_study, default_params, measure_for_atoms,
+                        psi, simulate_cir, solve_riccati_finite,
                         solve_riccati_limit, solve_riccati_rough,
                         value_function, value_function_at_t)
-from oracles import history_term_quadrature, simulate_factors
+from fracheston.riccati import h_closed_form
+from oracles import simulate_factors
 
 ETA = -1.0 / 12.0  # lam=0.5, gamma=-2
 
@@ -40,11 +40,14 @@ def test_psi_boundary_and_saturation():
         psi(1.0, 0.3, -1.0, ETA)
 
 
-def test_psi_vector_matches_scalar():
+def test_psi_broadcasts_over_atoms():
     qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
-    vec = psi_vector(0.7, qm, ETA)
+    vec = psi(0.7, qm.weights, qm.nodes, ETA)
+    assert vec.shape == (qm.n_atoms,)
     for i in range(qm.n_atoms):
         assert vec[i] == pytest.approx(psi(0.7, qm.weights[i], qm.nodes[i], ETA))
+    with pytest.raises(ValueError):
+        psi(0.7, qm.weights, np.where(np.arange(qm.n_atoms) == 3, -1.0, qm.nodes), ETA)
 
 
 def test_finite_boundary_conditions(params):
@@ -243,37 +246,6 @@ def test_blow_up_detected_and_raises():
     assert sol.blow_up is not None and sol.blow_up < p.horizon
     with pytest.raises(RiccatiBlowUp):
         value_function(p, sol)
-
-
-def test_history_term_zero_at_start(params):
-    eta = params.derived().eta
-    assert history_term(np.array([0.05]), 0.0, 1.0, params.alpha, eta) == 0.0
-    with pytest.raises(ValueError):
-        history_term(np.array([0.05]), 1.0, 1.0, params.alpha, eta)
-
-
-def test_history_term_closed_form_vs_quadrature(rng, params):
-    eta = params.derived().eta
-    for _ in range(3):
-        z_hist = rng.uniform(0.01, 0.2, size=41)
-        cf = history_term(z_hist, 0.5, 1.0, params.alpha, eta)
-        qd = history_term_quadrature(z_hist, 0.5, 1.0, params.alpha, eta)
-        assert cf == pytest.approx(qd, rel=1e-6)
-
-
-def test_history_term_lower_bound_positive_eta(rng):
-    # for gamma in (0,1) the history contribution exceeds the flat-kernel
-    # bound eta (T-t) T^(alpha-1)/Gamma(alpha) * integral of Z
-    p = default_params(gamma=0.5)
-    eta = p.derived().eta
-    assert eta > 0
-    z_hist = rng.uniform(0.01, 0.2, size=101)
-    t, horizon = 0.5, 1.0
-    term = history_term(z_hist, t, horizon, p.alpha, eta)
-    u = np.linspace(0.0, t, len(z_hist))
-    bound = (eta * (horizon - t) * horizon ** (p.alpha - 1.0)
-             / math.gamma(p.alpha) * np.trapezoid(z_hist, u))
-    assert term >= bound > 0.0
 
 
 def test_epsilon_diagnostic(params):
