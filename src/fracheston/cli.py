@@ -2,9 +2,10 @@
 
 Subcommands write CSV reports into the output directory, plus a
 manifest.csv listing every emitted file with the configuration hash.
-All numbers are printed with 17 significant digits, so re-running a
-command with the same seed and config reproduces the files byte for
-byte, independent of --threads.
+Each row is written by one % format built from its cell types: strings
+as they are, integers in decimal and every other number with 17
+significant digits, so re-running a command with the same seed and
+config reproduces the files byte for byte, independent of --threads.
 """
 from __future__ import annotations
 
@@ -24,25 +25,35 @@ from .riccati import (RiccatiBlowUp, solve_riccati_finite, solve_riccati_limit,
                       solve_riccati_rough, value_function)
 # brownian_batch is not called here: perfbench/test_gates.py checks the
 # tracer's rebinding on fracheston.cli.brownian_batch
-from .sim import TimeGrid, brownian_batch, simulate_stock, simulate_wealth  # noqa: F401
+from .sim import (TimeGrid, brownian_batch, simulate_stock,  # noqa: F401
+                  simulate_wealth, terminal_wealth)
 from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
 
 FMT = "%.17g"
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return FMT % v
+def _cell_format(cls: type) -> str:
+    if issubclass(cls, str):
+        return "%s"
+    if issubclass(cls, (int, np.integer)):  # bool included
+        return "%d"
+    return FMT
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
+    """One line per row, each formatted by a single % format built from the
+    row's cell types: str as is, integers (bool and np.integer included) in
+    decimal, every other number with FMT."""
+    formats = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = ",".join(map(_cell_format, types)) + "\n"
+            fh.write(fmt % row)
 
 
 def _write_manifest(out_dir: Path, files: list, cfg: ScenarioConfig) -> None:
@@ -196,7 +207,7 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
         return lambda dBs, z, nu: simulate_wealth(merton_ratio(p), nu, grid, dBs, p)
 
     def terminal(p):
-        return lambda *batch: wealth(p)(*batch)[..., -1].copy()
+        return lambda dBs, z, nu: terminal_wealth(merton_ratio(p), nu, grid, dBs, p)
 
     legs = _alpha_legs(cfg, terminal)
     samples = path_batch(_alpha_legs(cfg, wealth), grid, cfg.seed, 0,

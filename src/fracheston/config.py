@@ -15,10 +15,12 @@ import json
 from dataclasses import dataclass
 
 from .params import ModelParams, Regime, check_delta_window, hurst_of_alpha
+from .quantize import atom_count
 from .sim import TimeGrid
 from .vol import PositivityMap
 
 SCHEMA_VERSION = 2
+_CLASSICAL_ALPHAS = (-1.0, 0.0)  # both select the classical Heston baseline
 
 
 def _check_int(name: str, val) -> None:
@@ -61,6 +63,8 @@ class ScenarioConfig:
             _check_int(name, getattr(self, name))
         for n in self.levels:
             _check_int("levels entry", n)
+            if n < 1:
+                raise ValueError(f"levels entries must be positive, got {n}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.n_paths < 2:
@@ -84,11 +88,20 @@ class ScenarioConfig:
                 self.model_params(a, rho)  # every (alpha, rho) cell a command builds
             if p.regime is Regime.ROUGH:
                 check_delta_window(p.alpha, self.delta)
+        # each level and alpha names its own output file and row
+        atoms = [atom_count(n) for n in self.levels]
+        if len(set(atoms)) < len(atoms):
+            raise ValueError(f"levels {list(self.levels)} give the atom counts "
+                             f"{atoms}; each level must give its own measure")
+        alphas = [0.0 if a in _CLASSICAL_ALPHAS else a for a in self.alphas]
+        if len(set(alphas)) < len(alphas):
+            raise ValueError(f"alphas {list(self.alphas)} repeat a value "
+                             f"(-1 and 0 are both the classical model)")
 
     def model_params(self, alpha: float, rho: float) -> ModelParams:
         """ModelParams for one (alpha, rho) cell; alpha in {-1, 0} selects
         the classical Heston baseline (hurst = 1/2)."""
-        if alpha in (-1.0, 0.0):
+        if alpha in _CLASSICAL_ALPHAS:
             alpha = 0.0
         return ModelParams(r=self.r, lam=self.lam, kappa=self.kappa,
                            theta=self.theta, sigma=self.sigma, rho=rho,

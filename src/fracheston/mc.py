@@ -6,7 +6,8 @@ exact (fsum) summation, so results are bit-identical for any worker
 count.  A batch draws the Brownian pair and drives Z once for all its
 legs (alphas, levels or schemes compared on common random numbers); nu,
 the positivity map and the integrand run per leg.  The rho != 0 Z-tilde
-depends on nu, so it drives a single leg.
+depends on nu, so it drives a single leg.  Utility legs read the terminal
+wealth only (sim.terminal_wealth), not the whole wealth path.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .params import ModelParams, Regime, merton_ratio
 from .quantize import QuantizedMeasure, approx_kernel, frac_kernel
 from .riccati import solve_riccati_finite, value_function
 from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_tilde_z,
-                  simulate_wealth)
+                  terminal_wealth)
 from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
 
 BATCH_SIZE = 2048
@@ -155,8 +156,7 @@ def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
 def _utility(p: ModelParams, pi: float, grid: TimeGrid):
     """Integrand of mc_utility: per-path (1/gamma) W_T^gamma."""
     def integrand(dBs, z, nu):
-        w = simulate_wealth(pi, nu, grid, dBs, p)
-        return w[..., -1] ** p.gamma / p.gamma
+        return terminal_wealth(pi, nu, grid, dBs, p) ** p.gamma / p.gamma
 
     return integrand
 

@@ -183,6 +183,16 @@ def dyadic_chain(n0: int, alpha: float, kind: MeasureKind, levels: int) -> list:
     return out
 
 
+def atom_count(target_atoms: int) -> int:
+    """Atoms of measure_for_atoms(target_atoms, ...), for any alpha and kind:
+    the grid starts with max(2, min(target_atoms, 16)) cells, and each
+    refinement takes n cells to 2n + 2."""
+    n = max(2, min(target_atoms, 16))
+    while n < target_atoms:
+        n = 2 * n + 2
+    return n
+
+
 def measure_for_atoms(target_atoms: int, alpha: float,
                       kind: MeasureKind = MeasureKind.MU) -> QuantizedMeasure:
     """Quantized measure with at least target_atoms atoms, grown by refinement."""

@@ -194,6 +194,16 @@ def simulate_stock(nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,
     return s0 * np.exp(logs)
 
 
+def _wealth_log_increments(pi, nu_path: np.ndarray, grid: TimeGrid,
+                           dBs: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Per-step log-wealth increments, shape nu_path[..., :-1].shape."""
+    if np.any(nu_path < 0):
+        raise ValueError("wealth simulation needs a nonnegative volatility path")
+    nu = nu_path[..., :-1]
+    pis = np.broadcast_to(np.asarray(pi, dtype=float), nu.shape)
+    return (p.r + pis * nu * (p.lam - 0.5 * pis)) * grid.h + pis * np.sqrt(nu) * dBs
+
+
 def simulate_wealth(pi, nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,
                     p: ModelParams) -> np.ndarray:
     """Wealth path under a strategy, in log space (exact lognormal solution
@@ -202,11 +212,16 @@ def simulate_wealth(pi, nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,
     pi is a scalar or an array of per-step fractions, applied at the left
     endpoint of each step.
     """
-    if np.any(nu_path < 0):
-        raise ValueError("wealth simulation needs a nonnegative volatility path")
-    nu = nu_path[..., :-1]
-    pis = np.broadcast_to(np.asarray(pi, dtype=float), nu.shape)
-    log_incr = (p.r + pis * nu * (p.lam - 0.5 * pis)) * grid.h + pis * np.sqrt(nu) * dBs
-    logs = np.concatenate([np.zeros(nu.shape[:-1] + (1,)),
+    log_incr = _wealth_log_increments(pi, nu_path, grid, dBs, p)
+    logs = np.concatenate([np.zeros(log_incr.shape[:-1] + (1,)),
                            np.cumsum(log_incr, axis=-1)], axis=-1)
     return p.w0 * np.exp(logs)
+
+
+def terminal_wealth(pi, nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,
+                    p: ModelParams) -> np.ndarray:
+    """simulate_wealth(...)[..., -1], bit for bit, without the path: the
+    increments are summed in the same running (cumsum) order, and only the
+    sum is exponentiated."""
+    log_incr = _wealth_log_increments(pi, nu_path, grid, dBs, p)
+    return p.w0 * np.exp(np.cumsum(log_incr, axis=-1, out=log_incr)[..., -1])

@@ -13,9 +13,10 @@ At rho = 0 all four are one computation,
 and differ only in the kernel w and the local term: the fractional Euler
 weights, the Marchaud weights, or the summed exponential-factor kernel of a
 quantized measure (with the singular and q . J terms in the rough case).
-The convolution runs through one row-blocked FFT engine; the test suite
-holds it to 1e-12 against the O(k^2) sums and the per-atom factor
-recurrence (tests/oracles.py).  The only genuine recurrence left is the
+The convolution runs through one row-blocked FFT engine on numpy's
+pocketfft (np.fft) at 5-smooth lengths; the test suite holds it to 1e-12
+against the O(k^2) sums and the per-atom factor recurrence
+(tests/oracles.py).  The only genuine recurrence left is the
 rho != 0 drift-corrected Z-tilde in sim, where nu feeds back into the
 drift of Z; it steps Z one step at a time but advances its factor state
 once per block of steps, with this module's summed kernel for the steps
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import fft as sfft
 
 from .params import ModelParams, check_delta_window, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
@@ -56,25 +56,44 @@ def apply_positivity(nu_path: np.ndarray, pmap: PositivityMap) -> np.ndarray:
     return np.exp(nu_path)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the transform lengths pocketfft is fastest
+    at (scipy.fft.next_fast_len(n, real=True))."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(w * z)_k = sum_{j=0}^{k-1} w[k-j] z[j] for k = 1..len(w)-1; z is the
     step-left-endpoint slice, w[0] unused.
 
     w is transformed once at a fast length >= 2*steps (no circular
     wrap-around) and z in blocks of _ROW_BLOCK rows, so the scratch memory
-    does not grow with the batch.
+    does not grow with the batch.  Each block is copied into one reused
+    zero-padded buffer, which is faster than letting np.fft.rfft pad it.
     """
     steps = len(w) - 1
     zk = z[..., :steps]
     out = np.empty(zk.shape)
-    n = sfft.next_fast_len(2 * steps, real=True)
-    w_hat = sfft.rfft(w[1:], n)
+    n = _fast_len(2 * steps)
+    w_hat = np.fft.rfft(w[1:], n)
     rows = zk.reshape(-1, steps)
     flat = out.reshape(-1, steps)
+    padded = np.zeros((min(_ROW_BLOCK, len(rows)), n))
     for a in range(0, len(rows), _ROW_BLOCK):
-        spec = sfft.rfft(rows[a:a + _ROW_BLOCK], n)
+        block = padded[:min(_ROW_BLOCK, len(rows) - a)]
+        block[:, :steps] = rows[a:a + _ROW_BLOCK]
+        spec = np.fft.rfft(block)
         spec *= w_hat
-        flat[a:a + _ROW_BLOCK] = sfft.irfft(spec, n, overwrite_x=True)[:, :steps]
+        flat[a:a + _ROW_BLOCK] = np.fft.irfft(spec, n)[:, :steps]
     return out
 
 

@@ -6,8 +6,9 @@ stream behind the batched Brownian draw, the per-atom exponential-factor
 recurrence behind the quantized volatility and the rho != 0 Z-tilde
 driver, a Girsanov-weighted Feynman-Kac estimator on the physical Z, the
 O(k^2) sums of the direct Euler schemes, the exact CIR law, the mixing
-densities, and the CIR and volatility covariances.  None of it is part of
-the library; the tests import it from here.
+densities, the CIR and volatility covariances, and the per-cell CSV
+formatting behind the row formats of the CLI writer.  None of it is part
+of the library; the tests import it from here.
 """
 from __future__ import annotations
 
@@ -318,3 +319,20 @@ def cov_nu(t: float, lag: float, p: ModelParams, quad_nodes: int = 60) -> float:
     total = ws @ cov @ ws
     return float(s_scale * u_scale * total / gamma_fn(alpha) ** 2)
 
+
+# --- one format per cell (oracle of cli._write_csv) ---
+
+
+def csv_cell(v) -> str:
+    """A CSV cell: str as is, integers (bool and np.integer too) in decimal,
+    every other number with 17 significant digits."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.17g" % v
+
+
+def csv_text(header: list, rows) -> str:
+    return "".join(",".join(map(csv_cell, row)) + "\n"
+                   for row in [header, *rows])

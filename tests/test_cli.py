@@ -1,10 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from fracheston import MeasureKind, measure_for_atoms
-from fracheston.cli import main
+from fracheston.cli import _write_csv, main
 from fracheston.mc import BATCH_SIZE
+from oracles import csv_text
 
 SMALL = {
     "alphas": [0.5, -0.75, 0],
@@ -187,6 +190,12 @@ def test_invalid_config_exit_code(tmp_path):
     {"seed": 7.5},
     {"threads": True},
     {"seed": True},
+    {"levels": [0]},
+    {"levels": [8, -3]},
+    {"levels": [8, 8]},
+    {"levels": [64, 65]},  # both grow to 70 atoms
+    {"alphas": [0.5, -0.75, 0.5]},
+    {"alphas": [0.5, 0, -1]},  # both the classical model
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     bad = tmp_path / "bad.json"
@@ -241,3 +250,20 @@ def test_cli_binds_no_private_library_name():
         and obj.__module__ != cli.__name__
         and (name.startswith("_") or getattr(obj, "__name__", "").startswith("_")))
     assert leaked == []
+
+
+def test_write_csv_matches_per_cell_oracle(tmp_path):
+    # one % format per row type tuple: rows of one layout share a format,
+    # and a row whose cell types differ gets its own
+    rows = [
+        ("fractional", 0.5, 64, 1.0 / 3.0, np.float64(-2.5e-300), np.int64(-7), True, 0),
+        ("classical", 0, 64, math.nan, math.inf, np.int64(2 ** 62), False, 1),
+        ("classical", -1, 8, 2.5, -1e-320, np.int64(3), True, -12),  # types of the row above
+        ("rough", -0.75, 10 ** 17 + 1, -0.0, -math.inf, np.int32(5), np.float64(1e17), 2 ** 70),
+        ("rough", -1, 128, np.float64(math.nan), 0.1, np.uint64(2 ** 64 - 1), 3.0, -0),
+        ["x,y", np.float32(0.1), 1, 2, 3, 4, 5.5, "z"],
+    ]
+    header = ["regime", "alpha", "level", "a", "b", "c", "d", "e"]
+    path = tmp_path / "t.csv"
+    _write_csv(path, header, iter(rows))
+    assert path.read_bytes() == csv_text(header, rows).encode()

@@ -1,8 +1,12 @@
-"""Every name a library module imports is used by that module, and every
-library name the benchmark and the scripts reach still resolves."""
+"""Every name a library module imports is used by that module, every
+library name the benchmark and the scripts reach still resolves, and the
+CLI imports without scipy."""
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,14 @@ def _unresolved(module: str, attr) -> bool:
 @pytest.mark.parametrize("path", CONSUMERS, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_benchmark_and_script_library_names_resolve(path):
     assert [n for n in _library_names(path) if _unresolved(*n)] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: the library's FFT engine is numpy's
+    code = ("import sys, fracheston.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

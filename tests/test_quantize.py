@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fracheston import (MeasureKind, ScenarioConfig, approx_kernel,
                         dyadic_chain, frac_kernel, measure_for_atoms)
 from fracheston.cli import cmd_quantize
-from fracheston.quantize import (cell_barycenter, cell_weight, make_partition,
-                                 quantize, refine)
+from fracheston.quantize import (atom_count, cell_barycenter, cell_weight,
+                                 make_partition, quantize, refine)
 
 
 @given(lo=st.floats(1e-6, 10.0), width1=st.floats(1e-6, 10.0),
@@ -113,6 +113,13 @@ def test_measure_for_atoms():
     assert qm.n_atoms >= 200
     with pytest.raises(ValueError):
         measure_for_atoms(16, 0.75, MeasureKind.MU_TILDE)
+
+
+@pytest.mark.parametrize("alpha, kind", [(0.75, MeasureKind.MU), (0.1, MeasureKind.MU),
+                                         (-0.75, MeasureKind.MU_TILDE)])
+def test_atom_count_is_measure_for_atoms_size(alpha, kind):
+    for level in (1, 2, 3, 15, 16, 17, 34, 35, 64, 65, 70, 71, 128, 143, 256, 300):
+        assert atom_count(level) == measure_for_atoms(level, alpha, kind).n_atoms
 
 
 def test_approx_kernel_validation():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fracheston import (MeasureKind, TimeGrid, brownian_batch,
                         measure_for_atoms, nu_quantized_paths, simulate_cir,
                         simulate_stock, simulate_tilde_z, simulate_wealth)
+from fracheston.sim import terminal_wealth
 from fracheston.mc import BATCH_SIZE
 from oracles import (RngSpec, brownian_pair, cov_cir, optimal_wealth_closed_form,
                      sample_cir_exact, simulate_factors, simulate_factors_rough,
@@ -193,6 +194,20 @@ def test_wealth_strategy_forms_agree(params, coarse_grid):
     w_array = simulate_wealth(np.full((3, coarse_grid.steps), 0.25), nu,
                               coarse_grid, bp.dBs, params)
     assert np.allclose(w_scalar, w_array, rtol=1e-14)
+
+
+@pytest.mark.parametrize("per_step", [False, True], ids=["scalar-pi", "array-pi"])
+def test_terminal_wealth_is_the_last_column_bit_for_bit(params, coarse_grid, per_step):
+    bp = brownian_batch(13, range(64), coarse_grid, 0.3)
+    nu = simulate_cir(params, coarse_grid, bp.dBz)
+    pi = 0.25
+    if per_step:
+        pi = np.random.default_rng(4).uniform(-1.0, 2.0, (64, coarse_grid.steps))
+    w_t = terminal_wealth(pi, nu, coarse_grid, bp.dBs, params)
+    assert w_t.shape == (64,)
+    assert np.array_equal(w_t, simulate_wealth(pi, nu, coarse_grid, bp.dBs, params)[..., -1])
+    with pytest.raises(ValueError):
+        terminal_wealth(pi, -nu - 0.01, coarse_grid, bp.dBs, params)
 
 
 def test_wealth_rejects_negative_volatility(params, coarse_grid):

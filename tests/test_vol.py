@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         VolScheme, apply_positivity, brownian_batch,
                         measure_for_atoms, nu_fractional_euler,
                         nu_quantized_paths, nu_quantized_rough_paths,
                         nu_rough_marchaud, simulate_cir)
-from fracheston.vol import _ROW_BLOCK, _causal_convolve
+from fracheston.vol import _ROW_BLOCK, _causal_convolve, _fast_len
 from oracles import (direct_causal_convolve, nu_fractional_euler_direct,
                      nu_quantized, nu_quantized_rough, nu_rough_marchaud_direct,
                      simulate_factors, simulate_factors_rough)
@@ -45,6 +46,12 @@ def test_fft_matches_direct_rough(z_batch):
         fft = nu_rough_marchaud(z, alpha, grid)
         direct = nu_rough_marchaud_direct(z, alpha, grid)
         assert np.max(np.abs(fft - direct)) < 1e-12
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    # the FFT length rule of the convolution engine, without scipy
+    n = np.arange(1, 100_001)
+    assert [_fast_len(int(k)) for k in n] == [next_fast_len(int(k), real=True) for k in n]
 
 
 def test_fractional_scheme_affine_in_z(z_batch):
