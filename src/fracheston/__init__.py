@@ -14,8 +14,8 @@ from .quantize import (MeasureKind, QuantizedMeasure, approx_kernel,
 from .riccati import (AffineValue, RiccatiBlowUp, RiccatiSolution, psi,
                       solve_riccati_finite, solve_riccati_limit,
                       solve_riccati_rough, value_function, value_function_at_t)
-from .sim import (BrownianPair, TimeGrid, brownian_batch, simulate_cir,
-                  simulate_stock, simulate_tilde_z, simulate_wealth)
+from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_stock,
+                  simulate_tilde_z, simulate_wealth)
 from .vol import (PositivityMap, SchemeKind, VolScheme, apply_positivity,
                   nu_fractional_euler, nu_quantized_paths,
                   nu_quantized_rough_paths, nu_rough_marchaud)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, file_tag, load_config
 from .mc import (convergence_study, map_paths, mc_feynman_kac, mc_value_rough,
                  path_batch)
 from .params import ModelParams, Regime, merton_ratio
@@ -62,10 +62,6 @@ def _write_manifest(out_dir: Path, files: list, cfg: ScenarioConfig) -> None:
                [(f, h) for f in sorted(files)])
 
 
-def _tag(x: float) -> str:
-    return ("%g" % x).replace("-", "m")
-
-
 def _scheme_for(p: ModelParams, cfg: ScenarioConfig) -> VolScheme:
     if p.regime is Regime.CLASSICAL_HESTON:
         return VolScheme(SchemeKind.CLASSICAL)
@@ -86,38 +82,39 @@ def _whole(dBs, z, nu):
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     """Sample paths of Z, nu and S per (alpha, rho) cell, plus positivity
-    diagnostics for rough alphas.  Every table is built before the first
-    file is written, so a failing cell leaves no partial output."""
+    diagnostics for rough alphas.  The alphas at one rho are the legs of
+    one draw.  nu is built from Z and Z from dBz alone, so neither depends
+    on rho: each rough alpha's posmap file reads path 0 of the first rho's
+    draw, which has at least one path.  Every table is built before the
+    first file is written, so a failing cell leaves no partial output."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     tables = []  # (file name, header, rows)
-    diag_rows = []
+    diags = [[] for _ in cfg.alphas]  # rough diagnostics rows per alpha
     npaths = cfg.n_sample_paths
-    for alpha in cfg.alphas:
-        for rho in cfg.rhos:
-            p = cfg.model_params(alpha, rho)
-            (dBs, z, nu), = path_batch([(p, _scheme_for(p, cfg), None, _whole)],
-                                      grid, cfg.seed, 0, npaths)
+    for rho in cfg.rhos:
+        ps = [cfg.model_params(alpha, rho) for alpha in cfg.alphas]
+        cells = path_batch([(p, _scheme_for(p, cfg), None, _whole) for p in ps],
+                           grid, cfg.seed, 0, max(npaths, 1))
+        for alpha, p, (dBs, z, nu), diag in zip(cfg.alphas, ps, cells, diags):
+            rough = p.regime is Regime.ROUGH
+            if rough and rho == cfg.rhos[0]:
+                tables.append((f"posmap_a{file_tag(alpha)}.csv",
+                               ["t", "nu_raw", "nu_abs", "nu_exp"],
+                               zip(grid.times, nu[0], np.abs(nu[0]), np.exp(nu[0]))))
+            z, nu = z[:npaths], nu[:npaths]
             s = simulate_stock(apply_positivity(nu, _stock_map(p, cfg)),
-                               grid, dBs, p, s0=cfg.s0)
+                               grid, dBs[:npaths], p, s0=cfg.s0)
             header = ["t"]
             cols = [grid.times]
             for i in range(npaths):
                 header += [f"z{i}", f"nu{i}", f"s{i}"]
                 cols += [z[i], nu[i], s[i]]
-            tables.append((f"paths_a{_tag(alpha)}_r{_tag(rho)}.csv", header,
-                           zip(*cols)))
-            if p.regime is Regime.ROUGH:
-                for i in range(npaths):
-                    diag_rows.append((alpha, rho, i,
-                                      float(np.mean(nu[i] < 0.0))))
-        p0 = cfg.model_params(alpha, 0.0)
-        if p0.regime is Regime.ROUGH:
-            (_, _, nu), = path_batch([(p0, _scheme_for(p0, cfg), None, _whole)],
-                                     grid, cfg.seed, 0, 1)
-            nu = nu[0]
-            tables.append((f"posmap_a{_tag(alpha)}.csv",
-                           ["t", "nu_raw", "nu_abs", "nu_exp"],
-                           zip(grid.times, nu, np.abs(nu), np.exp(nu))))
+            tables.append((f"paths_a{file_tag(alpha)}_r{file_tag(rho)}.csv",
+                           header, zip(*cols)))
+            if rough:
+                diag += [(alpha, rho, i, float(np.mean(nu[i] < 0.0)))
+                         for i in range(npaths)]
+    diag_rows = [row for diag in diags for row in diag]
     if diag_rows:
         tables.append(("rough_diagnostics.csv",
                        ["alpha", "rho", "path", "negative_fraction"], diag_rows))
@@ -137,15 +134,14 @@ def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
         for n in cfg.levels:
             qm = measure_for_atoms(n, alpha, kind)
             pts = qm.source.points
-            name = f"quantized_a{_tag(alpha)}_n{qm.n_atoms}.csv"
+            name = f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv"
             _write_csv(out_dir / name, ["index", "xi_lo", "xi_hi", "node", "weight"],
                        zip(range(qm.n_atoms), pts[:-1], pts[1:], qm.nodes, qm.weights))
             files.append(name)
     return files
 
 
-def cmd_value(cfg: ScenarioConfig, out_dir: Path, threads: int,
-              errors: list) -> list:
+def cmd_value(cfg: ScenarioConfig, out_dir: Path, errors: list) -> list:
     """Affine (Riccati) value vs Monte Carlo value per alpha at rho = 0."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     rows = []
@@ -159,17 +155,17 @@ def cmd_value(cfg: ScenarioConfig, out_dir: Path, threads: int,
                     sol = solve_riccati_finite(qm, p, ode_step=cfg.step)
                     est = mc_feynman_kac(
                         p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm),
-                        cfg.n_paths, grid, cfg.seed, threads)
+                        cfg.n_paths, grid, cfg.seed, cfg.threads)
                 elif p.regime is Regime.ROUGH:
                     qm = measure_for_atoms(level, alpha, MeasureKind.MU_TILDE)
                     sol = solve_riccati_rough(qm, p, ode_step=cfg.step)
                     # the rough estimator already carries the wealth factor
                     est = mc_value_rough(p, qm, PositivityMap(cfg.positivity_map),
-                                         cfg.n_paths, grid, cfg.seed, threads)
+                                         cfg.n_paths, grid, cfg.seed, cfg.threads)
                 else:
                     sol = solve_riccati_limit(p, ode_step=cfg.step, alpha=0.0)
                     est = mc_feynman_kac(p, VolScheme(SchemeKind.CLASSICAL),
-                                         cfg.n_paths, grid, cfg.seed, threads)
+                                         cfg.n_paths, grid, cfg.seed, cfg.threads)
                 rv = value_function(p, sol).value
                 if p.regime is Regime.ROUGH:
                     mc_val, se = est.mean, est.std_error
@@ -198,7 +194,7 @@ def _alpha_legs(cfg: ScenarioConfig, functional) -> list:
     return [(p, _scheme_for(p, cfg), _stock_map(p, cfg), functional(p)) for p in ps]
 
 
-def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
+def cmd_wealth(cfg: ScenarioConfig, out_dir: Path) -> list:
     """Optimal-wealth sample paths and terminal-wealth statistics per alpha,
     every alpha on one shared draw."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
@@ -212,13 +208,13 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
     legs = _alpha_legs(cfg, terminal)
     samples = path_batch(_alpha_legs(cfg, wealth), grid, cfg.seed, 0,
                          cfg.n_sample_paths)
-    terminals = map_paths(legs, grid, cfg.seed, cfg.n_paths, threads)
+    terminals = map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads)
     files, summary = [], []
     for alpha, (p, *_), w, wt in zip(cfg.alphas, legs, samples, terminals):
         pi_star = merton_ratio(p)
         header = ["t", "pi_star"] + [f"w{i}" for i in range(cfg.n_sample_paths)]
         cols = [grid.times, np.full(grid.steps + 1, pi_star)] + list(w)
-        name = f"wealth_a{_tag(alpha)}.csv"
+        name = f"wealth_a{file_tag(alpha)}.csv"
         _write_csv(out_dir / name, header, zip(*cols))
         files.append(name)
         summary.append((p.regime.value, alpha, pi_star, p.w0,
@@ -231,7 +227,7 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
     return files
 
 
-def cmd_longterm(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
+def cmd_longterm(cfg: ScenarioConfig, out_dir: Path) -> list:
     """Terminal nu and S quantiles at the scenario horizon, per alpha, every
     alpha on one shared draw."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
@@ -244,7 +240,7 @@ def cmd_longterm(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
         return nu_s
 
     legs = _alpha_legs(cfg, terminal)
-    terms = map_paths(legs, grid, cfg.seed, cfg.n_paths, threads)
+    terms = map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads)
     rows = []
     for alpha, (p, *_), term in zip(cfg.alphas, legs, terms):
         for q in qs:
@@ -264,15 +260,14 @@ def _converge_alpha(cfg: ScenarioConfig) -> float:
     raise ValueError("converge needs a fractional alpha (0 < alpha < 1) in alphas")
 
 
-def cmd_converge(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list:
+def cmd_converge(cfg: ScenarioConfig, out_dir: Path) -> list:
     """Refinement-level convergence report in the fractional regime."""
     alpha = _converge_alpha(cfg)
     p = cfg.model_params(alpha, 0.0)
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     base = measure_for_atoms(cfg.levels[0], alpha, MeasureKind.MU)
     qms = dyadic_chain(base.n_atoms, alpha, MeasureKind.MU, len(cfg.levels))
-    rows = convergence_study(p, qms, cfg.n_paths, grid, cfg.seed,
-                             threads=threads)
+    rows = convergence_study(p, qms, cfg.n_paths, grid, cfg.seed, cfg.threads)
     _write_csv(out_dir / "converge.csv",
                ["atoms", "monotonicity_violations", "kernel_error",
                 "riccati_value", "value_gap_to_next", "mc_mean",
@@ -292,10 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=str, default=None,
                     help="JSON scenario config (versioned schema)")
     ap.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    ap.add_argument("--out", type=str, default=None, help="output directory")
+    ap.add_argument("--out", dest="out_dir", type=str, default=None,
+                    help="output directory")
     ap.add_argument("--threads", type=int, default=None,
                     help="worker threads for Monte Carlo batches")
-    ap.add_argument("--paths", type=int, default=None, help="Monte Carlo paths")
+    ap.add_argument("--paths", dest="n_paths", type=int, default=None,
+                    help="Monte Carlo paths")
     ap.add_argument("--step", type=float, default=None, help="time step h")
     ap.add_argument("command",
                     choices=["simulate", "quantize", "value", "wealth",
@@ -307,17 +304,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ScenarioConfig()
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.paths is not None:
-            overrides["n_paths"] = args.paths
-        if args.step is not None:
-            overrides["step"] = args.step
+        # every other flag's dest is the ScenarioConfig field it overrides
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("config", "command") and v is not None}
         if overrides:
             cfg = cfg.with_(**overrides)
         if args.command == "converge":
@@ -335,13 +324,13 @@ def main(argv=None) -> int:
         elif args.command == "quantize":
             files = cmd_quantize(cfg, out_dir)
         elif args.command == "value":
-            files = cmd_value(cfg, out_dir, cfg.threads, errors)
+            files = cmd_value(cfg, out_dir, errors)
         elif args.command == "wealth":
-            files = cmd_wealth(cfg, out_dir, cfg.threads)
+            files = cmd_wealth(cfg, out_dir)
         elif args.command == "longterm":
-            files = cmd_longterm(cfg, out_dir, cfg.threads)
+            files = cmd_longterm(cfg, out_dir)
         else:
-            files = cmd_converge(cfg, out_dir, cfg.threads)
+            files = cmd_converge(cfg, out_dir)
     except OSError as exc:
         print(f"i/o error ({args.command}): {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,11 @@ SCHEMA_VERSION = 2
 _CLASSICAL_ALPHAS = (-1.0, 0.0)  # both select the classical Heston baseline
 
 
+def file_tag(x: float) -> str:
+    """How an alpha or rho is written in output file names: %g, '-' as 'm'."""
+    return ("%g" % x).replace("-", "m")
+
+
 def _check_int(name: str, val) -> None:
     # bool is an int subclass, but true/false is never a count or a seed
     if not isinstance(val, int) or isinstance(val, bool):
@@ -88,15 +93,22 @@ class ScenarioConfig:
                 self.model_params(a, rho)  # every (alpha, rho) cell a command builds
             if p.regime is Regime.ROUGH:
                 check_delta_window(p.alpha, self.delta)
-        # each level and alpha names its own output file and row
+        # each level, alpha and rho names its own output file and row
         atoms = [atom_count(n) for n in self.levels]
         if len(set(atoms)) < len(atoms):
             raise ValueError(f"levels {list(self.levels)} give the atom counts "
                              f"{atoms}; each level must give its own measure")
         alphas = [0.0 if a in _CLASSICAL_ALPHAS else a for a in self.alphas]
-        if len(set(alphas)) < len(alphas):
-            raise ValueError(f"alphas {list(self.alphas)} repeat a value "
-                             f"(-1 and 0 are both the classical model)")
+        for name, values, same in (
+                ("alphas", alphas, "-1 and 0 are both the classical model"),
+                ("rhos", self.rhos, "-0.0 and 0.0 are one value")):
+            given = list(getattr(self, name))
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} {given} repeat a value ({same})")
+            tags = [file_tag(v) for v in given]
+            if len(set(tags)) < len(tags):
+                raise ValueError(f"{name} {given} give the file tags {tags}; "
+                                 f"each must name its own file")
 
     def model_params(self, alpha: float, rho: float) -> ModelParams:
         """ModelParams for one (alpha, rho) cell; alpha in {-1, 0} selects

@@ -25,6 +25,7 @@ from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_tilde_z,
 from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
 
 BATCH_SIZE = 2048
+MONOTONE_PATHS = 100
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,12 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     is Z).  draw_dBs=False passes dBs=None, for legs that do not read it.
     """
     p = _driver_params(legs, tilde)
-    bp = brownian_batch(master_seed, range(start, stop), grid, p.rho, draw_dBs)
-    dBs = bp.dBs
+    dBz, dBs = brownian_batch(master_seed, range(start, stop), grid, p.rho, draw_dBs)
     if tilde and p.rho != 0.0:
-        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, bp.dBz)
+        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, dBz)
     else:
-        z, nu = simulate_cir(p, grid, bp.dBz), None
-    del bp
+        z, nu = simulate_cir(p, grid, dBz), None
+    del dBz
     for a in (dBs, z):
         if a is not None:
             a.flags.writeable = False
@@ -205,21 +205,21 @@ class ConvergenceRow:
 
 
 def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
-                      master_seed: int, n_monotone_paths: int = 100,
-                      threads: int = 1) -> list:
+                      master_seed: int, threads: int = 1) -> list:
     """Per-refinement-level diagnostics on shared randomness.
 
     For each consecutive pair of nested measures: pathwise monotonicity
-    violations of the quantized volatility (expected zero), the kernel
-    approximation error at t = 1, the Riccati value and its gap to the
-    next level, the Monte Carlo utility of the Merton strategy, and the
-    near-optimality certificate (value gap + quantized-vs-direct MC gap).
+    violations of the quantized volatility on the first MONOTONE_PATHS
+    paths (expected zero), the kernel approximation error at t = 1, the
+    Riccati value and its gap to the next level, the Monte Carlo utility
+    of the Merton strategy, and the near-optimality certificate (value
+    gap + quantized-vs-direct MC gap).
     """
     if p.regime is not Regime.FRACTIONAL:
         raise ValueError("the convergence study runs in the fractional regime")
     schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm) for qm in qms]
     nus = path_batch([(p, s, None, lambda dBs, z, nu: nu) for s in schemes], grid,
-                     master_seed, 0, n_monotone_paths, draw_dBs=False)
+                     master_seed, 0, MONOTONE_PATHS, draw_dBs=False)
     utility = _utility(p, merton_ratio(p), grid)
     euler_util, *utils = map(_reduce, map_paths(
         [(p, s, PositivityMap.IDENTITY, utility)

@@ -75,22 +75,22 @@ def make_partition(n: int, alpha: float, kind: MeasureKind = MeasureKind.MU) -> 
     return Partition(points=tuple(pts), level=0)
 
 
-def refine(p: Partition, low_shrink: float = 4.0, high_grow: float = 4.0) -> Partition:
+def refine(p: Partition, low_shrink: float = 4.0) -> Partition:
     """Insert log-space midpoints, prepend xi_0/low_shrink and append
-    high_grow*xi_last.
+    4*xi_last.
 
     The result is a strict superset of the input, so integrals of
     nonnegative convex functions are nondecreasing along the chain.
     """
-    if low_shrink <= 1.0 or high_grow <= 1.0:
-        raise ValueError("endpoint factors must exceed 1")
+    if low_shrink <= 1.0:
+        raise ValueError("low_shrink must exceed 1")
     pts = np.asarray(p.points)
     mids = np.sqrt(pts[:-1] * pts[1:])
     new = np.empty(2 * len(pts) + 1)
     new[0] = pts[0] / low_shrink
     new[1:-1:2] = pts
     new[2:-1:2] = mids
-    new[-1] = pts[-1] * high_grow
+    new[-1] = pts[-1] * 4.0
     return Partition(points=tuple(new), level=p.level + 1)
 
 

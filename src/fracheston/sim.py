@@ -51,17 +51,10 @@ class TimeGrid:
         return np.arange(self.steps + 1) * self.h
 
 
-@dataclass(frozen=True)
-class BrownianPair:
-    """Per-step increments of B^Z and B^S with Corr(dBz, dBs) = rho; dBs is
-    None when it was not drawn."""
-    dBz: np.ndarray
-    dBs: np.ndarray | None
-
-
 def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
-                   draw_dBs: bool = True) -> BrownianPair:
-    """Stacked increments for a batch of path streams, shape (n_paths, steps).
+                   draw_dBs: bool = True) -> tuple:
+    """(dBz, dBs): per-step increments of B^Z and B^S with Corr = rho, for a
+    batch of path streams, each of shape (n_paths, steps).
 
     Row i holds the stream keyed (master_seed << 64) + stream_ids[i]: its
     first `steps` standard normals scaled by sqrt(h) give dBz, the next
@@ -86,14 +79,14 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
     dBz = normals[0]
     dBz *= sqh
     if not draw_dBs:
-        return BrownianPair(dBz=dBz, dBs=None)
+        return dBz, None
     # in place but with the products of rho*dBz + (sqrt(1-rho^2)*n1)*sqh, so
     # every increment is bit-identical to that expression
     dBs = normals[1]
     dBs *= np.sqrt(1.0 - rho ** 2)
     dBs *= sqh
     dBs += rho * dBz
-    return BrownianPair(dBz=dBz, dBs=dBs)
+    return dBz, dBs
 
 
 def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from fracheston import (BrownianPair, McEstimate, MeasureKind, ModelParams,
-                        QuantizedMeasure, Regime, TimeGrid, brownian_batch,
-                        nu_quantized_paths, simulate_cir)
+from fracheston import (McEstimate, MeasureKind, ModelParams, QuantizedMeasure,
+                        Regime, TimeGrid, brownian_batch, nu_quantized_paths,
+                        simulate_cir)
 from fracheston.params import gamma_fn
 
 # --- one fresh generator per path stream (oracle of brownian_batch) ---
@@ -37,13 +37,14 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def brownian_pair(spec: RngSpec, grid: TimeGrid, rho: float) -> BrownianPair:
+def brownian_pair(spec: RngSpec, grid: TimeGrid, rho: float) -> tuple:
+    """(dBz, dBs) of one path stream, from a fresh generator."""
     gen = spec.generator()
     normals = gen.standard_normal((2, grid.steps))
     sqh = np.sqrt(grid.h)
     dBz = normals[0] * sqh
     dBs = rho * dBz + np.sqrt(1.0 - rho ** 2) * normals[1] * sqh
-    return BrownianPair(dBz=dBz, dBs=dBs)
+    return dBz, dBs
 
 
 # --- per-atom factor recurrences (oracles of nu_quantized[_rough]_paths
@@ -164,7 +165,7 @@ def feynman_kac_girsanov(p: ModelParams, qm: QuantizedMeasure, n_paths: int,
     fs, ls = [], []
     for start in range(0, n_paths, 8192):  # in slices, to bound memory
         dBz = brownian_batch(master_seed, range(start, min(start + 8192, n_paths)),
-                             grid, p.rho, draw_dBs=False).dBz
+                             grid, p.rho, draw_dBs=False)[0]
         z = simulate_cir(p, grid, dBz)
         nu = nu_quantized_paths(p.v0, qm, z, grid)[:, :-1]
         fs.append(np.exp(p.gamma * p.r / c * grid.horizon

@@ -79,8 +79,8 @@ def test_criterion_03_classical_heston_limit():
 def test_criterion_04_pathwise_monotone_refinement():
     p = default_params(alpha=0.75)
     grid = TimeGrid.from_horizon(1.0, 0.01)
-    bp = brownian_batch(SEED, range(100), grid, 0.0)
-    z = simulate_cir(p, grid, bp.dBz)
+    dBz, _ = brownian_batch(SEED, range(100), grid, 0.0)
+    z = simulate_cir(p, grid, dBz)
     qms = [measure_for_atoms(64, p.alpha, MeasureKind.MU)]
     qms.append(qms[0].refined())
     qms.append(qms[1].refined())
@@ -95,8 +95,8 @@ def test_criterion_04_pathwise_monotone_refinement():
 def test_criterion_05_rough_alpha_to_minus_one_limit():
     p = default_params(alpha=-0.9)  # validates the regime; v0 = 0 default
     grid = TimeGrid.from_horizon(1.0, 0.002)
-    bp = brownian_batch(SEED, range(16), grid, 0.0)
-    z = simulate_cir(p, grid, bp.dBz)
+    dBz, _ = brownian_batch(SEED, range(16), grid, 0.0)
+    z = simulate_cir(p, grid, dBz)
     errs = []
     for alpha in (-0.9, -0.99, -0.999):
         nu = nu_rough_marchaud(z, alpha, grid, v0=0.0)
@@ -119,9 +119,9 @@ def test_criterion_06_rough_affine_vs_mc():
     assert gap <= max(3.0 * est.std_error, 0.02 * abs(affine))
     negatives = 0
     for start in range(0, 100_000, 4096):
-        bp = brownian_batch(SEED, range(start, min(start + 4096, 100_000)),
-                            grid, 0.0, draw_dBs=False)
-        z = simulate_cir(p, grid, bp.dBz)
+        dBz, _ = brownian_batch(SEED, range(start, min(start + 4096, 100_000)),
+                                grid, 0.0, draw_dBs=False)
+        z = simulate_cir(p, grid, dBz)
         nu = nu_quantized_rough_paths(p.v0, qm, z, grid)
         negatives += int(np.sum(nu < 0.0))
     assert negatives == 0
@@ -160,9 +160,9 @@ def test_criterion_08_cir_statistics():
     i_half, i_one = grid.steps // 2, grid.steps
     z_half, z_one = [], []
     for start in range(0, 100_000, 4096):
-        bp = brownian_batch(SEED, range(start, min(start + 4096, 100_000)),
-                            grid, 0.0, draw_dBs=False)
-        z = simulate_cir(p, grid, bp.dBz)
+        dBz, _ = brownian_batch(SEED, range(start, min(start + 4096, 100_000)),
+                                grid, 0.0, draw_dBs=False)
+        z = simulate_cir(p, grid, dBz)
         z_half.append(z[:, i_half])
         z_one.append(z[:, i_one])
     x = {0.5: np.concatenate(z_half), 1.0: np.concatenate(z_one)}
@@ -196,8 +196,8 @@ def test_criterion_09_solver_and_integrator_orders():
     grid = TimeGrid.from_horizon(1.0, 0.01)
     fine = TimeGrid.from_horizon(1.0, 1e-4)
     qm = measure_for_atoms(16, p.alpha, MeasureKind.MU)
-    bp = brownian_batch(SEED, range(1), grid, 0.0)
-    z = simulate_cir(p, grid, bp.dBz)[0]
+    dBz, _ = brownian_batch(SEED, range(1), grid, 0.0)
+    z = simulate_cir(p, grid, dBz)[0]
     y_exp = simulate_factors(qm, z, grid)
     z_fine = np.repeat(z[:-1], 100)
     y_fine = np.zeros(len(qm.nodes))

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fracheston import MeasureKind, measure_for_atoms
-from fracheston.cli import _write_csv, main
+import fracheston.mc
+from fracheston import MeasureKind, ScenarioConfig, measure_for_atoms
+from fracheston.cli import _write_csv, build_parser, main
 from fracheston.mc import BATCH_SIZE
 from oracles import csv_text
 
@@ -46,6 +48,35 @@ def test_simulate_outputs(tmp_path, cfg_path):
     assert "manifest.csv" in names
     header = (out / "paths_a0.5_r0.csv").read_text().splitlines()[0]
     assert header == "t,z0,nu0,s0,z1,nu1,s1"
+
+
+def test_simulate_draws_once_per_rho(tmp_path, cfg_path, monkeypatch):
+    # every alpha at one rho is a leg of one path batch
+    draws = []
+    draw = fracheston.mc.brownian_batch
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(fracheston.mc, "brownian_batch", counted)
+    assert _run(cfg_path, tmp_path / "out", "simulate") == 0
+    assert len(draws) == len(SMALL["rhos"])
+
+
+def test_posmap_is_independent_of_rhos_and_sample_paths(tmp_path):
+    # the posmap file reads path 0 of the first rho's draw: nu is built
+    # from dBz alone, so the rhos and the number of sample paths drawn
+    # must not change it
+    texts = []
+    for i, change in enumerate([{"rhos": [0.7]}, {"rhos": [0.0, 0.7]},
+                                {"n_sample_paths": 0}]):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({**SMALL, **change}))
+        out = tmp_path / f"o{i}"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        texts.append((out / "posmap_am0.75.csv").read_bytes())
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_quantize_outputs(tmp_path, cfg_path):
@@ -149,6 +180,33 @@ def test_value_byte_identical_across_threads(tmp_path, cfg_path, command):
     assert _read_all(out1) == _read_all(out2)
 
 
+def test_value_keeps_the_rows_that_do_not_fail(tmp_path, capsys):
+    # the identity map meets a negative rough nu (v0 = 0) in every rough row;
+    # the fractional rows are still written and listed, and the run exits 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL, "alphas": [0.5, -0.75],
+                               "positivity_map": "identity"}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "value"]) == 1
+    lines = (out / "value.csv").read_text().strip().splitlines()
+    assert [ln.split(",")[:3] for ln in lines[1:]] == [
+        ["fractional", "0.5", str(n)] for n in SMALL["levels"]]
+    manifest = (out / "manifest.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in manifest[1:]] == ["value.csv"]
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"row failed: value row alpha=-0.75 level={n}: identity positivity map "
+        f"applied to a path with negative entries; use abs or exp"
+        for n in SMALL["levels"]]
+    assert "Traceback" not in err
+
+
+def test_every_flag_overrides_a_scenario_field():
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    dests = set(vars(build_parser().parse_args(["simulate"])))
+    assert dests - {"config", "command"} <= fields
+
+
 def test_manifest_lists_files_with_hash(tmp_path, cfg_path):
     out = tmp_path / "out"
     assert _run(cfg_path, out, "quantize") == 0
@@ -196,6 +254,10 @@ def test_invalid_config_exit_code(tmp_path):
     {"levels": [64, 65]},  # both grow to 70 atoms
     {"alphas": [0.5, -0.75, 0.5]},
     {"alphas": [0.5, 0, -1]},  # both the classical model
+    {"alphas": [0.5, 0.5000001]},  # both tagged 0.5 in file names
+    {"rhos": [0.0, 0.0]},
+    {"rhos": [0.0, -0.0]},  # one value, though tagged 0 and m0
+    {"rhos": [0.7, 0.70000001]},  # both tagged 0.7
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     bad = tmp_path / "bad.json"

@@ -84,8 +84,8 @@ def test_cov_nu_basics(params, rough_params):
 
 def test_cov_nu_matches_simulated_covariance(params):
     grid = TimeGrid.from_horizon(1.0, 0.005)
-    bp = brownian_batch(13, range(4000), grid, 0.0)
-    z = simulate_cir(params, grid, bp.dBz)
+    dBz, _ = brownian_batch(13, range(4000), grid, 0.0)
+    z = simulate_cir(params, grid, dBz)
     nu = nu_fractional_euler(z, params.alpha, grid)
     a, b = nu[:, 100], nu[:, 150]  # t = 0.5 and t + 0.25
     sample = np.cov(a, b, ddof=1)[0, 1]

@@ -181,10 +181,10 @@ def test_utility_drives_physical_z_at_nonzero_rho(quant_scheme):
     n = 300
     est = mc_utility(p, merton_ratio(p), quant_scheme,
                      PositivityMap.IDENTITY, n, grid, 17)
-    bp = brownian_batch(17, range(n), grid, p.rho)
-    z = simulate_cir(p, grid, bp.dBz)
+    dBz, dBs = brownian_batch(17, range(n), grid, p.rho)
+    z = simulate_cir(p, grid, dBz)
     nu = nu_quantized_paths(p.v0, quant_scheme.qm, z, grid)
-    u = simulate_wealth(merton_ratio(p), nu, grid, bp.dBs, p)[:, -1] ** p.gamma / p.gamma
+    u = simulate_wealth(merton_ratio(p), nu, grid, dBs, p)[:, -1] ** p.gamma / p.gamma
     mean = math.fsum(u) / n
     se = math.sqrt(math.fsum((v - mean) ** 2 for v in u) / (n - 1) / n)
     assert est.mean == mean

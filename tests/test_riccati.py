@@ -220,14 +220,14 @@ def test_value_function_at_t_tracks_conditional_value(params, coarse_grid):
     qm = measure_for_atoms(32, params.alpha, MeasureKind.MU)
     sol = solve_riccati_finite(qm, params, ode_step=0.005)
     grid_half = TimeGrid.from_horizon(0.5, 0.005)
-    bp = brownian_batch(71, range(1), grid_half, 0.0)
-    z = simulate_cir(params, grid_half, bp.dBz)[0]
+    dBz, _ = brownian_batch(71, range(1), grid_half, 0.0)
+    z = simulate_cir(params, grid_half, dBz)[0]
     y = simulate_factors(qm, z, grid_half)[-1]
     val = value_function_at_t(params, sol, qm, 0.5, params.w0, y, z[-1])
     # nested MC over the remaining half horizon with the realized state
     n = 4000
-    bp2 = brownian_batch(72, range(n), grid_half, 0.0)
-    z2 = simulate_cir(params.with_(z0=float(z[-1])), grid_half, bp2.dBz)
+    dBz2, _ = brownian_batch(72, range(n), grid_half, 0.0)
+    z2 = simulate_cir(params.with_(z0=float(z[-1])), grid_half, dBz2)
     decay = np.exp(-np.outer(grid_half.times, qm.nodes))
     y2 = simulate_factors(qm, z2, grid_half) + decay * y
     nu2 = params.v0 + y2 @ qm.weights

@@ -27,26 +27,26 @@ def test_time_grid():
 
 
 def test_rng_streams_reproducible(coarse_grid):
-    a = brownian_pair(RngSpec(42, 7), coarse_grid, 0.0)
-    b = brownian_pair(RngSpec(42, 7), coarse_grid, 0.0)
-    c = brownian_pair(RngSpec(42, 8), coarse_grid, 0.0)
-    assert np.array_equal(a.dBz, b.dBz) and np.array_equal(a.dBs, b.dBs)
-    assert not np.array_equal(a.dBz, c.dBz)
+    a_z, a_s = brownian_pair(RngSpec(42, 7), coarse_grid, 0.0)
+    b_z, b_s = brownian_pair(RngSpec(42, 7), coarse_grid, 0.0)
+    c_z, _ = brownian_pair(RngSpec(42, 8), coarse_grid, 0.0)
+    assert np.array_equal(a_z, b_z) and np.array_equal(a_s, b_s)
+    assert not np.array_equal(a_z, c_z)
 
 
 def test_brownian_correlation_and_scale():
     grid = TimeGrid.from_horizon(100.0, 0.01)
-    bp = brownian_pair(RngSpec(3, 0), grid, 0.7)
-    corr = np.corrcoef(bp.dBz, bp.dBs)[0, 1]
+    dBz, dBs = brownian_pair(RngSpec(3, 0), grid, 0.7)
+    corr = np.corrcoef(dBz, dBs)[0, 1]
     assert corr == pytest.approx(0.7, abs=0.02)
-    assert bp.dBz.std() == pytest.approx(math.sqrt(grid.h), rel=0.05)
+    assert dBz.std() == pytest.approx(math.sqrt(grid.h), rel=0.05)
 
 
 def test_brownian_batch_matches_streams(coarse_grid):
-    bp = brownian_batch(42, range(3), coarse_grid, 0.3)
-    one = brownian_pair(RngSpec(42, 1), coarse_grid, 0.3)
-    assert np.array_equal(bp.dBz[1], one.dBz)
-    assert np.array_equal(bp.dBs[1], one.dBs)
+    dBz, dBs = brownian_batch(42, range(3), coarse_grid, 0.3)
+    one_z, one_s = brownian_pair(RngSpec(42, 1), coarse_grid, 0.3)
+    assert np.array_equal(dBz[1], one_z)
+    assert np.array_equal(dBs[1], one_s)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.7, 0.7])
@@ -56,20 +56,20 @@ def test_brownian_batch_matches_streams(coarse_grid):
 ], ids=["one-row", "batch+52"])
 def test_brownian_batch_matches_fresh_streams(seed, start, n, rho):
     grid = TimeGrid.from_horizon(1.0, 0.01)
-    bp = brownian_batch(seed, range(start, start + n), grid, rho)
-    assert bp.dBz.shape == bp.dBs.shape == (n, grid.steps)
+    dBz, dBs = brownian_batch(seed, range(start, start + n), grid, rho)
+    assert dBz.shape == dBs.shape == (n, grid.steps)
     for row, sid in enumerate(range(start, start + n)):
-        one = brownian_pair(RngSpec(seed, sid), grid, rho)
-        assert np.array_equal(bp.dBz[row], one.dBz), sid
-        assert np.array_equal(bp.dBs[row], one.dBs), sid
-    only_z = brownian_batch(seed, range(start, start + n), grid, rho, draw_dBs=False)
-    assert only_z.dBs is None
-    assert np.array_equal(only_z.dBz, bp.dBz)
+        one_z, one_s = brownian_pair(RngSpec(seed, sid), grid, rho)
+        assert np.array_equal(dBz[row], one_z), sid
+        assert np.array_equal(dBs[row], one_s), sid
+    only_z, no_s = brownian_batch(seed, range(start, start + n), grid, rho, draw_dBs=False)
+    assert no_s is None
+    assert np.array_equal(only_z, dBz)
 
 
 def test_cir_nonnegative_and_start(params, coarse_grid):
-    bp = brownian_batch(1, range(50), coarse_grid, 0.0)
-    z = simulate_cir(params, coarse_grid, bp.dBz)
+    dBz, _ = brownian_batch(1, range(50), coarse_grid, 0.0)
+    z = simulate_cir(params, coarse_grid, dBz)
     assert z.shape == (50, coarse_grid.steps + 1)
     assert np.all(z >= 0.0)
     assert np.all(z[:, 0] == params.z0)
@@ -78,8 +78,8 @@ def test_cir_nonnegative_and_start(params, coarse_grid):
 def test_cir_moments_match_exact_sampler(params, rng):
     grid = TimeGrid.from_horizon(1.0, 0.002)
     n = 4000
-    bp = brownian_batch(8, range(n), grid, 0.0)
-    z = simulate_cir(params, grid, bp.dBz)[:, -1]
+    dBz, _ = brownian_batch(8, range(n), grid, 0.0)
+    z = simulate_cir(params, grid, dBz)[:, -1]
     exact = sample_cir_exact(params, 1.0, 200000, rng)
     se_mean = math.hypot(z.std(ddof=1) / math.sqrt(n),
                          exact.std(ddof=1) / math.sqrt(len(exact)))
@@ -92,9 +92,9 @@ def test_cir_moments_match_exact_sampler(params, rng):
 
 def test_tilde_z_bit_identical_at_rho_zero(params, coarse_grid):
     qm = measure_for_atoms(16, params.alpha, MeasureKind.MU)
-    bp = brownian_batch(5, range(4), coarse_grid, 0.0)
-    z_plain = simulate_cir(params, coarse_grid, bp.dBz)
-    z_tilde, nu = simulate_tilde_z(params, qm, coarse_grid, bp.dBz)
+    dBz, _ = brownian_batch(5, range(4), coarse_grid, 0.0)
+    z_plain = simulate_cir(params, coarse_grid, dBz)
+    z_tilde, nu = simulate_tilde_z(params, qm, coarse_grid, dBz)
     assert np.array_equal(z_plain, z_tilde)
     assert nu.shape == z_tilde.shape
     assert np.all(nu[:, 0] == params.v0)
@@ -103,9 +103,9 @@ def test_tilde_z_bit_identical_at_rho_zero(params, coarse_grid):
 def test_tilde_z_differs_at_nonzero_rho(params, coarse_grid):
     qm = measure_for_atoms(16, params.alpha, MeasureKind.MU)
     p = params.with_(rho=0.7, v0=0.01)
-    bp = brownian_batch(5, range(4), coarse_grid, 0.7)
-    z_plain = simulate_cir(p, coarse_grid, bp.dBz)
-    z_tilde, _ = simulate_tilde_z(p, qm, coarse_grid, bp.dBz)
+    dBz, _ = brownian_batch(5, range(4), coarse_grid, 0.7)
+    z_plain = simulate_cir(p, coarse_grid, dBz)
+    z_tilde, _ = simulate_tilde_z(p, qm, coarse_grid, dBz)
     assert not np.array_equal(z_plain, z_tilde)
 
 
@@ -120,7 +120,7 @@ def test_tilde_z_blocks_match_recurrence(params, rho, lead, grid):
     qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)
     assert qm.n_atoms == 142
     p = params.with_(rho=rho, v0=0.01)
-    dBz = brownian_batch(5, range(math.prod(lead)), grid, rho).dBz.reshape(
+    dBz = brownian_batch(5, range(math.prod(lead)), grid, rho)[0].reshape(
         lead + (grid.steps,))
     z, nu = simulate_tilde_z(p, qm, grid, dBz)
     z_ref, nu_ref = simulate_tilde_z_recurrence(p, qm, grid, dBz)
@@ -133,8 +133,8 @@ def test_tilde_z_nu_is_quantized_volatility_at_rho_zero(params):
     grid = TimeGrid(h=0.001, steps=1001)
     qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)
     p = params.with_(v0=0.01)
-    bp = brownian_batch(5, range(8), grid, 0.0)
-    z, nu = simulate_tilde_z(p, qm, grid, bp.dBz)
+    dBz, _ = brownian_batch(5, range(8), grid, 0.0)
+    z, nu = simulate_tilde_z(p, qm, grid, dBz)
     assert np.max(np.abs(nu - nu_quantized_paths(p.v0, qm, z, grid))) <= 1e-12
 
 
@@ -156,8 +156,8 @@ def test_exponential_integrator_vs_fine_euler(params):
     grid = TimeGrid.from_horizon(1.0, 0.01)
     fine = TimeGrid.from_horizon(1.0, 0.0001)
     qm = measure_for_atoms(16, params.alpha, MeasureKind.MU)
-    bp = brownian_batch(17, range(1), grid, 0.0)
-    z = simulate_cir(params, grid, bp.dBz)[0]
+    dBz, _ = brownian_batch(17, range(1), grid, 0.0)
+    z = simulate_cir(params, grid, dBz)[0]
     y = simulate_factors(qm, z, grid)
     z_fine = np.repeat(z[:-1], 100)
     y_fine = np.zeros(len(qm.nodes))
@@ -188,26 +188,26 @@ def test_wealth_bond_only(params, coarse_grid):
 
 
 def test_wealth_strategy_forms_agree(params, coarse_grid):
-    bp = brownian_batch(9, range(3), coarse_grid, 0.0)
+    dBz, dBs = brownian_batch(9, range(3), coarse_grid, 0.0)
     nu = np.full((3, coarse_grid.steps + 1), 0.04)
-    w_scalar = simulate_wealth(0.25, nu, coarse_grid, bp.dBs, params)
+    w_scalar = simulate_wealth(0.25, nu, coarse_grid, dBs, params)
     w_array = simulate_wealth(np.full((3, coarse_grid.steps), 0.25), nu,
-                              coarse_grid, bp.dBs, params)
+                              coarse_grid, dBs, params)
     assert np.allclose(w_scalar, w_array, rtol=1e-14)
 
 
 @pytest.mark.parametrize("per_step", [False, True], ids=["scalar-pi", "array-pi"])
 def test_terminal_wealth_is_the_last_column_bit_for_bit(params, coarse_grid, per_step):
-    bp = brownian_batch(13, range(64), coarse_grid, 0.3)
-    nu = simulate_cir(params, coarse_grid, bp.dBz)
+    dBz, dBs = brownian_batch(13, range(64), coarse_grid, 0.3)
+    nu = simulate_cir(params, coarse_grid, dBz)
     pi = 0.25
     if per_step:
         pi = np.random.default_rng(4).uniform(-1.0, 2.0, (64, coarse_grid.steps))
-    w_t = terminal_wealth(pi, nu, coarse_grid, bp.dBs, params)
+    w_t = terminal_wealth(pi, nu, coarse_grid, dBs, params)
     assert w_t.shape == (64,)
-    assert np.array_equal(w_t, simulate_wealth(pi, nu, coarse_grid, bp.dBs, params)[..., -1])
+    assert np.array_equal(w_t, simulate_wealth(pi, nu, coarse_grid, dBs, params)[..., -1])
     with pytest.raises(ValueError):
-        terminal_wealth(pi, -nu - 0.01, coarse_grid, bp.dBs, params)
+        terminal_wealth(pi, -nu - 0.01, coarse_grid, dBs, params)
 
 
 def test_wealth_rejects_negative_volatility(params, coarse_grid):
@@ -217,11 +217,11 @@ def test_wealth_rejects_negative_volatility(params, coarse_grid):
 
 
 def test_optimal_wealth_closed_form_is_merton_wealth(params, coarse_grid):
-    bp = brownian_batch(21, range(4), coarse_grid, 0.0)
-    z = simulate_cir(params, coarse_grid, bp.dBz)
+    dBz, dBs = brownian_batch(21, range(4), coarse_grid, 0.0)
+    z = simulate_cir(params, coarse_grid, dBz)
     pi_star = params.lam / (1.0 - params.gamma)
-    w_sim = simulate_wealth(pi_star, z, coarse_grid, bp.dBs, params)
-    w_cf = optimal_wealth_closed_form(z, coarse_grid, bp.dBs, params)
+    w_sim = simulate_wealth(pi_star, z, coarse_grid, dBs, params)
+    w_cf = optimal_wealth_closed_form(z, coarse_grid, dBs, params)
     assert np.allclose(w_sim, w_cf, rtol=1e-12)
 
 

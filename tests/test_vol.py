@@ -16,8 +16,8 @@ from oracles import (direct_causal_convolve, nu_fractional_euler_direct,
 @pytest.fixture
 def z_batch(params):
     grid = TimeGrid.from_horizon(1.0, 0.005)
-    bp = brownian_batch(31, range(6), grid, 0.0)
-    return grid, simulate_cir(params, grid, bp.dBz)
+    dBz, _ = brownian_batch(31, range(6), grid, 0.0)
+    return grid, simulate_cir(params, grid, dBz)
 
 
 def test_positivity_maps():
@@ -110,7 +110,7 @@ def _quantized_oracle(v0, qm, z, grid):
 
 def _z_paths(params, h, rows):
     grid = TimeGrid.from_horizon(1.0, h)
-    z = simulate_cir(params, grid, brownian_batch(37, range(rows), grid, 0.0).dBz)
+    z = simulate_cir(params, grid, brownian_batch(37, range(rows), grid, 0.0)[0])
     return grid, z
 
 
@@ -166,8 +166,8 @@ def test_rough_scheme_consistent_with_quantized(z_batch, rough_params):
     # the Marchaud scheme converges slowly in h, so run this comparison on
     # a finer grid than the shared fixture uses
     grid = TimeGrid.from_horizon(1.0, 0.002)
-    bp = brownian_batch(31, range(6), grid, 0.0)
-    z = simulate_cir(rough_params, grid, bp.dBz)
+    dBz, _ = brownian_batch(31, range(6), grid, 0.0)
+    z = simulate_cir(rough_params, grid, dBz)
     qm = measure_for_atoms(1024, rough_params.alpha, MeasureKind.MU_TILDE)
     nu_m = nu_rough_marchaud(z, rough_params.alpha, grid)
     nu_q = nu_quantized_rough_paths(0.0, qm, z, grid)
