@@ -1,15 +1,16 @@
 """Command-line scenario runner.
 
 Subcommands write CSV reports into the output directory, plus a
-manifest.csv listing every emitted file with the configuration hash.
-Each row is written by one % format built from its cell types: strings
-as they are, integers in decimal and every other number with 17
-significant digits, so re-running a command with the same seed and
-config reproduces the files byte for byte, independent of --threads.
+manifest.csv listing every file with the configuration hash.  The alphas,
+levels or rows a command simulates are the legs of shared draws (mc legs).
+Each CSV row is one % format built from its cell types: strings as they
+are, integers in decimal, other numbers with 17 significant digits, so a
+rerun with the same seed and config is byte-identical for any --threads.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, file_tag, load_config
-from .mc import (convergence_study, map_paths, mc_feynman_kac, mc_value_rough,
-                 path_batch)
+from .mc import (ConvergenceRow, McEstimate, convergence_study, feynman_kac_leg,
+                 map_paths, path_batch)
 from .params import ModelParams, Regime, merton_ratio
 from .quantize import MeasureKind, dyadic_chain, measure_for_atoms
 from .riccati import (RiccatiBlowUp, solve_riccati_finite, solve_riccati_limit,
@@ -141,46 +142,69 @@ def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
     return files
 
 
+def _guarded(leg, failures: list) -> tuple:
+    """leg with its positivity map moved into the integrand: a rejected batch
+    yields NaN and records in failures the error, minus its path-holding traceback."""
+    p, scheme, pos_map, integrand = leg
+
+    def run(dBs, z, nu):
+        try:
+            nu = apply_positivity(nu, pos_map)
+        except ValueError as exc:
+            failures.append(exc.with_traceback(None))
+            return np.full(len(z), math.nan)
+        return integrand(dBs, z, nu)
+
+    return p, scheme, None, run
+
+
 def cmd_value(cfg: ScenarioConfig, out_dir: Path, errors: list) -> list:
-    """Affine (Riccati) value vs Monte Carlo value per alpha at rho = 0."""
+    """Affine (Riccati) value vs Monte Carlo value per alpha at rho = 0, each
+    row's Feynman-Kac estimate a leg of one map.  Failing rows are reported
+    in row order; a positivity failure beats a Riccati blow-up."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    rows = []
+    cases, legs = [], []  # (p, alpha, level, solution, failures, k)
     for alpha in cfg.alphas:
         p = cfg.model_params(alpha, 0.0)
         wfac = p.w0 ** p.gamma / p.gamma
-        for level in cfg.levels:
+        # the rough leg carries the wealth factor, as in mc_value_rough
+        scale, k = (wfac, 1.0) if p.regime is Regime.ROUGH else (1.0, wfac)
+        # levels are irrelevant without a quantized measure
+        for level in cfg.levels[:1] if p.regime is Regime.CLASSICAL_HESTON else cfg.levels:
             try:
                 if p.regime is Regime.FRACTIONAL:
                     qm = measure_for_atoms(level, alpha, MeasureKind.MU)
                     sol = solve_riccati_finite(qm, p, ode_step=cfg.step)
-                    est = mc_feynman_kac(
-                        p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm),
-                        cfg.n_paths, grid, cfg.seed, cfg.threads)
+                    scheme = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm)
                 elif p.regime is Regime.ROUGH:
                     qm = measure_for_atoms(level, alpha, MeasureKind.MU_TILDE)
                     sol = solve_riccati_rough(qm, p, ode_step=cfg.step)
-                    # the rough estimator already carries the wealth factor
-                    est = mc_value_rough(p, qm, PositivityMap(cfg.positivity_map),
-                                         cfg.n_paths, grid, cfg.seed, cfg.threads)
+                    scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm)
                 else:
                     sol = solve_riccati_limit(p, ode_step=cfg.step, alpha=0.0)
-                    est = mc_feynman_kac(p, VolScheme(SchemeKind.CLASSICAL),
-                                         cfg.n_paths, grid, cfg.seed, cfg.threads)
-                rv = value_function(p, sol).value
-                if p.regime is Regime.ROUGH:
-                    mc_val, se = est.mean, est.std_error
-                else:
-                    mc_val = wfac * est.mean
-                    se = abs(wfac) * est.std_error
-                rows.append((p.regime.value, alpha, level, rv, mc_val, se,
-                             rv - mc_val, 0))
-            except RiccatiBlowUp:
-                rows.append((p.regime.value, alpha, level, math.nan, math.nan,
-                             math.nan, math.nan, 1))
-            except Exception as exc:  # noqa: BLE001 - per-row failure report
-                errors.append(f"value row alpha={alpha} level={level}: {exc}")
-            if p.regime is Regime.CLASSICAL_HESTON:
-                break  # levels are irrelevant without a quantized measure
+                    scheme = VolScheme(SchemeKind.CLASSICAL)
+                failures = []
+                legs.append(_guarded(feynman_kac_leg(
+                    p, scheme, grid, _stock_map(p, cfg), scale), failures))
+                cases.append((p, alpha, level, sol, failures, k))
+            except Exception as exc:  # noqa: BLE001 - reported with its row
+                cases.append((p, alpha, level, None, [exc], k))
+    outs = iter(map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads,
+                          draw_dBs=False) if legs else ())
+    rows = []
+    for p, alpha, level, sol, failures, k in cases:
+        try:
+            values = None if sol is None else next(outs)  # a set-up error has no leg
+            if failures:
+                raise failures[0]
+            est = McEstimate.of(values)
+            rv = value_function(p, sol).value
+            rows.append((p.regime.value, alpha, level, rv, k * est.mean,
+                         abs(k) * est.std_error, rv - k * est.mean, 0))
+        except RiccatiBlowUp:
+            rows.append((p.regime.value, alpha, level) + (math.nan,) * 4 + (1,))
+        except Exception as exc:  # noqa: BLE001 - per-row failure report
+            errors.append(f"value row alpha={alpha} level={level}: {exc}")
     _write_csv(out_dir / "value.csv",
                ["regime", "alpha", "level", "riccati_value", "mc_value",
                 "se", "gap", "blow_up"], rows)
@@ -269,12 +293,8 @@ def cmd_converge(cfg: ScenarioConfig, out_dir: Path) -> list:
     qms = dyadic_chain(base.n_atoms, alpha, MeasureKind.MU, len(cfg.levels))
     rows = convergence_study(p, qms, cfg.n_paths, grid, cfg.seed, cfg.threads)
     _write_csv(out_dir / "converge.csv",
-               ["atoms", "monotonicity_violations", "kernel_error",
-                "riccati_value", "value_gap_to_next", "mc_mean",
-                "mc_std_error", "epsilon"],
-               [(r.level_atoms, r.monotonicity_violations, r.kernel_error,
-                 r.riccati_value, r.value_gap_to_next, r.mc_mean,
-                 r.mc_std_error, r.epsilon) for r in rows])
+               [f.name for f in dataclasses.fields(ConvergenceRow)],
+               map(dataclasses.astuple, rows))
     return ["converge.csv"]
 
 

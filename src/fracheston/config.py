@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .params import ModelParams, Regime, check_delta_window, hurst_of_alpha
@@ -21,6 +22,8 @@ from .vol import PositivityMap
 
 SCHEMA_VERSION = 2
 _CLASSICAL_ALPHAS = (-1.0, 0.0)  # both select the classical Heston baseline
+_REAL_FIELDS = ("r", "lam", "kappa", "theta", "sigma", "gamma", "v0", "z0", "w0",
+                "s0", "horizon", "step", "delta")
 
 
 def file_tag(x: float) -> str:
@@ -32,6 +35,16 @@ def _check_int(name: str, val) -> None:
     # bool is an int subclass, but true/false is never a count or a seed
     if not isinstance(val, int) or isinstance(val, bool):
         raise ValueError(f"{name} must be an integer, got {val!r}")
+
+
+def _check_real(name: str, val) -> None:
+    # a string would fail mid-run, and true/false is never a model constant
+    try:
+        finite = not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite real number, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,8 @@ class ScenarioConfig:
                              f"this build reads version {SCHEMA_VERSION}")
         for name in ("n_paths", "n_sample_paths", "seed", "threads"):
             _check_int(name, getattr(self, name))
+        for name in _REAL_FIELDS:
+            _check_real(name, getattr(self, name))
         for n in self.levels:
             _check_int("levels entry", n)
             if n < 1:

@@ -1,13 +1,13 @@
 """Monte Carlo engines and affine cross-validation.
 
 Every estimator and CLI command simulates through path_batch, mapped by
-map_paths over fixed batches of per-path Philox streams and reduced with
-exact (fsum) summation, so results are bit-identical for any worker
-count.  A batch draws the Brownian pair and drives Z once for all its
-legs (alphas, levels or schemes compared on common random numbers); nu,
-the positivity map and the integrand run per leg.  The rho != 0 Z-tilde
-depends on nu, so it drives a single leg.  Utility legs read the terminal
-wealth only (sim.terminal_wealth), not the whole wealth path.
+map_paths over fixed batches of per-path Philox streams and reduced by
+McEstimate.of with exact (fsum) sums, so results are bit-identical for any
+worker count.  A batch draws the Brownian pair and drives Z once for all
+its legs (alphas, levels or schemes on common random numbers); nu, the
+positivity map and the integrand run per leg.  The rho != 0 Z-tilde
+depends on nu, so it drives a single leg.  One Feynman-Kac leg serves
+both value estimators; utility legs read the terminal wealth only.
 """
 from __future__ import annotations
 
@@ -39,12 +39,13 @@ class McEstimate:
         if self.n_paths < 2:
             raise ValueError("need at least 2 paths for a standard error")
 
-
-def _reduce(values: np.ndarray) -> McEstimate:
-    n = len(values)
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n)
+    @classmethod
+    def of(cls, values: np.ndarray) -> "McEstimate":
+        """Mean and standard error of per-path values, by exact (fsum) sums."""
+        n = len(values)
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        return cls(mean=mean, std_error=math.sqrt(var / n), n_paths=n)
 
 
 def _map_batches(batch_fn, n_paths: int, threads: int = 1,
@@ -128,29 +129,31 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
     return _map_batches(batch, n_paths, threads)
 
 
+def feynman_kac_leg(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
+                    pos_map: PositivityMap = PositivityMap.IDENTITY,
+                    scale: float = 1.0) -> tuple:
+    """The path_batch leg of the Laplace-transform representation of the
+    affine factor: per path scale * exp(int_0^T (gamma r / c + eta/c * nu_s) ds),
+    left-endpoint quadrature.  Its expectation needs Z-tilde, so at rho != 0
+    it is the single leg of a tilde=True map."""
+    d = p.derived()
+    c = d.c_exponent
+
+    def integrand(dBs, z, nu):
+        integral = grid.h * np.sum(nu[..., :-1], axis=-1)
+        return scale * np.exp(p.gamma * p.r / c * grid.horizon + d.eta / c * integral)
+
+    return p, scheme, pos_map, integrand
+
+
 def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
                    grid: TimeGrid, master_seed: int, threads: int = 1,
                    pos_map: PositivityMap = PositivityMap.IDENTITY) -> McEstimate:
-    """Estimate the Laplace-transform representation of the affine factor:
-
-    E[exp(int_0^T (gamma r / c + eta/c * nu_s) ds)]
-
-    with left-endpoint time quadrature, driven by Z-tilde (Z at rho = 0;
-    path_batch rejects a scheme without that driver at rho != 0 rather
-    than silently dropping the drift correction).  In the rough regime nu
-    enters through the positivity map.
-    """
-    d = p.derived()
-    c = d.c_exponent
-    h = grid.h
-
-    def integrand(dBs, z, nu):
-        integral = h * np.sum(nu[..., :-1], axis=-1)
-        return np.exp(p.gamma * p.r / c * grid.horizon + d.eta / c * integral)
-
-    values, = map_paths([(p, scheme, pos_map, integrand)], grid, master_seed,
-                        n_paths, threads, tilde=True, draw_dBs=False)
-    return _reduce(values)
+    """Mean of the feynman_kac_leg on Z-tilde (Z at rho = 0); path_batch
+    rejects a scheme without that driver at rho != 0."""
+    values, = map_paths([feynman_kac_leg(p, scheme, grid, pos_map)], grid,
+                        master_seed, n_paths, threads, tilde=True, draw_dBs=False)
+    return McEstimate.of(values)
 
 
 def _utility(p: ModelParams, pi: float, grid: TimeGrid):
@@ -168,33 +171,26 @@ def mc_utility(p: ModelParams, pi: float, scheme: VolScheme,
     fraction pi (e.g. merton_ratio(p)), on the physical Z at any rho."""
     values, = map_paths([(p, scheme, pos_map, _utility(p, pi, grid))], grid,
                         master_seed, n_paths, threads)
-    return _reduce(values)
+    return McEstimate.of(values)
 
 
 def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
                    pos_map: PositivityMap, n_paths: int, grid: TimeGrid,
                    master_seed: int, threads: int = 1) -> McEstimate:
     """Rough-regime value (1/gamma) w0^gamma E[exp(int (gamma r + eta a(nu)) ds)]
-    on the quantized rough scheme (which rejects a measure not of mu_tilde kind)."""
+    on the quantized rough scheme (which rejects a measure not of mu_tilde
+    kind): the feynman_kac_leg at c = 1, scaled by the wealth factor."""
     if p.rho != 0.0:
         raise ValueError("the rough value estimator is defined for rho = 0")
-    scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm_tilde)
-    eta = p.derived().eta
-    h = grid.h
-    wfac = p.w0 ** p.gamma / p.gamma
-
-    def integrand(dBs, z, nu):
-        integral = h * np.sum(nu[..., :-1], axis=-1)
-        return wfac * np.exp(p.gamma * p.r * grid.horizon + eta * integral)
-
-    values, = map_paths([(p, scheme, pos_map, integrand)], grid, master_seed,
-                        n_paths, threads, draw_dBs=False)
-    return _reduce(values)
+    leg = feynman_kac_leg(p, VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm_tilde),
+                          grid, pos_map, p.w0 ** p.gamma / p.gamma)
+    values, = map_paths([leg], grid, master_seed, n_paths, threads, draw_dBs=False)
+    return McEstimate.of(values)
 
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    level_atoms: int
+    atoms: int
     monotonicity_violations: int
     kernel_error: float
     riccati_value: float
@@ -221,7 +217,7 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
     nus = path_batch([(p, s, None, lambda dBs, z, nu: nu) for s in schemes], grid,
                      master_seed, 0, MONOTONE_PATHS, draw_dBs=False)
     utility = _utility(p, merton_ratio(p), grid)
-    euler_util, *utils = map(_reduce, map_paths(
+    euler_util, *utils = map(McEstimate.of, map_paths(
         [(p, s, PositivityMap.IDENTITY, utility)
          for s in [VolScheme(SchemeKind.FRACTIONAL_EULER), *schemes]],
         grid, master_seed, n_paths, threads))
@@ -238,7 +234,7 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
         eps = (value_gap if math.isfinite(value_gap) else 0.0) \
             + abs(util.mean - euler_util.mean)
         rows.append(ConvergenceRow(
-            level_atoms=qm.n_atoms,
+            atoms=qm.n_atoms,
             monotonicity_violations=violations,
             kernel_error=abs(approx_kernel(1.0, qm) - frac_kernel(1.0, p.alpha)),
             riccati_value=values[i],

@@ -214,17 +214,8 @@ def solve_riccati_rough(qm_tilde: QuantizedMeasure, p: ModelParams,
 
 @dataclass(frozen=True)
 class AffineValue:
-    """Value and the additive pieces of its exponent."""
+    """Value of the affine value function at one state."""
     value: float
-    wealth_factor: float       # w^gamma / gamma
-    exponent_phi_big: float
-    exponent_phi_z: float
-    exponent_psi_y: float = 0.0
-
-    def reassemble(self) -> float:
-        return self.wealth_factor * math.exp(self.exponent_phi_big
-                                             + self.exponent_phi_z
-                                             + self.exponent_psi_y)
 
 
 def value_function(p: ModelParams, sol: RiccatiSolution, w: float | None = None,
@@ -235,9 +226,7 @@ def value_function(p: ModelParams, sol: RiccatiSolution, w: float | None = None,
     if sol.blow_up is not None and sol.horizon < p.horizon:
         raise RiccatiBlowUp(f"no finite value: varphi blew up at tau={sol.blow_up:.6g}")
     vp, pb = sol.at(p.horizon)
-    return AffineValue(value=(w ** p.gamma / p.gamma) * math.exp(pb + vp * z),
-                       wealth_factor=w ** p.gamma / p.gamma,
-                       exponent_phi_big=pb, exponent_phi_z=vp * z)
+    return AffineValue(value=(w ** p.gamma / p.gamma) * math.exp(pb + vp * z))
 
 
 def value_function_at_t(p: ModelParams, sol: RiccatiSolution, qm: QuantizedMeasure,
@@ -247,11 +236,6 @@ def value_function_at_t(p: ModelParams, sol: RiccatiSolution, qm: QuantizedMeasu
     if tau < 0:
         raise ValueError("t beyond the horizon")
     vp, pb = sol.at(tau)
-    eta = p.derived().eta
-    psis = psi(tau, qm.weights, qm.nodes, eta)
+    psis = psi(tau, qm.weights, qm.nodes, p.derived().eta)
     return AffineValue(value=(w ** p.gamma / p.gamma)
-                       * math.exp(pb + float(np.dot(psis, y)) + vp * z),
-                       wealth_factor=w ** p.gamma / p.gamma,
-                       exponent_phi_big=pb, exponent_phi_z=vp * z,
-                       exponent_psi_y=float(np.dot(psis, y)))
-
+                       * math.exp(pb + float(np.dot(psis, y)) + vp * z))

@@ -50,8 +50,12 @@ def test_simulate_outputs(tmp_path, cfg_path):
     assert header == "t,z0,nu0,s0,z1,nu1,s1"
 
 
-def test_simulate_draws_once_per_rho(tmp_path, cfg_path, monkeypatch):
-    # every alpha at one rho is a leg of one path batch
+@pytest.mark.parametrize("command, n_draws", [("simulate", len(SMALL["rhos"])),
+                                              ("value", 1)])
+def test_simulate_draws_once_per_rho(tmp_path, cfg_path, monkeypatch, command,
+                                     n_draws):
+    # simulate: every alpha at one rho is a leg of one path batch; value:
+    # every row, at rho = 0, is a leg of one map (SMALL has a single batch)
     draws = []
     draw = fracheston.mc.brownian_batch
 
@@ -60,8 +64,8 @@ def test_simulate_draws_once_per_rho(tmp_path, cfg_path, monkeypatch):
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(fracheston.mc, "brownian_batch", counted)
-    assert _run(cfg_path, tmp_path / "out", "simulate") == 0
-    assert len(draws) == len(SMALL["rhos"])
+    assert _run(cfg_path, tmp_path / "out", command) == 0
+    assert len(draws) == n_draws
 
 
 def test_posmap_is_independent_of_rhos_and_sample_paths(tmp_path):
@@ -180,17 +184,22 @@ def test_value_byte_identical_across_threads(tmp_path, cfg_path, command):
     assert _read_all(out1) == _read_all(out2)
 
 
-def test_value_keeps_the_rows_that_do_not_fail(tmp_path, capsys):
+@pytest.mark.parametrize("change, blow_up", [
+    ({}, 0),
+    ({"gamma": 0.9, "lam": 10.0}, 1),  # the fractional Riccati solves blow up
+], ids=["finite", "blow-up"])
+def test_value_keeps_the_rows_that_do_not_fail(tmp_path, capsys, change, blow_up):
     # the identity map meets a negative rough nu (v0 = 0) in every rough row;
-    # the fractional rows are still written and listed, and the run exits 1
+    # the fractional rows are still written and listed, and the run exits 1.
+    # A positivity failure beats a blow-up: the rough rows fail either way
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL, "alphas": [0.5, -0.75],
-                               "positivity_map": "identity"}))
+                               "positivity_map": "identity", **change}))
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out), "value"]) == 1
     lines = (out / "value.csv").read_text().strip().splitlines()
-    assert [ln.split(",")[:3] for ln in lines[1:]] == [
-        ["fractional", "0.5", str(n)] for n in SMALL["levels"]]
+    assert [ln.split(",")[:3] + ln.split(",")[-1:] for ln in lines[1:]] == [
+        ["fractional", "0.5", str(n), str(blow_up)] for n in SMALL["levels"]]
     manifest = (out / "manifest.csv").read_text().splitlines()
     assert [ln.split(",")[0] for ln in manifest[1:]] == ["value.csv"]
     err = capsys.readouterr().err
@@ -258,6 +267,12 @@ def test_invalid_config_exit_code(tmp_path):
     {"rhos": [0.0, 0.0]},
     {"rhos": [0.0, -0.0]},  # one value, though tagged 0 and m0
     {"rhos": [0.7, 0.70000001]},  # both tagged 0.7
+    {"r": "0.02"},  # a string, not a number
+    {"r": math.nan},
+    {"w0": math.nan},
+    {"lam": math.inf},
+    {"theta": math.inf},
+    {"r": True},
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     bad = tmp_path / "bad.json"

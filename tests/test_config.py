@@ -21,9 +21,10 @@ def test_defaults_valid():
 
 
 def test_load_roundtrip(tmp_path):
-    path = _write(tmp_path, {"seed": 99, "alphas": [0.5], "lambda": 0.4})
+    path = _write(tmp_path, {"seed": 99, "alphas": [0.5], "lambda": 0.4, "w0": 500})
     cfg = load_config(path)
     assert cfg.seed == 99
+    assert cfg.w0 == 500  # an int is a real number
     assert cfg.alphas == (0.5,)
     assert cfg.lam == 0.4
 
@@ -47,6 +48,9 @@ def test_invalid_model_parameters_rejected(tmp_path):
     path2 = _write(tmp_path, {"alphas": [0.3, -0.2]})
     with pytest.raises(ValueError):
         load_config(path2)
+    path3 = _write(tmp_path, {"w0": 10 ** 400})  # an int no float can hold
+    with pytest.raises(ValueError, match="w0 must be a finite real number"):
+        load_config(path3)
 
 
 def test_classical_aliases():

@@ -9,7 +9,8 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         mc_value_rough, measure_for_atoms, merton_ratio,
                         nu_quantized_paths, simulate_cir, simulate_wealth,
                         solve_riccati_finite)
-from fracheston.mc import BATCH_SIZE, McEstimate, _map_batches, map_paths
+from fracheston.mc import (BATCH_SIZE, McEstimate, _map_batches, feynman_kac_leg,
+                           map_paths)
 from oracles import feynman_kac_girsanov
 
 
@@ -66,6 +67,28 @@ def test_multi_leg_map_equals_one_leg_calls(threads):
     for leg, out in zip(legs, shared):
         alone, = map_paths([leg], grid, 19, n, threads=1)
         assert np.array_equal(out, alone)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_feynman_kac_legs_of_one_map_equal_their_estimators(threads):
+    # the value command's rows: fractional legs at two levels, the classical
+    # leg and the rough value leg, all on one draw
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    n = BATCH_SIZE + 52  # two batches
+    frac, classical, rough = (default_params(alpha=a) for a in (0.75, 0.0, -0.75))
+    schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
+                         qm=measure_for_atoms(k, 0.75, MeasureKind.MU)) for k in (8, 16)]
+    qm_tilde = measure_for_atoms(16, -0.75, MeasureKind.MU_TILDE)
+    rough_scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm_tilde)
+    legs = [feynman_kac_leg(frac, s, grid) for s in schemes] + [
+        feynman_kac_leg(classical, VolScheme(SchemeKind.CLASSICAL), grid),
+        feynman_kac_leg(rough, rough_scheme, grid, PositivityMap.ABSOLUTE,
+                        rough.w0 ** rough.gamma / rough.gamma)]
+    shared = map_paths(legs, grid, 23, n, threads, draw_dBs=False)
+    alone = [mc_feynman_kac(frac, s, n, grid, 23, threads) for s in schemes] + [
+        mc_feynman_kac(classical, VolScheme(SchemeKind.CLASSICAL), n, grid, 23, threads),
+        mc_value_rough(rough, qm_tilde, PositivityMap.ABSOLUTE, n, grid, 23, threads)]
+    assert [McEstimate.of(v) for v in shared] == alone
 
 
 @pytest.mark.parametrize("mutate", [
@@ -245,7 +268,7 @@ def test_convergence_study(params):
     qm = measure_for_atoms(16, params.alpha, MeasureKind.MU)
     qms = [qm, qm.refined(), qm.refined().refined()]
     rows = convergence_study(params, qms, 1000, grid, 61, threads=2)
-    assert [r.level_atoms for r in rows] == [q.n_atoms for q in qms]
+    assert [r.atoms for r in rows] == [q.n_atoms for q in qms]
     assert all(r.monotonicity_violations == 0 for r in rows)
     kernel_errs = [r.kernel_error for r in rows]
     assert kernel_errs == sorted(kernel_errs, reverse=True)

@@ -182,13 +182,6 @@ def test_value_function_bond_only(params):
     assert v.value < 0  # gamma < 0
 
 
-def test_affine_value_reassembly(params):
-    qm = measure_for_atoms(32, params.alpha, MeasureKind.MU)
-    sol = solve_riccati_finite(qm, params, ode_step=0.005)
-    v = value_function(params, sol)
-    assert v.reassemble() == pytest.approx(v.value, rel=1e-12)
-
-
 def test_value_z0_sensitivity_sign(params):
     # dV/dz0 = V * varphi(T) >= 0 when gamma < 0 (V < 0, varphi <= 0)
     qm = measure_for_atoms(32, params.alpha, MeasureKind.MU)
