@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error ({args.command}): {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, RiccatiBlowUp) as exc:
         print(f"run error ({args.command}): {exc}", file=sys.stderr)
         return 1
     _write_manifest(out_dir, files, cfg)

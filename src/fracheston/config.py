@@ -81,6 +81,9 @@ class ScenarioConfig:
             _check_int(name, getattr(self, name))
         for name in _REAL_FIELDS:
             _check_real(name, getattr(self, name))
+        for name in ("alphas", "rhos"):
+            for val in getattr(self, name):
+                _check_real(f"{name} entry", val)
         for n in self.levels:
             _check_int("levels entry", n)
             if n < 1:

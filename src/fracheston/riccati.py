@@ -9,9 +9,12 @@ forcing carries an integrable power singularity at the terminal tau.
 
 Each system is a tau-only forcing plus one derivative of (varphi, Phi)
 given that forcing.  All share one classical RK4 driver in tau = T - t
-that evaluates the forcing once per distinct node, detects blow-up of
-varphi (the affine ansatz may only exist up to a finite horizon) and
-returns an immutable solution object on a tau grid.
+that evaluates the forcing in one call over its distinct nodes (grid nodes
+and step midpoints), detects blow-up of varphi (the affine ansatz may only
+exist up to a finite horizon) and returns an immutable solution object on
+a tau grid.  The finite and rough forcings take the exponentials of all
+nodes in one pass per block of nodes but keep one dot per node, so every
+value is bit for bit the per-node evaluation (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -24,6 +27,9 @@ from .params import ModelParams, Regime, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
 
 BLOW_UP_THRESHOLD = 1e6
+# Tau nodes per exp pass of a forcing: bounds its (nodes, atoms) scratch
+# (about 1.2 MB at 574 atoms) whatever the horizon and step.
+_NODE_BLOCK = 256
 
 
 class RiccatiBlowUp(RuntimeError):
@@ -62,23 +68,25 @@ def psi(tau: float, q, x, eta: float):
 
 def _rk4(forcing, deriv, tau_nodes: np.ndarray,
          varphi_of=lambda f, v: v) -> RiccatiSolution:
-    """Classical RK4 of (v', Phi') = deriv(forcing(tau), v) from v = Phi = 0
-    over the tau nodes; varphi = varphi_of(forcing(tau), v) (part of it may
-    be integrated in closed form).  The tau-only forcing is evaluated once
-    per distinct node: t1 carries over as the next step's t0, and the two
-    midpoint stages share one value.  Stops where varphi is non-finite or
-    exceeds BLOW_UP_THRESHOLD.
+    """Classical RK4 of (v', Phi') = deriv(f, v) from v = Phi = 0 over the
+    tau nodes, f being the tau-only forcing at the stage's node; varphi =
+    varphi_of(f, v) (part of it may be integrated in closed form).
+
+    forcing maps an array of taus to a sequence of per-node values and is
+    called once, over every node the steps read: the grid nodes (each
+    step's t0 and t1) and the step midpoints, which both midpoint stages
+    share.  Stops where varphi is non-finite or exceeds BLOW_UP_THRESHOLD.
     """
     taus = [0.0]
     vs = [0.0]
     pbs = [0.0]
     v, pb = 0.0, 0.0
     blow_up = None
-    f1 = forcing(tau_nodes[0])
-    for i in range(len(tau_nodes) - 1):
-        t0, t1 = tau_nodes[i], tau_nodes[i + 1]
-        dt = t1 - t0
-        f0, fm, f1 = f1, forcing(t0 + dt / 2), forcing(t1)
+    dts = tau_nodes[1:] - tau_nodes[:-1]
+    fs = forcing(np.concatenate([tau_nodes, tau_nodes[:-1] + dts / 2]))
+    f_ends, f_mids = fs[:len(tau_nodes)], fs[len(tau_nodes):]
+    for i, dt in enumerate(dts):
+        f0, fm, f1 = f_ends[i], f_mids[i], f_ends[i + 1]
         k1v, k1p = deriv(f0, v)
         k2v, k2p = deriv(fm, v + dt / 2 * k1v)
         k3v, k3p = deriv(fm, v + dt / 2 * k2v)
@@ -86,6 +94,7 @@ def _rk4(forcing, deriv, tau_nodes: np.ndarray,
         v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         pb = pb + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         varphi = varphi_of(f1, v)
+        t1 = tau_nodes[i + 1]
         if not np.isfinite(varphi) or abs(varphi) > BLOW_UP_THRESHOLD:
             blow_up = float(t1)
             break
@@ -94,6 +103,17 @@ def _rk4(forcing, deriv, tau_nodes: np.ndarray,
         pbs.append(float(pb))
     return RiccatiSolution(tau_grid=np.array(taus), varphi=np.array(vs),
                            phi_big=np.array(pbs), blow_up=blow_up)
+
+
+def _atom_dots(q: np.ndarray, taus: np.ndarray, terms) -> list:
+    """float(np.dot(q, row)) for each row of terms(taus), the per-atom terms
+    at each tau.  terms runs on _NODE_BLOCK taus at a time, so its
+    (nodes, atoms) scratch stays bounded; the dot stays one per node, since
+    a matrix-vector product could round differently."""
+    dots = []
+    for a in range(0, len(taus), _NODE_BLOCK):
+        dots.extend(float(np.dot(q, row)) for row in terms(taus[a:a + _NODE_BLOCK]))
+    return dots
 
 
 def _rk4_system(forcing, p: ModelParams, ode_step: float) -> RiccatiSolution:
@@ -120,8 +140,9 @@ def solve_riccati_finite(qm: QuantizedMeasure, p: ModelParams,
     eta = p.derived().eta
     x, q = qm.nodes, qm.weights
 
-    def forcing(tau):
-        return eta * float(np.dot(q, (1.0 - np.exp(-x * tau)) / x))
+    def forcing(taus):
+        return [eta * d for d in
+                _atom_dots(q, taus, lambda t: (1.0 - np.exp(np.outer(t, -x))) / x)]
 
     return _rk4_system(forcing, p, ode_step)
 
@@ -138,10 +159,10 @@ def solve_riccati_limit(p: ModelParams, ode_step: float = 1e-3,
     eta = p.derived().eta
     ga1 = gamma_fn(alpha + 1.0)
 
-    def forcing(tau):
+    def forcing(taus):
         if alpha == 0.0:
-            return eta
-        return eta * tau ** alpha / ga1 if tau > 0 else 0.0
+            return [eta] * len(taus)
+        return [eta * tau ** alpha / ga1 if tau > 0 else 0.0 for tau in taus]
 
     return _rk4_system(forcing, p, ode_step)
 
@@ -152,9 +173,13 @@ def h_closed_form(t: float, horizon: float, qm: QuantizedMeasure) -> float:
     Closed form of the triple integral of e^{-x(s+u)} over
     [0,t] x [0,T-t] against mu~^n; vanishes at t = 0 and t = T.
     """
-    x, q = qm.nodes, qm.weights
-    return float(np.dot(q, (1.0 - np.exp(-x * t)) * (1.0 - np.exp(-x * (horizon - t)))
-                        / x ** 2))
+    return float(np.dot(qm.weights, _h_terms(t, horizon, qm.nodes)[0]))
+
+
+def _h_terms(t, horizon: float, x: np.ndarray) -> np.ndarray:
+    """Per-atom terms of h^n, one row per entry of t (a scalar or array)."""
+    return ((1.0 - np.exp(np.outer(t, -x))) * (1.0 - np.exp(np.outer(horizon - t, -x)))
+            / x ** 2)
 
 
 def _rough_tau_nodes(horizon: float, ode_step: float,
@@ -194,11 +219,14 @@ def solve_riccati_rough(qm_tilde: QuantizedMeasure, p: ModelParams,
     kap, sig2 = p.kappa, p.sigma ** 2
     gna = gamma_fn(-alpha)
 
-    def forcing(tau):
+    def forcing(taus):
         # psing: antiderivative of eta (T-u)^(-alpha-1)/Gamma(-alpha), zero
         # at tau=0; h: h^n at t = T - tau
-        return (eta * ((horizon - tau) ** (-alpha) - horizon ** (-alpha)) / (alpha * gna),
-                h_closed_form(horizon - tau, horizon, qm_tilde))
+        psing = [eta * ((horizon - tau) ** (-alpha) - horizon ** (-alpha)) / (alpha * gna)
+                 for tau in taus]
+        hn = _atom_dots(qm_tilde.weights, horizon - taus,
+                        lambda t: _h_terms(t, horizon, qm_tilde.nodes))
+        return list(zip(psing, hn))
 
     def deriv(f, vs):
         psing, hn = f

@@ -5,9 +5,12 @@ Randomness is organized as counter-based Philox streams keyed by
 across runs and thread schedules.  brownian_batch draws a batch from one
 reused Philox, reset to each path's stream in turn, and draws the dBs
 normals only when they are read.  The CIR process uses full-truncation
-Euler (reported values are clipped at zero); the exponential factor
-processes use exact exponential integrators, which are unconditionally
-stable for the stiff large-x atoms produced by quantization.
+Euler (reported values are clipped at zero), stepped time-major: per block
+of steps the increments are copied once into a contiguous buffer and every
+path advances a row at a time in place, bit for bit the stepwise update.
+The exponential factor processes use exact exponential integrators, which
+are unconditionally stable for the stiff large-x atoms produced by
+quantization.
 
 simulate_tilde_z, the rho != 0 Feynman-Kac driver, is the one loop that
 carries factor state (nu feeds back into its drift).  It is a step-blocked
@@ -89,23 +92,50 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
     return dBz, dBs
 
 
+# Steps per block of simulate_cir and simulate_tilde_z: each block copies its
+# slice of dBz once into a time-major buffer.  simulate_tilde_z also advances
+# its factor state by two GEMMs per block, and nu inside a block by a dot of
+# at most this length.
+_STEP_BLOCK = 32
+
+
 def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
     """CIR path(s) by full-truncation Euler; output is clipped at zero.
-    Shape: dBz.shape[:-1] + (steps+1,)."""
-    h = grid.h
-    z = np.empty(dBz.shape[:-1] + (grid.steps + 1,))
-    z[..., 0] = p.z0
-    zk = np.full(dBz.shape[:-1], float(p.z0))
-    for k in range(grid.steps):
-        zp = np.maximum(zk, 0.0)
-        zk = zk + p.kappa * (p.theta - zp) * h + p.sigma * np.sqrt(zp) * dBz[..., k]
-        z[..., k + 1] = zk
-    return np.maximum(z, 0.0)
+    Shape: dBz.shape[:-1] + (steps+1,).
 
+    Time-major: each block of _STEP_BLOCK steps copies its dBz columns once
+    into a contiguous buffer, steps every path a row at a time in place,
+    and is written back transposed.  Each step is
 
-# Steps per block of simulate_tilde_z: its factor state advances by two GEMMs
-# per block, and nu inside a block by a dot of at most this length.
-_STEP_BLOCK = 32
+        Z_{k+1} = Z_k + (theta - Z+_k) kappa h + sigma sqrt(Z+_k) dB_k
+
+    with the operations in this order, so every value is bit for bit the
+    stepwise update on a path-major array (tests/oracles.py).
+    """
+    h, steps = grid.h, grid.steps
+    db = dBz.reshape(-1, steps)
+    n = db.shape[0]
+    blk = min(_STEP_BLOCK, steps)
+    db_blk, z_blk = np.empty((2, blk, n))
+    zp, drift = np.empty((2, n))
+    z = np.empty((n, steps + 1))
+    z[:, 0] = p.z0
+    zk = np.full(n, float(p.z0))
+    for s in range(0, steps, blk):
+        b = min(blk, steps - s)
+        db_blk[:b] = db[:, s:s + b].T
+        for t in range(b):
+            np.maximum(zk, 0.0, out=zp)
+            np.subtract(p.theta, zp, out=drift)
+            drift *= p.kappa
+            drift *= h
+            np.sqrt(zp, out=zp)
+            zp *= p.sigma
+            zp *= db_blk[t]
+            zk = np.add(zk, drift, out=z_blk[t])
+            zk += zp
+        z[:, s + 1:s + b + 1] = z_blk[:b].T
+    return np.maximum(z, 0.0, out=z).reshape(dBz.shape[:-1] + (steps + 1,))
 
 
 def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
@@ -193,8 +223,21 @@ def _wealth_log_increments(pi, nu_path: np.ndarray, grid: TimeGrid,
     if np.any(nu_path < 0):
         raise ValueError("wealth simulation needs a nonnegative volatility path")
     nu = nu_path[..., :-1]
-    pis = np.broadcast_to(np.asarray(pi, dtype=float), nu.shape)
-    return (p.r + pis * nu * (p.lam - 0.5 * pis)) * grid.h + pis * np.sqrt(nu) * dBs
+    if np.ndim(pi) == 0:
+        pi = float(pi)
+    else:
+        pi = np.broadcast_to(np.asarray(pi, dtype=float), nu.shape)
+    # (r + pi nu (lam - pi/2)) h + pi sqrt(nu) dBs, in two arrays but with
+    # the operations of that expression, so the bits are the same
+    out = np.multiply(pi, nu)
+    out *= p.lam - 0.5 * pi
+    out += p.r
+    out *= grid.h
+    noise = np.sqrt(nu)
+    noise *= pi
+    noise *= dBs
+    out += noise
+    return out
 
 
 def simulate_wealth(pi, nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,

@@ -14,13 +14,14 @@ and differ only in the kernel w and the local term: the fractional Euler
 weights, the Marchaud weights, or the summed exponential-factor kernel of a
 quantized measure (with the singular and q . J terms in the rough case).
 The convolution runs through one row-blocked FFT engine on numpy's
-pocketfft (np.fft) at 5-smooth lengths; the test suite holds it to 1e-12
-against the O(k^2) sums and the per-atom factor recurrence
-(tests/oracles.py).  The only genuine recurrence left is the
-rho != 0 drift-corrected Z-tilde in sim, where nu feeds back into the
-drift of Z; it steps Z one step at a time but advances its factor state
-once per block of steps, with this module's summed kernel for the steps
-inside a block.
+pocketfft (np.fft) at 5-smooth lengths, and each row block is summed with
+its local term and v0 straight into nu.  The test suite holds it to 1e-12
+against the O(k^2) sums and the per-atom factor recurrence, and bit for
+bit to the unfused conv, then + local, then + v0 (tests/oracles.py).
+The only genuine recurrence left is the rho != 0 drift-corrected Z-tilde
+in sim, where nu feeds back into the drift of Z; it steps Z one step at a
+time but advances its factor state once per block of steps, with this
+module's summed kernel for the steps inside a block.
 """
 from __future__ import annotations
 
@@ -71,41 +72,37 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(w * z)_k = sum_{j=0}^{k-1} w[k-j] z[j] for k = 1..len(w)-1; z is the
-    step-left-endpoint slice, w[0] unused.
+def _volterra_paths(z_path: np.ndarray, w: np.ndarray, v0: float,
+                    local=0.0) -> np.ndarray:
+    """nu_0 = v0, nu_k = ((w * Z)_k + local_k) + v0 for k = 1..steps, with
+    the causal convolution (w * Z)_k = sum_{j<k} w[k-j] Z_j (w[0] unused);
+    local is broadcast against nu[..., 1:].
 
     w is transformed once at a fast length >= 2*steps (no circular
-    wrap-around) and z in blocks of _ROW_BLOCK rows, so the scratch memory
+    wrap-around) and Z in blocks of _ROW_BLOCK rows, so the scratch memory
     does not grow with the batch.  Each block is copied into one reused
-    zero-padded buffer, which is faster than letting np.fft.rfft pad it.
+    zero-padded buffer, which is faster than letting np.fft.rfft pad it,
+    and its inverse transform is added to its rows of local straight into
+    nu[..., 1:], where v0 is then added: no full-size convolution array and
+    no whole-array pass.
     """
     steps = len(w) - 1
-    zk = z[..., :steps]
-    out = np.empty(zk.shape)
+    nu = np.empty(z_path.shape)
+    out = nu.reshape(-1, steps + 1)
+    out[:, 0] = v0
+    local = np.broadcast_to(local, nu[..., 1:].shape).reshape(-1, steps)
     n = _fast_len(2 * steps)
     w_hat = np.fft.rfft(w[1:], n)
-    rows = zk.reshape(-1, steps)
-    flat = out.reshape(-1, steps)
+    rows = z_path[..., :steps].reshape(-1, steps)
     padded = np.zeros((min(_ROW_BLOCK, len(rows)), n))
     for a in range(0, len(rows), _ROW_BLOCK):
         block = padded[:min(_ROW_BLOCK, len(rows) - a)]
         block[:, :steps] = rows[a:a + _ROW_BLOCK]
         spec = np.fft.rfft(block)
         spec *= w_hat
-        flat[a:a + _ROW_BLOCK] = np.fft.irfft(spec, n)[:, :steps]
-    return out
-
-
-def _volterra_paths(z_path: np.ndarray, w: np.ndarray, v0: float,
-                    local=0.0) -> np.ndarray:
-    """nu_0 = v0, nu_k = v0 + local_k + (w * Z)_k for k = 1..steps; local is
-    broadcast against nu[..., 1:]."""
-    nu = np.empty(z_path.shape)
-    nu[..., 0] = v0
-    nu[..., 1:] = _causal_convolve(z_path, w)
-    nu[..., 1:] += local
-    nu[..., 1:] += v0
+        body = out[a:a + _ROW_BLOCK, 1:]
+        np.add(np.fft.irfft(spec, n)[:, :steps], local[a:a + _ROW_BLOCK], out=body)
+        body += v0
     return nu
 
 

@@ -2,12 +2,16 @@
 
 Each function restates a computation of the library, or a closed form it
 should agree with, in its plainest form: a fresh Philox generator per path
-stream behind the batched Brownian draw, the per-atom exponential-factor
+stream behind the batched Brownian draw, the stepwise path-major CIR
+update behind the time-major one, the one-expression log-wealth increments
+behind the in-place ones, the per-atom exponential-factor
 recurrence behind the quantized volatility and the rho != 0 Z-tilde
 driver, a Girsanov-weighted Feynman-Kac estimator on the physical Z, the
-O(k^2) sums of the direct Euler schemes, the exact CIR law, the mixing
-densities, the CIR and volatility covariances, and the per-cell CSV
-formatting behind the row formats of the CLI writer.  None of it is part
+O(k^2) sums of the direct Euler schemes, the unfused FFT convolution
+behind the fused volatility sum, the per-node Riccati forcings behind the
+batched ones, the exact CIR law, the mixing densities, the CIR and
+volatility covariances, and the per-cell CSV formatting behind the row
+formats of the CLI writer.  None of it is part
 of the library; the tests import it from here.
 """
 from __future__ import annotations
@@ -22,6 +26,8 @@ from fracheston import (McEstimate, MeasureKind, ModelParams, QuantizedMeasure,
                         Regime, TimeGrid, brownian_batch, nu_quantized_paths,
                         simulate_cir)
 from fracheston.params import gamma_fn
+from fracheston.riccati import BLOW_UP_THRESHOLD, RiccatiSolution, _rough_tau_nodes
+from fracheston.vol import _ROW_BLOCK, _fast_len
 
 # --- one fresh generator per path stream (oracle of brownian_batch) ---
 
@@ -45,6 +51,35 @@ def brownian_pair(spec: RngSpec, grid: TimeGrid, rho: float) -> tuple:
     dBz = normals[0] * sqh
     dBs = rho * dBz + np.sqrt(1.0 - rho ** 2) * normals[1] * sqh
     return dBz, dBs
+
+
+# --- stepwise CIR (oracle of the time-major sim.simulate_cir) ---
+
+
+def simulate_cir_stepwise(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
+    """Full-truncation Euler CIR, one whole-array update per step on a
+    path-major array, clipped at zero.  Shape: dBz.shape[:-1] + (steps+1,)."""
+    h = grid.h
+    z = np.empty(dBz.shape[:-1] + (grid.steps + 1,))
+    z[..., 0] = p.z0
+    zk = np.full(dBz.shape[:-1], float(p.z0))
+    for k in range(grid.steps):
+        zp = np.maximum(zk, 0.0)
+        zk = zk + p.kappa * (p.theta - zp) * h + p.sigma * np.sqrt(zp) * dBz[..., k]
+        z[..., k + 1] = zk
+    return np.maximum(z, 0.0)
+
+
+def wealth_path_expression(pi, nu_path: np.ndarray, grid: TimeGrid,
+                           dBs: np.ndarray, p: ModelParams) -> np.ndarray:
+    """sim.simulate_wealth with its log increments as one broadcast
+    expression, (r + pi nu (lam - pi/2)) h + pi sqrt(nu) dBs."""
+    nu = nu_path[..., :-1]
+    pis = np.broadcast_to(np.asarray(pi, dtype=float), nu.shape)
+    log_incr = (p.r + pis * nu * (p.lam - 0.5 * pis)) * grid.h + pis * np.sqrt(nu) * dBs
+    logs = np.concatenate([np.zeros(log_incr.shape[:-1] + (1,)),
+                           np.cumsum(log_incr, axis=-1)], axis=-1)
+    return p.w0 * np.exp(logs)
 
 
 # --- per-atom factor recurrences (oracles of nu_quantized[_rough]_paths
@@ -194,6 +229,38 @@ def direct_causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(w * z)_k for k = 1..len(w)-1 by the row-blocked FFT engine of vol,
+    gathered into one array of shape z.shape[:-1] + (len(w)-1,)."""
+    steps = len(w) - 1
+    zk = z[..., :steps]
+    out = np.empty(zk.shape)
+    n = _fast_len(2 * steps)
+    w_hat = np.fft.rfft(w[1:], n)
+    rows = zk.reshape(-1, steps)
+    flat = out.reshape(-1, steps)
+    padded = np.zeros((min(_ROW_BLOCK, len(rows)), n))
+    for a in range(0, len(rows), _ROW_BLOCK):
+        block = padded[:min(_ROW_BLOCK, len(rows) - a)]
+        block[:, :steps] = rows[a:a + _ROW_BLOCK]
+        spec = np.fft.rfft(block)
+        spec *= w_hat
+        flat[a:a + _ROW_BLOCK] = np.fft.irfft(spec, n)[:, :steps]
+    return out
+
+
+def volterra_paths_unfused(z_path: np.ndarray, w: np.ndarray, v0: float,
+                           local=0.0) -> np.ndarray:
+    """vol._volterra_paths in whole-array passes: the gathered convolution,
+    then += local, then += v0."""
+    nu = np.empty(z_path.shape)
+    nu[..., 0] = v0
+    nu[..., 1:] = causal_convolve(z_path, w)
+    nu[..., 1:] += local
+    nu[..., 1:] += v0
+    return nu
+
+
 def nu_fractional_euler_direct(z_path: np.ndarray, alpha: float, grid: TimeGrid,
                                v0: float = 0.0) -> np.ndarray:
     """nu_k = v0 + h^alpha sum_{j<k} ((k-j)^alpha - (k-j-1)^alpha)/Gamma(alpha+1) Z_j."""
@@ -222,6 +289,101 @@ def nu_rough_marchaud_direct(z_path: np.ndarray, alpha: float, grid: TimeGrid,
         nu[..., k] += (z_path[..., k] * grid.times[k] ** (-alpha - 1.0) / gamma_fn(-alpha)
                        + pref * (diff @ c))
     return nu
+
+
+# --- per-node Riccati forcings (oracles of the batched riccati solvers) ---
+
+
+def _rk4_per_node(forcing, deriv, tau_nodes: np.ndarray,
+                  varphi_of=lambda f, v: v) -> RiccatiSolution:
+    """RK4 of (v', Phi') = deriv(forcing(tau), v), calling the scalar forcing
+    at each node as the step reaches it."""
+    taus, vs, pbs = [0.0], [0.0], [0.0]
+    v, pb = 0.0, 0.0
+    blow_up = None
+    f1 = forcing(tau_nodes[0])
+    for i in range(len(tau_nodes) - 1):
+        t0, t1 = tau_nodes[i], tau_nodes[i + 1]
+        dt = t1 - t0
+        f0, fm, f1 = f1, forcing(t0 + dt / 2), forcing(t1)
+        k1v, k1p = deriv(f0, v)
+        k2v, k2p = deriv(fm, v + dt / 2 * k1v)
+        k3v, k3p = deriv(fm, v + dt / 2 * k2v)
+        k4v, k4p = deriv(f1, v + dt * k3v)
+        v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        pb = pb + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        varphi = varphi_of(f1, v)
+        if not np.isfinite(varphi) or abs(varphi) > BLOW_UP_THRESHOLD:
+            blow_up = float(t1)
+            break
+        taus.append(float(t1))
+        vs.append(float(varphi))
+        pbs.append(float(pb))
+    return RiccatiSolution(tau_grid=np.array(taus), varphi=np.array(vs),
+                           phi_big=np.array(pbs), blow_up=blow_up)
+
+
+def _rk4_system_per_node(forcing, p: ModelParams, ode_step: float) -> RiccatiSolution:
+    eta = p.derived().eta
+    kap, sig2 = p.kappa, p.sigma ** 2
+
+    def deriv(f, v):
+        return (f - kap * v + 0.5 * sig2 * v * v,
+                p.gamma * p.r + p.v0 * eta + kap * p.theta * v)
+
+    n = max(1, round(p.horizon / ode_step))
+    return _rk4_per_node(forcing, deriv, np.linspace(0.0, p.horizon, n + 1))
+
+
+def solve_riccati_finite_per_node(qm: QuantizedMeasure, p: ModelParams,
+                                  ode_step: float) -> RiccatiSolution:
+    """solve_riccati_finite with eta * q . (1 - e^{-x tau})/x taken node by node."""
+    eta = p.derived().eta
+    x, q = qm.nodes, qm.weights
+    return _rk4_system_per_node(
+        lambda tau: eta * float(np.dot(q, (1.0 - np.exp(-x * tau)) / x)), p, ode_step)
+
+
+def solve_riccati_limit_per_node(p: ModelParams, ode_step: float,
+                                 alpha: float) -> RiccatiSolution:
+    """solve_riccati_limit with eta tau^alpha / Gamma(alpha+1) node by node."""
+    eta = p.derived().eta
+    ga1 = gamma_fn(alpha + 1.0)
+
+    def forcing(tau):
+        if alpha == 0.0:
+            return eta
+        return eta * tau ** alpha / ga1 if tau > 0 else 0.0
+
+    return _rk4_system_per_node(forcing, p, ode_step)
+
+
+def solve_riccati_rough_per_node(qm: QuantizedMeasure, p: ModelParams,
+                                 ode_step: float) -> RiccatiSolution:
+    """solve_riccati_rough with the singular antiderivative and h^n at
+    t = T - tau taken node by node."""
+    alpha, horizon = qm.alpha, p.horizon
+    eta = p.derived().eta
+    kap, sig2 = p.kappa, p.sigma ** 2
+    gna = gamma_fn(-alpha)
+    x, q = qm.nodes, qm.weights
+
+    def forcing(tau):
+        t = horizon - tau
+        hn = float(np.dot(q, (1.0 - np.exp(-x * t)) * (1.0 - np.exp(-x * (horizon - t)))
+                          / x ** 2))
+        return (eta * ((horizon - tau) ** (-alpha) - horizon ** (-alpha)) / (alpha * gna),
+                hn)
+
+    def deriv(f, vs):
+        psing, hn = f
+        v = vs + psing
+        return (-kap * v + 0.5 * sig2 * v * v
+                - eta * hn * (kap - sig2 * v - 0.5 * sig2 * eta * hn),
+                p.gamma * p.r + p.v0 * eta + kap * p.theta * (v + eta * hn))
+
+    return _rk4_per_node(forcing, deriv, _rough_tau_nodes(horizon, ode_step),
+                         lambda f, vs: vs + f[0])
 
 
 # --- closed forms and exact laws ---

@@ -273,6 +273,9 @@ def test_invalid_config_exit_code(tmp_path):
     {"lam": math.inf},
     {"theta": math.inf},
     {"r": True},
+    {"rhos": [False]},  # not rho = 0
+    {"alphas": [False, 0.5]},  # not the classical model
+    {"alphas": ["0.5"]},
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     bad = tmp_path / "bad.json"
@@ -280,6 +283,16 @@ def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     out = tmp_path / "o"
     assert main(["--config", str(bad), "--out", str(out), command]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, entries", [("rhos", [False]), ("alphas", [False, 0.5]),
+                                           ("alphas", ["0.5"])])
+def test_bad_alpha_or_rho_entry_names_its_field(tmp_path, capsys, field, entries):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL, field: entries}))
+    assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "value"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field} entry must be a "
+                                              f"finite real number, got ")
 
 
 @pytest.mark.parametrize("alphas", [[], [-0.75, 0]], ids=["empty", "rough-classical"])
@@ -305,6 +318,20 @@ def test_failing_run_exits_cleanly(tmp_path, capsys, command):
     assert list(out.glob("*.csv")) == []
     err = capsys.readouterr().err
     assert err.startswith(f"run error ({command}): identity positivity map")
+    assert "Traceback" not in err
+
+
+def test_converge_blow_up_exits_cleanly(tmp_path, capsys):
+    # gamma = 0.9, lam = 10: the finite Riccati solve of every level blows
+    # up before the horizon, so the study has no affine value to report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL, "alphas": [0.5, -0.75], "gamma": 0.9,
+                               "lam": 10.0}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "converge"]) == 1
+    assert not (out / "manifest.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("run error (converge): no finite value: ")
     assert "Traceback" not in err
 
 

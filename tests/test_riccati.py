@@ -10,7 +10,8 @@ from fracheston import (MeasureKind, RiccatiBlowUp, TimeGrid, brownian_batch,
                         solve_riccati_limit, solve_riccati_rough,
                         value_function, value_function_at_t)
 from fracheston.riccati import h_closed_form
-from oracles import simulate_factors
+from oracles import (simulate_factors, solve_riccati_finite_per_node,
+                     solve_riccati_limit_per_node, solve_riccati_rough_per_node)
 
 ETA = -1.0 / 12.0  # lam=0.5, gamma=-2
 
@@ -256,3 +257,48 @@ def test_epsilon_diagnostic(params):
     assert eps64 < eps16
     assert eps(16, params.with_(lam=0.0), 500) == pytest.approx(0.0, abs=1e-18)
 
+
+
+# the solves of the perfbench affine surface: limit, finite and rough
+# systems at the benchmark's alphas and levels
+_AFFINE_CASES = ([("limit", a, 0) for a in (0.0, 0.25, 0.5, 0.75)]
+                 + [("finite", a, n) for a in (0.25, 0.5, 0.75, 0.95)
+                    for n in (64, 128, 256, 512)]
+                 + [("rough", a, n) for a in (-0.55, -0.75, -0.95)
+                    for n in (64, 128, 256, 512)])
+
+
+def _assert_same_solution(sol, ref):
+    assert np.array_equal(sol.tau_grid, ref.tau_grid)
+    assert np.array_equal(sol.varphi, ref.varphi)
+    assert np.array_equal(sol.phi_big, ref.phi_big)
+    assert sol.blow_up == ref.blow_up
+
+
+@pytest.mark.parametrize("ode_step", [1e-3, 7e-3])
+@pytest.mark.parametrize("kind", ["limit", "finite", "rough"])
+def test_batched_forcing_matches_per_node_bit_for_bit(kind, ode_step):
+    # the forcing of all nodes in one exp pass, with one dot per node, is
+    # the per-node evaluation bit for bit (value and converge print 17 digits)
+    for _, alpha, level in (c for c in _AFFINE_CASES if c[0] == kind):
+        p = default_params(alpha=alpha)
+        if kind == "limit":
+            sol = solve_riccati_limit(p, ode_step=ode_step, alpha=alpha)
+            ref = solve_riccati_limit_per_node(p, ode_step, alpha)
+        elif kind == "finite":
+            qm = measure_for_atoms(level, alpha, MeasureKind.MU)
+            sol = solve_riccati_finite(qm, p, ode_step=ode_step)
+            ref = solve_riccati_finite_per_node(qm, p, ode_step)
+        else:
+            qm = measure_for_atoms(level, alpha, MeasureKind.MU_TILDE)
+            sol = solve_riccati_rough(qm, p, ode_step=ode_step)
+            ref = solve_riccati_rough_per_node(qm, p, ode_step)
+        _assert_same_solution(sol, ref)
+
+
+def test_batched_forcing_matches_per_node_through_blow_up():
+    p = default_params(gamma=0.9).with_(lam=10.0)
+    qm = measure_for_atoms(16, p.alpha, MeasureKind.MU)
+    sol = solve_riccati_finite(qm, p, ode_step=1e-3)
+    assert sol.blow_up is not None
+    _assert_same_solution(sol, solve_riccati_finite_per_node(qm, p, 1e-3))

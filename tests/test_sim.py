@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from fracheston import (MeasureKind, TimeGrid, brownian_batch,
                         measure_for_atoms, nu_quantized_paths, simulate_cir,
                         simulate_stock, simulate_tilde_z, simulate_wealth)
-from fracheston.sim import terminal_wealth
+from fracheston.sim import _STEP_BLOCK, terminal_wealth
 from fracheston.mc import BATCH_SIZE
 from oracles import (RngSpec, brownian_pair, cov_cir, optimal_wealth_closed_form,
-                     sample_cir_exact, simulate_factors, simulate_factors_rough,
-                     simulate_tilde_z_recurrence)
+                     sample_cir_exact, simulate_cir_stepwise, simulate_factors,
+                     simulate_factors_rough, simulate_tilde_z_recurrence,
+                     wealth_path_expression)
 
 
 def test_time_grid():
@@ -73,6 +74,30 @@ def test_cir_nonnegative_and_start(params, coarse_grid):
     assert z.shape == (50, coarse_grid.steps + 1)
     assert np.all(z >= 0.0)
     assert np.all(z[:, 0] == params.z0)
+
+
+@pytest.mark.parametrize("shape, h", [
+    ((1000,), 0.001),               # a single 1-D path
+    ((2048, 1000), 0.001),          # the benchmark batch
+    ((5, _STEP_BLOCK - 1), 0.05),   # shorter than one block
+    ((7, _STEP_BLOCK + 1), 0.05),   # one step into a second block
+    ((3, 1), 0.05),                 # a single step
+    ((2, 3, 2 * _STEP_BLOCK), 0.05),
+], ids=["1d", "2048x1000", "block-1", "block+1", "1-step", "3d"])
+def test_cir_time_major_matches_stepwise_bit_for_bit(params, shape, h):
+    steps = shape[-1]
+    grid = TimeGrid(h=h, steps=steps)
+    dBz = np.random.default_rng(steps).standard_normal(shape) * math.sqrt(h)
+    z = simulate_cir(params, grid, dBz)
+    assert z.shape == shape[:-1] + (steps + 1,)
+    assert np.array_equal(z, simulate_cir_stepwise(params, grid, dBz))
+
+
+def test_cir_truncation_is_exercised(params):
+    # the bit-for-bit pins above reach the max(Z, 0) branch of the update
+    grid = TimeGrid(h=0.05, steps=_STEP_BLOCK + 1)
+    dBz = np.random.default_rng(grid.steps).standard_normal((7, grid.steps)) * math.sqrt(grid.h)
+    assert np.any(simulate_cir_stepwise(params, grid, dBz)[:, 1:] == 0.0)
 
 
 def test_cir_moments_match_exact_sampler(params, rng):
@@ -194,6 +219,16 @@ def test_wealth_strategy_forms_agree(params, coarse_grid):
     w_array = simulate_wealth(np.full((3, coarse_grid.steps), 0.25), nu,
                               coarse_grid, dBs, params)
     assert np.allclose(w_scalar, w_array, rtol=1e-14)
+
+
+@pytest.mark.parametrize("pi", [0.25, 1, "per-step"], ids=["scalar-pi", "int-pi", "array-pi"])
+def test_wealth_in_place_increments_match_expression_bit_for_bit(params, coarse_grid, pi):
+    dBz, dBs = brownian_batch(13, range(64), coarse_grid, 0.3)
+    nu = simulate_cir(params, coarse_grid, dBz)
+    if pi == "per-step":
+        pi = np.random.default_rng(4).uniform(-1.0, 2.0, coarse_grid.steps)
+    assert np.array_equal(simulate_wealth(pi, nu, coarse_grid, dBs, params),
+                          wealth_path_expression(pi, nu, coarse_grid, dBs, params))
 
 
 @pytest.mark.parametrize("per_step", [False, True], ids=["scalar-pi", "array-pi"])
