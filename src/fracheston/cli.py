@@ -336,9 +336,9 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     errors: list = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             files = cmd_simulate(cfg, out_dir)
         elif args.command == "quantize":

@@ -22,8 +22,7 @@ from .vol import PositivityMap
 
 SCHEMA_VERSION = 2
 _CLASSICAL_ALPHAS = (-1.0, 0.0)  # both select the classical Heston baseline
-_REAL_FIELDS = ("r", "lam", "kappa", "theta", "sigma", "gamma", "v0", "z0", "w0",
-                "s0", "horizon", "step", "delta")
+_LIST_FIELDS = ("alphas", "rhos", "levels")  # JSON arrays, held as tuples
 
 
 def file_tag(x: float) -> str:
@@ -31,20 +30,37 @@ def file_tag(x: float) -> str:
     return ("%g" % x).replace("-", "m")
 
 
-def _check_int(name: str, val) -> None:
+def _int_in(lo: int, hi: float = math.inf):
     # bool is an int subclass, but true/false is never a count or a seed
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ValueError(f"{name} must be an integer, got {val!r}")
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v < hi
 
 
-def _check_real(name: str, val) -> None:
+def _is_real(val) -> bool:
     # a string would fail mid-run, and true/false is never a model constant
     try:
-        finite = not isinstance(val, bool) and math.isfinite(val)
+        return not isinstance(val, bool) and math.isfinite(val)
     except (TypeError, OverflowError):  # not a number, or an int beyond float
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be a finite real number, got {val!r}")
+        return False
+
+
+_REAL = ("a finite real number", _is_real)
+_MAPS = tuple(m.value for m in PositivityMap)
+
+# every field's own rule and its test; a _LIST_FIELDS rule holds for each entry
+_FIELD_RULES = {
+    "schema_version": (f"{SCHEMA_VERSION}, the version this build reads",
+                       _int_in(SCHEMA_VERSION, SCHEMA_VERSION + 1)),
+    **dict.fromkeys(("r", "lam", "kappa", "theta", "sigma", "gamma", "v0", "z0",
+                     "w0", "horizon", "delta", "alphas", "rhos"), _REAL),
+    **dict.fromkeys(("s0", "step"), ("a positive finite real number",
+                                     lambda v: _is_real(v) and v > 0)),
+    "positivity_map": ("one of " + ", ".join(map(repr, _MAPS)), lambda v: v in _MAPS),
+    "n_paths": ("an integer >= 2", _int_in(2)),
+    "n_sample_paths": ("an integer >= 0", _int_in(0)),
+    **dict.fromkeys(("levels", "threads"), ("an integer >= 1", _int_in(1))),
+    "seed": ("an integer in [0, 2^64)", _int_in(0, 2 ** 64)),
+    "out_dir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+}
 
 
 @dataclass(frozen=True)
@@ -74,37 +90,18 @@ class ScenarioConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {self.schema_version}; "
-                             f"this build reads version {SCHEMA_VERSION}")
-        for name in ("n_paths", "n_sample_paths", "seed", "threads"):
-            _check_int(name, getattr(self, name))
-        for name in _REAL_FIELDS:
-            _check_real(name, getattr(self, name))
-        for name in ("alphas", "rhos"):
-            for val in getattr(self, name):
-                _check_real(f"{name} entry", val)
-        for n in self.levels:
-            _check_int("levels entry", n)
-            if n < 1:
-                raise ValueError(f"levels entries must be positive, got {n}")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.n_paths < 2:
-            raise ValueError("n_paths must be at least 2")
-        if self.n_sample_paths < 0:
-            raise ValueError("n_sample_paths must not be negative")
-        if not self.s0 > 0:
-            raise ValueError("s0 must be positive")
-        for name in ("alphas", "rhos", "levels"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed={self.seed} outside [0, 2^64)")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        for name, (rule, ok) in _FIELD_RULES.items():
+            val = getattr(self, name)
+            if name not in _LIST_FIELDS:
+                entries, what = (val,), name
+            elif isinstance(val, tuple) and val:
+                entries, what = val, f"{name} entry"
+            else:
+                raise ValueError(f"{name} must be a non-empty array, got {val!r}")
+            for v in entries:
+                if not ok(v):
+                    raise ValueError(f"{what} must be {rule}, got {v!r}")
         TimeGrid.from_horizon(self.horizon, self.step)
-        PositivityMap(self.positivity_map)
         for a in self.alphas:
             p = self.model_params(a, 0.0)  # regime and Feller
             for rho in self.rhos:
@@ -168,7 +165,7 @@ def load_config(path) -> ScenarioConfig:
         name = _JSON_KEY_MAP.get(key, key)
         if name not in known:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(val, list):
+        if name in _LIST_FIELDS and isinstance(val, list):
             val = tuple(val)
         kwargs[name] = val
     return ScenarioConfig(**kwargs)

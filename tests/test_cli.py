@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fracheston.mc
-from fracheston import MeasureKind, ScenarioConfig, measure_for_atoms
+from fracheston import MeasureKind, ScenarioConfig, load_config, measure_for_atoms
 from fracheston.cli import _write_csv, build_parser, main
 from fracheston.mc import BATCH_SIZE
 from oracles import csv_text
@@ -276,6 +276,15 @@ def test_invalid_config_exit_code(tmp_path):
     {"rhos": [False]},  # not rho = 0
     {"alphas": [False, 0.5]},  # not the classical model
     {"alphas": ["0.5"]},
+    {"alphas": 0.5},  # not an array
+    {"alphas": None},
+    {"levels": 8},
+    {"rhos": "0.5"},  # a string, not an array of one-character entries
+    {"levels": {"a": 1}},  # an object, not an array of its keys
+    {"positivity_map": ["abs"]},
+    {"out_dir": 5},
+    {"out_dir": True},
+    {"schema_version": 2.0},  # would load, but hash unlike version 2
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
     bad = tmp_path / "bad.json"
@@ -286,13 +295,52 @@ def test_bad_scenario_fails_before_any_output(tmp_path, change, command):
 
 
 @pytest.mark.parametrize("field, entries", [("rhos", [False]), ("alphas", [False, 0.5]),
-                                           ("alphas", ["0.5"])])
+                                           ("alphas", ["0.5"]), ("alphas", 0.5),
+                                           ("alphas", None), ("levels", 8),
+                                           ("rhos", "0.5"), ("levels", {"a": 1}),
+                                           ("positivity_map", ["abs"]), ("out_dir", 5),
+                                           ("out_dir", True), ("schema_version", 2.0)])
 def test_bad_alpha_or_rho_entry_names_its_field(tmp_path, capsys, field, entries):
+    # a bad alphas or rhos entry, or a whole field of the wrong kind, is
+    # reported with the field's name and the value it got
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SMALL, field: entries}))
     assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "value"]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {field} entry must be a "
-                                              f"finite real number, got ")
+    err = capsys.readouterr().err
+    if field in ("alphas", "rhos") and isinstance(entries, list):
+        assert err.startswith(f"config error: {field} entry must be a "
+                              f"finite real number, got ")
+    else:  # a value of the wrong kind for the whole field
+        assert err.startswith(f"config error: {field} must be ")
+        assert err.endswith(f", got {entries!r}\n")
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unwritable_out_dir_exits_cleanly(tmp_path, capsys, out):
+    # the scenario is fine; making its output directory fails
+    (tmp_path / "file").write_text("")
+    assert main(["--out", str(tmp_path / out), "quantize"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error (quantize): ")
+    assert "Traceback" not in err
+
+
+def test_config_hashes_are_pinned(tmp_path):
+    # the hash heads every manifest, so a change to it changes every manifest;
+    # SMALL's int alpha 0 would hash differently if it were read as 0.0
+    readme = {"alphas": [0.5, 0.95, -0.75], "rhos": [-0.7, 0.0, 0.7], "step": 0.001,
+              "n_paths": 10000, "levels": [64, 128, 256], "seed": 20240801}
+    # perfbench's CLI_SCENARIO, copied so that an edit there must edit this too
+    bench = {"alphas": [0.0, 0.5, 0.95, -0.75, -0.55], "rhos": [-0.7, 0.0, 0.7],
+             "step": 1e-3, "n_paths": 4096, "n_sample_paths": 8}
+    path = tmp_path / "cfg.json"
+    hashes = []
+    for doc in (SMALL, readme, bench):
+        path.write_text(json.dumps(doc))
+        hashes.append(load_config(path).config_hash())
+    hashes.append(ScenarioConfig().config_hash())
+    assert hashes == ["7451d8345f848cb8", "e393e976ba823568", "0ab2f46e651d79c2",
+                      "234b86bf08598169"]
 
 
 @pytest.mark.parametrize("alphas", [[], [-0.75, 0]], ids=["empty", "rough-classical"])

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from fracheston import ScenarioConfig, load_config
+from fracheston.config import _FIELD_RULES, _JSON_KEY_MAP
 from fracheston.params import Regime
 
 
@@ -70,3 +73,16 @@ def test_non_object_config_rejected(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+def test_every_field_has_a_rule():
+    # a new field cannot load unchecked
+    assert set(_FIELD_RULES) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+def test_readme_states_every_field_rule():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rules = next(par for par in readme.split("\n\n")
+                 if par.startswith("The scenario file is a versioned JSON object"))
+    for name in [*_FIELD_RULES, *_JSON_KEY_MAP]:
+        assert f"`{name}`" in rules, name
