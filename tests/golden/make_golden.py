@@ -1,0 +1,137 @@
+"""Golden outputs: what the CLI and the estimators print, checked in.
+
+RUNS lists CLI runs (scenario, command, flags) and ESTIMATES lists
+Monte Carlo estimates; tests/test_golden.py reruns both and compares them
+with the files beside this script.  The CLI files of a run are the same
+at --threads 1 and 2 (the CLI promises it), so each run is stored once
+and the test checks both thread counts against it.
+
+    PYTHONPATH=src:tests python tests/golden/make_golden.py
+
+rewrites every golden file.  A rewrite is an output change: say why in
+CHANGES.md.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from fracheston import (MeasureKind, TimeGrid, default_params, mc_feynman_kac,
+                        mc_utility, mc_value_rough, measure_for_atoms, merton_ratio)
+from fracheston.cli import main
+from fracheston.mc import BATCH_SIZE
+from fracheston.vol import PositivityMap, SchemeKind, VolScheme
+
+HERE = Path(__file__).resolve().parent
+RECORD = HERE / "golden.json"
+
+# tests/test_cli.py's SMALL scenario
+SMALL = {
+    "alphas": [0.5, -0.75, 0],
+    "rhos": [0.0, 0.7],
+    "step": 0.02,
+    "n_paths": 64,
+    "n_sample_paths": 2,
+    "levels": [8, 16],
+    "seed": 7,
+}
+# the identity map meets a negative rough nu on paths 163 and 190 only at
+# level 8 (one 256-row block of the 300), and in both blocks at level 16
+ONE_BLOCK_FAILS = {**SMALL, "rhos": [0.0], "v0": 0.1, "n_paths": 300,
+                   "positivity_map": "identity"}
+
+# name -> (scenario, command, extra flags); each runs at --threads 1 and 2
+RUNS = {
+    **{f"small_{cmd}": (SMALL, cmd, ()) for cmd in
+       ("simulate", "quantize", "value", "wealth", "longterm", "converge")},
+    # more paths than one batch, so a batch boundary and the workers' split
+    # are covered
+    "value_two_batches": (SMALL, "value", ("--paths", str(BATCH_SIZE + 52))),
+    "wealth_no_sample_paths": ({**SMALL, "n_sample_paths": 0}, "wealth", ()),
+    "value_one_block_fails": (ONE_BLOCK_FAILS, "value", ()),
+}
+THREADS = (1, 2)
+
+
+def platform_fingerprint() -> str:
+    """numpy version, SIMD targets and BLAS: what the bit-for-bit pins rest
+    on (numpy's exp kernels, pocketfft and the BLAS ddot)."""
+    line = f"numpy {np.__version__}"
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 prints its configuration only
+        return line
+    simd = info.get("SIMD Extensions", {})
+    blas = info.get("Build Dependencies", {}).get("blas", {})
+    found = simd.get("found", [])
+    return (f"{line}; SIMD baseline {' '.join(simd.get('baseline', []))}, "
+            f"found {' '.join(found) if found else 'none'}; "
+            f"BLAS {blas.get('name', '?')} {blas.get('version', '?')}")
+
+
+def run_cli(name: str, threads: int, work_dir: Path) -> tuple:
+    """(exit code, stderr, {file name: bytes}) of one RUNS entry."""
+    scenario, command, extra = RUNS[name]
+    cfg = work_dir / f"{name}.json"
+    cfg.write_text(json.dumps(scenario))
+    out = work_dir / f"{name}_t{threads}"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(out), "--threads",
+                     str(threads), *extra, command])
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    return code, err.getvalue(), files
+
+
+def _estimates() -> dict:
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    n, seed = 300, 11  # 300 paths: a full 256-row block and a ragged one
+    qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
+    quantized = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm)
+    out = {}
+    for rho in (-0.7, 0.0, 0.7):
+        out[f"feynman_kac_rho{rho:g}"] = mc_feynman_kac(
+            default_params(rho=rho), quantized, n, grid, seed)
+    p = default_params(rho=-0.7)
+    out["utility_rho-0.7"] = mc_utility(p, merton_ratio(p), quantized,
+                                        PositivityMap.IDENTITY, n, grid, seed)
+    out["value_rough"] = mc_value_rough(
+        default_params(alpha=-0.75),
+        measure_for_atoms(16, -0.75, MeasureKind.MU_TILDE),
+        PositivityMap.ABSOLUTE, n, grid, seed)
+    return out
+
+
+def estimates() -> dict:
+    """name -> [mean, std_error] as 17-digit strings, and n_paths."""
+    return {name: ["%.17g" % e.mean, "%.17g" % e.std_error, e.n_paths]
+            for name, e in _estimates().items()}
+
+
+def main_golden() -> None:
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in RUNS:
+            results = [run_cli(name, t, Path(tmp)) for t in THREADS]
+            if any(r != results[0] for r in results):
+                raise SystemExit(f"{name}: output differs across --threads")
+            code, err, files = results[0]
+            target = HERE / name
+            shutil.rmtree(target, ignore_errors=True)
+            target.mkdir()
+            for fname, data in files.items():
+                (target / fname).write_bytes(data)
+            runs[name] = {"exit": code, "stderr": err, "files": sorted(files)}
+    record = {"fingerprint": platform_fingerprint(), "runs": runs,
+              "estimates": estimates()}
+    RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main_golden()

@@ -1,0 +1,86 @@
+"""Every checked-in golden output, reproduced.
+
+On the platform the files were made on (same numpy, SIMD targets and
+BLAS) the outputs must match byte for byte.  Elsewhere another numpy's
+exp kernels, pocketfft or BLAS may move the last bit, so numbers must
+match to 1e-12 relative and everything else (strings, integers, exit
+codes, stderr) exactly.  The test never skips.
+"""
+import json
+import math
+import re
+
+import pytest
+
+from golden.make_golden import (HERE, RECORD, RUNS, THREADS, estimates,
+                                platform_fingerprint, run_cli)
+
+REL_TOL = 1e-12
+_INT = re.compile(r"-?\d+")
+
+GOLDEN = json.loads(RECORD.read_text())
+SAME_PLATFORM = GOLDEN["fingerprint"] == platform_fingerprint()
+
+
+def _same_cell(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    if _INT.fullmatch(got) or _INT.fullmatch(want):
+        return False
+    try:
+        a, b = float(got), float(want)
+    except ValueError:
+        return False
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+
+
+def _same_csv(got: str, want: str) -> bool:
+    got_rows, want_rows = got.split("\n"), want.split("\n")
+    return len(got_rows) == len(want_rows) and all(
+        len(g) == len(w) and all(map(_same_cell, g, w))
+        for g, w in zip((r.split(",") for r in got_rows),
+                        (r.split(",") for r in want_rows)))
+
+
+def test_golden_record_names_every_run():
+    assert set(GOLDEN["runs"]) == set(RUNS)
+    for name, run in GOLDEN["runs"].items():
+        assert run["files"] == sorted(f.name for f in (HERE / name).iterdir())
+
+
+@pytest.mark.parametrize("threads", THREADS)
+@pytest.mark.parametrize("name", list(RUNS))
+def test_cli_matches_golden(tmp_path, name, threads):
+    code, err, files = run_cli(name, threads, tmp_path)
+    want = GOLDEN["runs"][name]
+    assert (code, err) == (want["exit"], want["stderr"])
+    assert sorted(files) == want["files"]
+    for fname, data in files.items():
+        golden = (HERE / name / fname).read_bytes()
+        # the tolerant compare runs everywhere, so that it is itself tested
+        assert _same_csv(data.decode(), golden.decode()), fname
+        if SAME_PLATFORM:
+            assert data == golden, fname
+
+
+def test_estimates_match_golden():
+    got, want = estimates(), GOLDEN["estimates"]
+    assert set(got) == set(want)
+    for name in want:
+        assert all(map(_same_cell, map(str, got[name]), map(str, want[name]))), name
+        if SAME_PLATFORM:
+            assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("got, want, same", [
+    ("1.0000000000000002", "1", False),  # an int never takes the tolerance
+    ("0.10000000000000001", "0.10000000000000002", True),
+    ("0.100000000001", "0.1", False),
+    ("nan", "nan", True),
+    ("fractional", "rough", False),
+    ("7451d8345f848cb8", "7451d8345f848cb8", True),
+])
+def test_tolerant_compare(got, want, same):
+    assert _same_cell(got, want) is same

@@ -10,7 +10,7 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         nu_quantized_paths, simulate_cir, simulate_wealth,
                         solve_riccati_finite)
 from fracheston.mc import (BATCH_SIZE, McEstimate, _map_batches, feynman_kac_leg,
-                           map_paths)
+                           map_paths, path_batch)
 from oracles import feynman_kac_girsanov
 
 
@@ -67,6 +67,18 @@ def test_multi_leg_map_equals_one_leg_calls(threads):
     for leg, out in zip(legs, shared):
         alone, = map_paths([leg], grid, 19, n, threads=1)
         assert np.array_equal(out, alone)
+
+
+def test_zero_row_path_batch_keeps_each_legs_shape():
+    # wealth with n_sample_paths = 0 asks for no rows: each leg still runs
+    # once, on no paths, and returns its empty array
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    legs = _four_legs(grid)
+    p, scheme, pos_map, _ = legs[2]
+    legs.append((p, scheme, pos_map, lambda dBs, z, nu: (z, nu)))
+    *out, (z, nu) = path_batch(legs, grid, 19, 0, 0)
+    assert [o.shape for o in out] == [(0,), (0, 2), (0, 3), (0,)]
+    assert z.shape == nu.shape == (0, grid.steps + 1)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
