@@ -4,10 +4,14 @@ Every estimator and CLI command simulates through path_batch, mapped by
 map_paths over fixed batches of per-path Philox streams and reduced by
 McEstimate.of with exact (fsum) sums, so results are bit-identical for any
 worker count.  A batch draws the Brownian pair and drives Z once for all
-its legs (alphas, levels or schemes on common random numbers); nu, the
-positivity map and the integrand run per leg.  The rho != 0 Z-tilde
-depends on nu, so it drives a single leg.  One Feynman-Kac leg serves
-both value estimators; utility legs read the terminal wealth only.
+its legs (alphas, levels or schemes on common random numbers), then runs
+the legs over blocks of 256 rows: each leg's kernel is built once per
+batch, each block's Z is transformed once for every leg that convolves
+it, and a leg's nu, positivity map and integrand exist one block at a
+time, so no full-size nu is held.  The rho != 0 Z-tilde depends on nu,
+so it drives a single leg, whose nu is sliced per block.  One
+Feynman-Kac leg serves both value estimators; utility legs read the
+terminal wealth only.
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ from .quantize import QuantizedMeasure, approx_kernel, frac_kernel
 from .riccati import solve_riccati_finite, value_function
 from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_tilde_z,
                   terminal_wealth)
-from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
+from .vol import (_ROW_BLOCK, PositivityMap, SchemeKind, VolScheme, ZSpectrum,
+                  apply_positivity)
 
 BATCH_SIZE = 2048
 MONOTONE_PATHS = 100
@@ -80,15 +85,37 @@ def _driver_params(legs, tilde: bool) -> ModelParams:
     return p
 
 
-def _run_leg(leg, dBs, z: np.ndarray, grid: TimeGrid, nu=None):
-    # nu lives only in this frame, so one leg's nu is freed before the next
-    # leg builds its own
-    p, scheme, pos_map, integrand = leg
-    if nu is None:
-        nu = scheme.nu_paths(p, z, grid)
-    if pos_map is not None:
-        nu = apply_positivity(nu, pos_map)
-    return integrand(dBs, z, nu)
+def _joined(parts: list):
+    """One leg's block outputs as one output: arrays (or tuples of arrays)
+    joined along their first, path axis."""
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _run_blocks(legs, grid: TimeGrid, dBs, z: np.ndarray, nu=None) -> list:
+    """Each leg's integrand over blocks of _ROW_BLOCK rows of the batch.
+
+    Each leg's kernel is built once; per block, Z is transformed once for
+    all the legs that need it, and each leg's nu exists for that block
+    only.  A driver's nu (Z-tilde) is sliced instead.  No rows still make
+    one block, so every integrand runs and keeps its output's shape."""
+    kernels = [None if nu is not None else scheme.kernel(p, grid)
+               for p, scheme, _, _ in legs]
+    parts = [[] for _ in legs]
+    for a in range(0, max(len(z), 1), _ROW_BLOCK):
+        rows = slice(a, a + _ROW_BLOCK)
+        spectrum = ZSpectrum(z[rows])
+        dBs_rows = None if dBs is None else dBs[rows]
+        for (p, scheme, pos_map, integrand), kernel, part in zip(legs, kernels, parts):
+            if nu is not None:
+                nu_rows = nu[rows]
+            else:
+                nu_rows = scheme.nu_paths(p, spectrum.rows, grid, kernel, spectrum)
+            if pos_map is not None:
+                nu_rows = apply_positivity(nu_rows, pos_map)
+            part.append(integrand(dBs_rows, spectrum.rows, nu_rows))
+    return [_joined(part) for part in parts]
 
 
 def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
@@ -97,13 +124,17 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     paths start..stop, in leg order.
 
     The legs share rho and the CIR constants, so the Brownian pair and Z
-    are drawn once; every leg gets the same read-only dBs and Z (dBz only
-    drives Z and is freed before the legs run), and nu is built per leg,
-    after pos_map (raw with pos_map=None).  Outputs are kept until the map
-    ends, so an integrand copies a slice (w[..., -1]) rather than return a
-    view.  tilde=True drives a single quantized fractional leg by the
-    Feynman-Kac Z-tilde (others raise ValueError at rho != 0; at rho = 0 it
-    is Z).  draw_dBs=False passes dBs=None, for legs that do not read it.
+    are drawn once (dBz only drives Z and is freed before the legs run).
+    The legs then run over blocks of at most _ROW_BLOCK (256) rows: per
+    block, every leg gets the block's read-only dBs and Z and its own nu,
+    after pos_map (raw with pos_map=None), and the integrand is called
+    once per block.  Its output is an array, or a tuple of arrays, whose
+    first axis is the block's paths; the blocks are joined along it.  The
+    block outputs are kept until the batch ends, so an integrand copies a
+    slice (w[..., -1]) rather than return a view of the block.  tilde=True
+    drives a single quantized fractional leg by the Feynman-Kac Z-tilde
+    (others raise ValueError at rho != 0; at rho = 0 it is Z).
+    draw_dBs=False passes dBs=None, for legs that do not read it.
     """
     p = _driver_params(legs, tilde)
     dBz, dBs = brownian_batch(master_seed, range(start, stop), grid, p.rho, draw_dBs)
@@ -115,7 +146,7 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     for a in (dBs, z):
         if a is not None:
             a.flags.writeable = False
-    return [_run_leg(leg, dBs, z, grid, nu) for leg in legs]
+    return _run_blocks(legs, grid, dBs, z, nu)
 
 
 def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,

@@ -13,11 +13,16 @@ At rho = 0 all four are one computation,
 and differ only in the kernel w and the local term: the fractional Euler
 weights, the Marchaud weights, or the summed exponential-factor kernel of a
 quantized measure (with the singular and q . J terms in the rough case).
-The convolution runs through one row-blocked FFT engine on numpy's
-pocketfft (np.fft) at 5-smooth lengths, and each row block is summed with
-its local term and v0 straight into nu.  The test suite holds it to 1e-12
-against the O(k^2) sums and the per-atom factor recurrence, and bit for
-bit to the unfused conv, then + local, then + v0 (tests/oracles.py).
+The convolution runs through one FFT engine on numpy's pocketfft
+(np.fft) at 5-smooth lengths, in two steps: a ZSpectrum is the forward
+transform of a block of at most 256 rows of Z, and a VolterraKernel (w's
+transform, the local coefficient and v0, built once) applies one
+construction to it, summing the inverse transform with the local term and
+v0 straight into nu.  Whole-array callers go block by block; mc's
+row-block loop shares each block's spectrum among all its legs.  The test
+suite holds the engine to 1e-12 against the O(k^2) sums and the per-atom
+factor recurrence, and bit for bit to the unfused conv, then + local,
+then + v0 (tests/oracles.py).
 The only genuine recurrence left is the rho != 0 drift-corrected Z-tilde
 in sim, where nu feeds back into the drift of Z; it steps Z one step at a
 time but advances its factor state once per block of steps, with this
@@ -34,8 +39,9 @@ from .params import ModelParams, check_delta_window, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
 from .sim import TimeGrid
 
-# Rows transformed per FFT block: bounds the complex scratch (about 4 MB at
-# 1000 steps) whatever the batch size.
+# Rows per FFT block, and per block of mc's leg loop: bounds the spectrum
+# (about 4 MB at 1000 steps) and a leg's nu block (about 2 MB) whatever the
+# batch size.
 _ROW_BLOCK = 256
 
 
@@ -72,65 +78,105 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _volterra_paths(z_path: np.ndarray, w: np.ndarray, v0: float,
-                    local=0.0) -> np.ndarray:
-    """nu_0 = v0, nu_k = ((w * Z)_k + local_k) + v0 for k = 1..steps, with
-    the causal convolution (w * Z)_k = sum_{j<k} w[k-j] Z_j (w[0] unused);
-    local is broadcast against nu[..., 1:].
+class ZSpectrum:
+    """Forward transform of at most _ROW_BLOCK rows of Z: their first steps
+    entries, zero-padded to a fast length n >= 2*steps (no circular
+    wrap-around).  It is taken when a kernel first asks for it and then
+    shared by every kernel applied to the same rows, so rows that no kernel
+    needs are never transformed."""
 
-    w is transformed once at a fast length >= 2*steps (no circular
-    wrap-around) and Z in blocks of _ROW_BLOCK rows, so the scratch memory
-    does not grow with the batch.  Each block is copied into one reused
-    zero-padded buffer, which is faster than letting np.fft.rfft pad it,
-    and its inverse transform is added to its rows of local straight into
-    nu[..., 1:], where v0 is then added: no full-size convolution array and
-    no whole-array pass.
-    """
-    steps = len(w) - 1
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.n = _fast_len(2 * (rows.shape[-1] - 1))
+        self._spec = None
+
+    def get(self) -> np.ndarray:
+        if self._spec is None:
+            steps = self.rows.shape[-1] - 1
+            # copying into a zero-padded buffer is faster than letting
+            # np.fft.rfft pad each row
+            padded = np.zeros((len(self.rows), self.n))
+            padded[:, :steps] = self.rows[:, :steps]
+            self._spec = np.fft.rfft(padded)
+        return self._spec
+
+
+@dataclass(frozen=True)
+class VolterraKernel:
+    """One rho = 0 volatility construction on a fixed grid,
+
+        nu_0 = v0,   nu_k = ((w * Z)_k + c_k Z_k) + v0,   k = 1..steps,
+
+    with the causal convolution (w * Z)_k = sum_{j<k} w[k-j] Z_j (w[0]
+    unused) and the local coefficient c (None: no local term).  w is held
+    as its transform at ZSpectrum's length, so one kernel, built once, is
+    applied to any number of row blocks."""
+    w_hat: np.ndarray
+    v0: float
+    local: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, w: np.ndarray, v0: float, local=None) -> "VolterraKernel":
+        return cls(np.fft.rfft(w[1:], _fast_len(2 * (len(w) - 1))), v0, local)
+
+    def apply(self, spectrum: ZSpectrum, out: np.ndarray) -> None:
+        """Write nu of spectrum's rows into out (same shape): the inverse
+        transform is summed with the local term straight into out[:, 1:],
+        where v0 is then added, so no block-size temporary outlives the
+        call and the shared spectrum is left as it is."""
+        rows = spectrum.rows
+        steps = rows.shape[-1] - 1
+        conv = np.fft.irfft(spectrum.get() * self.w_hat, spectrum.n)[:, :steps]
+        out[:, 0] = self.v0
+        body = out[:, 1:]
+        np.add(conv, 0.0 if self.local is None else rows[:, 1:] * self.local, out=body)
+        body += self.v0
+
+
+def _volterra_paths(z_path: np.ndarray, kernel: VolterraKernel,
+                    spectrum: ZSpectrum | None = None) -> np.ndarray:
+    """kernel's nu along Z path(s) of any leading shape, _ROW_BLOCK rows at
+    a time, so the scratch memory does not grow with the batch.  spectrum,
+    if given, is the ZSpectrum of z_path's rows (one block), which other
+    kernels share."""
     nu = np.empty(z_path.shape)
-    out = nu.reshape(-1, steps + 1)
-    out[:, 0] = v0
-    local = np.broadcast_to(local, nu[..., 1:].shape).reshape(-1, steps)
-    n = _fast_len(2 * steps)
-    w_hat = np.fft.rfft(w[1:], n)
-    rows = z_path[..., :steps].reshape(-1, steps)
-    padded = np.zeros((min(_ROW_BLOCK, len(rows)), n))
+    rows = z_path.reshape(-1, z_path.shape[-1])
+    out = nu.reshape(rows.shape)
+    if spectrum is not None and spectrum.rows.shape != rows.shape:
+        raise ValueError("spectrum must be the ZSpectrum of z_path's rows")
     for a in range(0, len(rows), _ROW_BLOCK):
-        block = padded[:min(_ROW_BLOCK, len(rows) - a)]
-        block[:, :steps] = rows[a:a + _ROW_BLOCK]
-        spec = np.fft.rfft(block)
-        spec *= w_hat
-        body = out[a:a + _ROW_BLOCK, 1:]
-        np.add(np.fft.irfft(spec, n)[:, :steps], local[a:a + _ROW_BLOCK], out=body)
-        body += v0
+        block = spectrum if spectrum is not None else ZSpectrum(rows[a:a + _ROW_BLOCK])
+        kernel.apply(block, out[a:a + _ROW_BLOCK])
     return nu
 
 
-def nu_fractional_euler(z_path: np.ndarray, alpha: float, grid: TimeGrid,
-                        v0: float = 0.0) -> np.ndarray:
-    """Forward Euler scheme of the fractional volatility convolution.
+# Each nu_* function below takes an optional prebuilt kernel (VolScheme.kernel
+# builds it once per batch) and the ZSpectrum of z_path's rows shared with
+# other kernels; without them it builds both itself.
 
-    nu_k = v0 + h^alpha sum_{j<k} ((k-j)^alpha - (k-j-1)^alpha)/Gamma(alpha+1) Z_j.
-    """
+def _euler_kernel(alpha: float, grid: TimeGrid, v0: float) -> VolterraKernel:
     if not (0.0 < alpha < 1.0):
         raise ValueError("fractional scheme requires alpha in (0, 1)")
     m = np.arange(grid.steps + 1, dtype=float)
     w = np.zeros(grid.steps + 1)
     w[1:] = grid.h ** alpha * (m[1:] ** alpha - m[:-1] ** alpha) / gamma_fn(alpha + 1.0)
-    return _volterra_paths(z_path, w, v0)
+    return VolterraKernel.of(w, v0)
 
 
-def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
-                      v0: float = 0.0, delta: float = 0.49) -> np.ndarray:
-    """Forward Euler scheme of the rough (Marchaud) volatility.
+def nu_fractional_euler(z_path: np.ndarray, alpha: float, grid: TimeGrid,
+                        v0: float = 0.0, kernel: VolterraKernel | None = None,
+                        spectrum: ZSpectrum | None = None) -> np.ndarray:
+    """Forward Euler scheme of the fractional volatility convolution.
 
-    nu_k = v0 + Z_k t_k^(-alpha-1)/Gamma(-alpha)
-         + (alpha+1)/((alpha+0.5) Gamma(-alpha) h^(alpha+1))
-           * sum_{j<k} (Z_k - Z_j)/(k-j)^delta
-             * ((k-j-1)^(delta-alpha-1) - (k-j)^(delta-alpha-1)),
-    where the j = k-1 cell uses 0^(delta-alpha-1) = 0 (the exponent is
-    positive) and nu_0 = v0 (the singular index-0 term is dropped).
+    nu_k = v0 + h^alpha sum_{j<k} ((k-j)^alpha - (k-j-1)^alpha)/Gamma(alpha+1) Z_j.
     """
+    if kernel is None:
+        kernel = _euler_kernel(alpha, grid, v0)
+    return _volterra_paths(z_path, kernel, spectrum)
+
+
+def _marchaud_kernel(alpha: float, grid: TimeGrid, v0: float,
+                     delta: float) -> VolterraKernel:
     if not (-1.0 < alpha < -0.5):
         raise ValueError("rough scheme requires alpha in (-1, -1/2)")
     check_delta_window(alpha, delta)
@@ -142,9 +188,26 @@ def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
     c[1:] = m[1:] ** (-delta) * (m[:-1] ** e - m[1:] ** e)
     pref = (alpha + 1.0) / ((alpha + 0.5) * gamma_fn(-alpha) * grid.h ** (alpha + 1.0))
     # the Z_k part of the sum is local: Z_k * pref * sum_{m<=k} c_m
-    local = z_path[..., 1:] * (grid.times[1:] ** (-alpha - 1.0) / gamma_fn(-alpha)
-                               + pref * np.cumsum(c[1:]))
-    return _volterra_paths(z_path, -pref * c, v0, local)
+    local = grid.times[1:] ** (-alpha - 1.0) / gamma_fn(-alpha) + pref * np.cumsum(c[1:])
+    return VolterraKernel.of(-pref * c, v0, local)
+
+
+def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
+                      v0: float = 0.0, delta: float = 0.49,
+                      kernel: VolterraKernel | None = None,
+                      spectrum: ZSpectrum | None = None) -> np.ndarray:
+    """Forward Euler scheme of the rough (Marchaud) volatility.
+
+    nu_k = v0 + Z_k t_k^(-alpha-1)/Gamma(-alpha)
+         + (alpha+1)/((alpha+0.5) Gamma(-alpha) h^(alpha+1))
+           * sum_{j<k} (Z_k - Z_j)/(k-j)^delta
+             * ((k-j-1)^(delta-alpha-1) - (k-j)^(delta-alpha-1)),
+    where the j = k-1 cell uses 0^(delta-alpha-1) = 0 (the exponent is
+    positive) and nu_0 = v0 (the singular index-0 term is dropped).
+    """
+    if kernel is None:
+        kernel = _marchaud_kernel(alpha, grid, v0, delta)
+    return _volterra_paths(z_path, kernel, spectrum)
 
 
 def _factor_kernel(qm: QuantizedMeasure, grid: TimeGrid) -> np.ndarray:
@@ -162,8 +225,15 @@ def _factor_kernel(qm: QuantizedMeasure, grid: TimeGrid) -> np.ndarray:
     return w
 
 
+def _quantized_kernel(v0: float, qm: QuantizedMeasure, grid: TimeGrid) -> VolterraKernel:
+    if qm.kind is not MeasureKind.MU:
+        raise ValueError("nu_quantized_paths needs a fractional-kind measure")
+    return VolterraKernel.of(_factor_kernel(qm, grid), v0)
+
+
 def nu_quantized_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
-                       grid: TimeGrid) -> np.ndarray:
+                       grid: TimeGrid, kernel: VolterraKernel | None = None,
+                       spectrum: ZSpectrum | None = None) -> np.ndarray:
     """Finite-atom fractional volatility nu = v0 + q . Y along Z path(s).
 
     The factors are linear in Z, so q . Y is the causal convolution of Z
@@ -171,13 +241,26 @@ def nu_quantized_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
     cost does not grow with the atom count.  Agrees with the per-atom
     factor recurrence up to rounding.
     """
-    if qm.kind is not MeasureKind.MU:
-        raise ValueError("nu_quantized_paths needs a fractional-kind measure")
-    return _volterra_paths(z_path, _factor_kernel(qm, grid), v0)
+    if kernel is None:
+        kernel = _quantized_kernel(v0, qm, grid)
+    return _volterra_paths(z_path, kernel, spectrum)
+
+
+def _quantized_rough_kernel(v0: float, qm: QuantizedMeasure,
+                            grid: TimeGrid) -> VolterraKernel:
+    if qm.kind is not MeasureKind.MU_TILDE:
+        raise ValueError("nu_quantized_rough_paths needs a rough-kind measure")
+    alpha = qm.alpha
+    t = grid.times[1:]
+    # q . J_t with J_t^x = (1 - exp(-t x))/x
+    qj = ((1.0 - np.exp(-np.outer(t, qm.nodes))) / qm.nodes) @ qm.weights
+    return VolterraKernel.of(-_factor_kernel(qm, grid), v0,
+                             t ** (-alpha - 1.0) / gamma_fn(-alpha) + qj)
 
 
 def nu_quantized_rough_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
-                             grid: TimeGrid) -> np.ndarray:
+                             grid: TimeGrid, kernel: VolterraKernel | None = None,
+                             spectrum: ZSpectrum | None = None) -> np.ndarray:
     """Finite-atom rough volatility along Z path(s).
 
     With Y~_t = Z_t J_t - I_t, nu = v0 + Z_t (t^(-alpha-1)/Gamma(-alpha)
@@ -185,14 +268,9 @@ def nu_quantized_rough_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray
     convolution as nu_quantized_paths.  Agrees with the per-atom factor
     recurrence up to rounding.
     """
-    if qm.kind is not MeasureKind.MU_TILDE:
-        raise ValueError("nu_quantized_rough_paths needs a rough-kind measure")
-    alpha = qm.alpha
-    t = grid.times[1:]
-    # q . J_t with J_t^x = (1 - exp(-t x))/x
-    qj = ((1.0 - np.exp(-np.outer(t, qm.nodes))) / qm.nodes) @ qm.weights
-    local = z_path[..., 1:] * (t ** (-alpha - 1.0) / gamma_fn(-alpha) + qj)
-    return _volterra_paths(z_path, -_factor_kernel(qm, grid), v0, local)
+    if kernel is None:
+        kernel = _quantized_rough_kernel(v0, qm, grid)
+    return _volterra_paths(z_path, kernel, spectrum)
 
 
 class SchemeKind(Enum):
@@ -219,13 +297,32 @@ class VolScheme:
         if self.kind is SchemeKind.QUANTIZED_ROUGH and self.qm.kind is not MeasureKind.MU_TILDE:
             raise ValueError("quantized_rough needs a mu_tilde-kind measure")
 
-    def nu_paths(self, p: ModelParams, z_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    def kernel(self, p: ModelParams, grid: TimeGrid) -> VolterraKernel | None:
+        """This construction's kernel for p on grid, to be built once and
+        passed to nu_paths for every row block; None for classical, whose
+        nu is Z itself."""
+        if self.kind is SchemeKind.CLASSICAL:
+            return None
+        if self.kind is SchemeKind.FRACTIONAL_EULER:
+            return _euler_kernel(p.alpha, grid, p.v0)
+        if self.kind is SchemeKind.ROUGH_MARCHAUD:
+            return _marchaud_kernel(p.alpha, grid, p.v0, self.delta)
+        if self.kind is SchemeKind.QUANTIZED_FRACTIONAL:
+            return _quantized_kernel(p.v0, self.qm, grid)
+        return _quantized_rough_kernel(p.v0, self.qm, grid)
+
+    def nu_paths(self, p: ModelParams, z_path: np.ndarray, grid: TimeGrid,
+                 kernel: VolterraKernel | None = None,
+                 spectrum: ZSpectrum | None = None) -> np.ndarray:
+        """nu along z_path; kernel (self.kernel(p, grid)) and spectrum (the
+        ZSpectrum of z_path's rows) are built here when not given."""
         if self.kind is SchemeKind.CLASSICAL:
             return np.asarray(z_path)
         if self.kind is SchemeKind.FRACTIONAL_EULER:
-            return nu_fractional_euler(z_path, p.alpha, grid, v0=p.v0)
+            return nu_fractional_euler(z_path, p.alpha, grid, p.v0, kernel, spectrum)
         if self.kind is SchemeKind.ROUGH_MARCHAUD:
-            return nu_rough_marchaud(z_path, p.alpha, grid, v0=p.v0, delta=self.delta)
+            return nu_rough_marchaud(z_path, p.alpha, grid, p.v0, self.delta,
+                                     kernel, spectrum)
         if self.kind is SchemeKind.QUANTIZED_FRACTIONAL:
-            return nu_quantized_paths(p.v0, self.qm, z_path, grid)
-        return nu_quantized_rough_paths(p.v0, self.qm, z_path, grid)
+            return nu_quantized_paths(p.v0, self.qm, z_path, grid, kernel, spectrum)
+        return nu_quantized_rough_paths(p.v0, self.qm, z_path, grid, kernel, spectrum)

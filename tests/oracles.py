@@ -229,14 +229,13 @@ def direct_causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(w * z)_k for k = 1..len(w)-1 by the row-blocked FFT engine of vol,
-    gathered into one array of shape z.shape[:-1] + (len(w)-1,)."""
-    steps = len(w) - 1
+def causal_convolve(z: np.ndarray, w_hat: np.ndarray, n: int) -> np.ndarray:
+    """(w * z)_k for k = 1..steps, with w given as w_hat = rfft(w[1:], n),
+    by a row-blocked FFT that multiplies each block's spectrum in place,
+    gathered into one array of shape z.shape[:-1] + (steps,)."""
+    steps = z.shape[-1] - 1
     zk = z[..., :steps]
     out = np.empty(zk.shape)
-    n = _fast_len(2 * steps)
-    w_hat = np.fft.rfft(w[1:], n)
     rows = zk.reshape(-1, steps)
     flat = out.reshape(-1, steps)
     padded = np.zeros((min(_ROW_BLOCK, len(rows)), n))
@@ -249,15 +248,16 @@ def causal_convolve(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def volterra_paths_unfused(z_path: np.ndarray, w: np.ndarray, v0: float,
-                           local=0.0) -> np.ndarray:
+def volterra_paths_unfused(z_path: np.ndarray, kernel, spectrum=None) -> np.ndarray:
     """vol._volterra_paths in whole-array passes: the gathered convolution,
-    then += local, then += v0."""
+    from its own transform of Z (a shared spectrum is not read), then
+    += the local term, then += v0."""
+    steps = z_path.shape[-1] - 1
     nu = np.empty(z_path.shape)
-    nu[..., 0] = v0
-    nu[..., 1:] = causal_convolve(z_path, w)
-    nu[..., 1:] += local
-    nu[..., 1:] += v0
+    nu[..., 0] = kernel.v0
+    nu[..., 1:] = causal_convolve(z_path, kernel.w_hat, _fast_len(2 * steps))
+    nu[..., 1:] += 0.0 if kernel.local is None else z_path[..., 1:] * kernel.local
+    nu[..., 1:] += kernel.v0
     return nu
 
 

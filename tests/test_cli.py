@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import fracheston.mc
-from fracheston import MeasureKind, ScenarioConfig, load_config, measure_for_atoms
-from fracheston.cli import _write_csv, build_parser, main
-from fracheston.mc import BATCH_SIZE
+from fracheston import (MeasureKind, PositivityMap, ScenarioConfig, SchemeKind,
+                        TimeGrid, VolScheme, load_config, measure_for_atoms)
+from fracheston.cli import _guarded, _write_csv, build_parser, main
+from fracheston.mc import BATCH_SIZE, feynman_kac_leg, map_paths
+from golden.make_golden import ONE_BLOCK_FAILS
 from oracles import csv_text
 
 SMALL = {
@@ -208,6 +210,25 @@ def test_value_keeps_the_rows_that_do_not_fail(tmp_path, capsys, change, blow_up
         f"applied to a path with negative entries; use abs or exp"
         for n in SMALL["levels"]]
     assert "Traceback" not in err
+
+
+def test_guarded_row_failing_in_one_block_yields_nan(tmp_path):
+    # the golden value_one_block_fails scenario: at level 8 the identity map
+    # rejects the rough nu on paths 163 and 190 only, inside the first
+    # 256-row block of 300; that block's values are NaN and the row fails
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ONE_BLOCK_FAILS))
+    cfg = load_config(str(cfg))
+    p = cfg.model_params(-0.75, 0.0)
+    grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+    scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH,
+                       qm=measure_for_atoms(8, -0.75, MeasureKind.MU_TILDE))
+    failures = []
+    leg = _guarded(feynman_kac_leg(p, scheme, grid, PositivityMap.IDENTITY), failures)
+    values, = map_paths([leg], grid, cfg.seed, cfg.n_paths, draw_dBs=False)
+    assert [str(exc) for exc in failures] == [
+        "identity positivity map applied to a path with negative entries; use abs or exp"]
+    assert np.isnan(values[:256]).all() and np.isfinite(values[256:]).all()
 
 
 def test_every_flag_overrides_a_scenario_field():

@@ -9,8 +9,10 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         mc_value_rough, measure_for_atoms, merton_ratio,
                         nu_quantized_paths, simulate_cir, simulate_wealth,
                         solve_riccati_finite)
+from fracheston import vol
 from fracheston.mc import (BATCH_SIZE, McEstimate, _map_batches, feynman_kac_leg,
                            map_paths, path_batch)
+from fracheston.vol import _ROW_BLOCK, apply_positivity
 from oracles import feynman_kac_girsanov
 
 
@@ -79,6 +81,44 @@ def test_zero_row_path_batch_keeps_each_legs_shape():
     *out, (z, nu) = path_batch(legs, grid, 19, 0, 0)
     assert [o.shape for o in out] == [(0,), (0, 2), (0, 3), (0,)]
     assert z.shape == nu.shape == (0, grid.steps + 1)
+
+
+@pytest.mark.parametrize("start, stop", [(0, _ROW_BLOCK + 44), (100, 100 + 2 * _ROW_BLOCK)],
+                         ids=["ragged", "whole-blocks"])
+def test_row_blocks_equal_whole_array_legs(start, stop):
+    # path_batch runs the legs _ROW_BLOCK rows at a time; every leg's output
+    # is the integrand on the whole batch's dBs, Z and nu, bit for bit
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    rough = default_params(alpha=-0.75)
+    legs = _four_legs(grid) + [
+        feynman_kac_leg(rough, VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=measure_for_atoms(
+            16, -0.75, MeasureKind.MU_TILDE)), grid, PositivityMap.EXPONENTIAL),
+        (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), None,
+         lambda dBs, z, nu: (simulate_wealth(0.2, np.abs(nu), grid, dBs, rough), nu))]
+    out = path_batch(legs, grid, 19, start, stop)
+    dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
+    z = simulate_cir(legs[0][0], grid, dBz)
+    for (p, scheme, pos_map, integrand), got in zip(legs, out):
+        nu = scheme.nu_paths(p, z, grid)
+        want = integrand(dBs, z, nu if pos_map is None else apply_positivity(nu, pos_map))
+        if isinstance(want, tuple):
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_kernel_is_built_once_per_leg_per_batch(monkeypatch):
+    calls = []
+    factor_kernel = vol._factor_kernel
+    monkeypatch.setattr(vol, "_factor_kernel",
+                        lambda qm, grid: calls.append(qm.n_atoms) or factor_kernel(qm, grid))
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    p = default_params()
+    legs = [feynman_kac_leg(p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
+                                         qm=measure_for_atoms(k, 0.75, MeasureKind.MU)), grid)
+            for k in (8, 16)]
+    map_paths(legs, grid, 19, BATCH_SIZE + 52, draw_dBs=False)  # two batches, 10 blocks
+    assert sorted(calls) == [8, 8, 16, 16]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

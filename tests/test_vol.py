@@ -10,7 +10,8 @@ from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         nu_quantized_paths, nu_quantized_rough_paths,
                         nu_rough_marchaud, simulate_cir)
 from fracheston import vol
-from fracheston.vol import _ROW_BLOCK, _fast_len, _volterra_paths
+from fracheston.vol import (_ROW_BLOCK, VolterraKernel, ZSpectrum, _fast_len,
+                            _volterra_paths)
 from oracles import (direct_causal_convolve, nu_fractional_euler_direct,
                      nu_quantized, nu_quantized_rough, nu_rough_marchaud_direct,
                      simulate_factors, simulate_factors_rough,
@@ -145,31 +146,44 @@ def test_fft_matches_direct_on_ragged_batch(params):
     grid, z = _z_paths(params, 0.01, _ROW_BLOCK + 45)
     w = np.zeros(grid.steps + 1)
     w[1:] = np.linspace(1.0, 0.1, grid.steps) ** 3
-    fft = _volterra_paths(z, w, 0.0)[:, 1:]  # the bare convolution at v0 = 0
+    fft = _volterra_paths(z, VolterraKernel.of(w, 0.0))[:, 1:]  # the bare convolution at v0 = 0
     direct = direct_causal_convolve(z, w)
     assert fft.shape == direct.shape == (_ROW_BLOCK + 45, grid.steps)
     assert np.max(np.abs(fft - direct)) < 1e-12
 
 
 @pytest.mark.parametrize("construction", [
-    lambda z, g: nu_fractional_euler(z, 0.75, g, v0=0.03),
-    lambda z, g: nu_rough_marchaud(z, -0.75, g, v0=0.1),
-    lambda z, g: nu_quantized_paths(0.03, measure_for_atoms(128, 0.75, MeasureKind.MU), z, g),
-    lambda z, g: nu_quantized_rough_paths(
-        0.1, measure_for_atoms(128, -0.75, MeasureKind.MU_TILDE), z, g),
-    lambda z, g: nu_quantized_paths(0.0, measure_for_atoms(16, 0.5, MeasureKind.MU), z, g),
+    lambda z, g, **kw: nu_fractional_euler(z, 0.75, g, v0=0.03, **kw),
+    lambda z, g, **kw: nu_rough_marchaud(z, -0.75, g, v0=0.1, **kw),
+    lambda z, g, **kw: nu_quantized_paths(
+        0.03, measure_for_atoms(128, 0.75, MeasureKind.MU), z, g, **kw),
+    lambda z, g, **kw: nu_quantized_rough_paths(
+        0.1, measure_for_atoms(128, -0.75, MeasureKind.MU_TILDE), z, g, **kw),
+    lambda z, g, **kw: nu_quantized_paths(
+        0.0, measure_for_atoms(16, 0.5, MeasureKind.MU), z, g, **kw),
 ], ids=["fractional_euler", "rough_marchaud", "quantized", "quantized_rough",
         "quantized-v0=0"])
 @pytest.mark.parametrize("lead", [(), (_ROW_BLOCK + 45,), (3, 2)],
                          ids=["1d", "ragged_batch", "3d"])
 def test_fused_sum_matches_unfused_bit_for_bit(params, monkeypatch, construction, lead):
     # each row block's convolution is summed with local and v0 straight into
-    # nu; per element that is conv, then + local, then + v0
+    # nu; per element that is conv, then + local, then + v0.  That holds for
+    # whole arrays and for the blocks path_batch builds: the rows of one
+    # ZSpectrum that another kernel has already transformed and read
     grid, z = _z_paths(params, 0.01, math.prod(lead))
     z = z.reshape(lead + (grid.steps + 1,))
     fused = construction(z, grid)
+    other = VolScheme(SchemeKind.FRACTIONAL_EULER).kernel(params, grid)
+    rows = z.reshape(-1, grid.steps + 1)
+    shared = np.empty(rows.shape)
+    for a in range(0, len(rows), _ROW_BLOCK):
+        spectrum = ZSpectrum(rows[a:a + _ROW_BLOCK])
+        other.apply(spectrum, np.empty(spectrum.rows.shape))
+        shared[a:a + _ROW_BLOCK] = construction(spectrum.rows, grid, spectrum=spectrum)
     monkeypatch.setattr(vol, "_volterra_paths", volterra_paths_unfused)
-    assert np.array_equal(fused, construction(z, grid))
+    unfused = construction(z, grid)
+    assert np.array_equal(fused, unfused)
+    assert np.array_equal(shared.reshape(z.shape), unfused)
 
 
 def test_fractional_scheme_agrees_with_quantized(z_batch, params):
