@@ -55,6 +55,9 @@ RUNS = {
     "value_two_batches": (SMALL, "value", ("--paths", str(BATCH_SIZE + 52))),
     "wealth_no_sample_paths": ({**SMALL, "n_sample_paths": 0}, "wealth", ()),
     "value_one_block_fails": (ONE_BLOCK_FAILS, "value", ()),
+    # a nonzero v0 and a delta inside alpha = -0.75's window (0.25, 0.5),
+    # so the direct schemes' v0 and delta reach the outputs
+    "wealth_v0_delta": ({**SMALL, "v0": 0.02, "delta": 0.3}, "wealth", ()),
 }
 THREADS = (1, 2)
 
