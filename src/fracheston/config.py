@@ -15,7 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .params import ModelParams, Regime, check_delta_window, hurst_of_alpha
+from .params import (DEFAULT_DELTA, ModelParams, Regime, check_delta_window,
+                     hurst_of_alpha)
 from .quantize import atom_count
 from .sim import TimeGrid
 from .vol import PositivityMap
@@ -81,7 +82,7 @@ class ScenarioConfig:
     alphas: tuple = (0.05, 0.5, 0.95)
     rhos: tuple = (-0.7, 0.0, 0.7)
     positivity_map: str = "abs"
-    delta: float = 0.49
+    delta: float = DEFAULT_DELTA
     n_paths: int = 1000
     n_sample_paths: int = 5
     levels: tuple = (64, 128, 256)

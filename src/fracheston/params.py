@@ -29,6 +29,11 @@ def regime_of_alpha(alpha: float) -> Regime:
                      "and classical (0) ranges")
 
 
+# the Marchaud scheme's default delta, inside the window below for rough
+# alpha < -0.51
+DEFAULT_DELTA = 0.49
+
+
 def check_delta_window(alpha: float, delta: float) -> None:
     """The Marchaud scheme at rough alpha needs delta in (alpha+1, 1/2)."""
     if not (alpha + 1.0 < delta < 0.5):

@@ -18,11 +18,14 @@ The convolution runs through one FFT engine on numpy's pocketfft
 transform of a block of at most 256 rows of Z, and a VolterraKernel (w's
 transform, the local coefficient and v0, built once) applies one
 construction to it, summing the inverse transform with the local term and
-v0 straight into nu.  Whole-array callers go block by block; mc's
-row-block loop shares each block's spectrum among all its legs.  The test
-suite holds the engine to 1e-12 against the O(k^2) sums and the per-atom
-factor recurrence, and bit for bit to the unfused conv, then + local,
-then + v0 (tests/oracles.py).
+v0 straight into nu.  VolScheme.kernel is the one place a scheme picks
+its construction; mc builds each leg's kernel once per batch, and each of
+its row blocks reaches VolterraKernel.apply through VolScheme.nu_paths,
+sharing the block's spectrum among all its legs.  The four nu_* functions
+are whole-array conveniences that build their kernel and go block by
+block.  The test suite holds the engine to 1e-12 against the O(k^2) sums
+and the per-atom factor recurrence, and bit for bit to the unfused conv,
+then + local, then + v0 (tests/oracles.py).
 The only genuine recurrence left is the rho != 0 drift-corrected Z-tilde
 in sim, where nu feeds back into the drift of Z; it steps Z one step at a
 time but advances its factor state once per block of steps, with this
@@ -35,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import ModelParams, check_delta_window, gamma_fn
+from .params import DEFAULT_DELTA, ModelParams, check_delta_window, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
 from .sim import TimeGrid
 
@@ -150,10 +153,6 @@ def _volterra_paths(z_path: np.ndarray, kernel: VolterraKernel,
     return nu
 
 
-# Each nu_* function below takes an optional prebuilt kernel (VolScheme.kernel
-# builds it once per batch) and the ZSpectrum of z_path's rows shared with
-# other kernels; without them it builds both itself.
-
 def _euler_kernel(alpha: float, grid: TimeGrid, v0: float) -> VolterraKernel:
     if not (0.0 < alpha < 1.0):
         raise ValueError("fractional scheme requires alpha in (0, 1)")
@@ -164,15 +163,12 @@ def _euler_kernel(alpha: float, grid: TimeGrid, v0: float) -> VolterraKernel:
 
 
 def nu_fractional_euler(z_path: np.ndarray, alpha: float, grid: TimeGrid,
-                        v0: float = 0.0, kernel: VolterraKernel | None = None,
-                        spectrum: ZSpectrum | None = None) -> np.ndarray:
+                        v0: float = 0.0) -> np.ndarray:
     """Forward Euler scheme of the fractional volatility convolution.
 
     nu_k = v0 + h^alpha sum_{j<k} ((k-j)^alpha - (k-j-1)^alpha)/Gamma(alpha+1) Z_j.
     """
-    if kernel is None:
-        kernel = _euler_kernel(alpha, grid, v0)
-    return _volterra_paths(z_path, kernel, spectrum)
+    return _volterra_paths(z_path, _euler_kernel(alpha, grid, v0))
 
 
 def _marchaud_kernel(alpha: float, grid: TimeGrid, v0: float,
@@ -193,9 +189,7 @@ def _marchaud_kernel(alpha: float, grid: TimeGrid, v0: float,
 
 
 def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
-                      v0: float = 0.0, delta: float = 0.49,
-                      kernel: VolterraKernel | None = None,
-                      spectrum: ZSpectrum | None = None) -> np.ndarray:
+                      v0: float = 0.0, delta: float = DEFAULT_DELTA) -> np.ndarray:
     """Forward Euler scheme of the rough (Marchaud) volatility.
 
     nu_k = v0 + Z_k t_k^(-alpha-1)/Gamma(-alpha)
@@ -205,9 +199,7 @@ def nu_rough_marchaud(z_path: np.ndarray, alpha: float, grid: TimeGrid,
     where the j = k-1 cell uses 0^(delta-alpha-1) = 0 (the exponent is
     positive) and nu_0 = v0 (the singular index-0 term is dropped).
     """
-    if kernel is None:
-        kernel = _marchaud_kernel(alpha, grid, v0, delta)
-    return _volterra_paths(z_path, kernel, spectrum)
+    return _volterra_paths(z_path, _marchaud_kernel(alpha, grid, v0, delta))
 
 
 def _factor_kernel(qm: QuantizedMeasure, grid: TimeGrid) -> np.ndarray:
@@ -232,8 +224,7 @@ def _quantized_kernel(v0: float, qm: QuantizedMeasure, grid: TimeGrid) -> Volter
 
 
 def nu_quantized_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
-                       grid: TimeGrid, kernel: VolterraKernel | None = None,
-                       spectrum: ZSpectrum | None = None) -> np.ndarray:
+                       grid: TimeGrid) -> np.ndarray:
     """Finite-atom fractional volatility nu = v0 + q . Y along Z path(s).
 
     The factors are linear in Z, so q . Y is the causal convolution of Z
@@ -241,9 +232,7 @@ def nu_quantized_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
     cost does not grow with the atom count.  Agrees with the per-atom
     factor recurrence up to rounding.
     """
-    if kernel is None:
-        kernel = _quantized_kernel(v0, qm, grid)
-    return _volterra_paths(z_path, kernel, spectrum)
+    return _volterra_paths(z_path, _quantized_kernel(v0, qm, grid))
 
 
 def _quantized_rough_kernel(v0: float, qm: QuantizedMeasure,
@@ -259,8 +248,7 @@ def _quantized_rough_kernel(v0: float, qm: QuantizedMeasure,
 
 
 def nu_quantized_rough_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray,
-                             grid: TimeGrid, kernel: VolterraKernel | None = None,
-                             spectrum: ZSpectrum | None = None) -> np.ndarray:
+                             grid: TimeGrid) -> np.ndarray:
     """Finite-atom rough volatility along Z path(s).
 
     With Y~_t = Z_t J_t - I_t, nu = v0 + Z_t (t^(-alpha-1)/Gamma(-alpha)
@@ -268,9 +256,7 @@ def nu_quantized_rough_paths(v0: float, qm: QuantizedMeasure, z_path: np.ndarray
     convolution as nu_quantized_paths.  Agrees with the per-atom factor
     recurrence up to rounding.
     """
-    if kernel is None:
-        kernel = _quantized_rough_kernel(v0, qm, grid)
-    return _volterra_paths(z_path, kernel, spectrum)
+    return _volterra_paths(z_path, _quantized_rough_kernel(v0, qm, grid))
 
 
 class SchemeKind(Enum):
@@ -286,7 +272,7 @@ class VolScheme:
     """Selector for one of the four volatility constructions."""
     kind: SchemeKind
     qm: QuantizedMeasure | None = None
-    delta: float = 0.49
+    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         needs_qm = self.kind in (SchemeKind.QUANTIZED_FRACTIONAL, SchemeKind.QUANTIZED_ROUGH)
@@ -300,7 +286,7 @@ class VolScheme:
     def kernel(self, p: ModelParams, grid: TimeGrid) -> VolterraKernel | None:
         """This construction's kernel for p on grid, to be built once and
         passed to nu_paths for every row block; None for classical, whose
-        nu is Z itself."""
+        nu is Z itself.  The one place a scheme picks its construction."""
         if self.kind is SchemeKind.CLASSICAL:
             return None
         if self.kind is SchemeKind.FRACTIONAL_EULER:
@@ -314,15 +300,9 @@ class VolScheme:
     def nu_paths(self, p: ModelParams, z_path: np.ndarray, grid: TimeGrid,
                  kernel: VolterraKernel | None = None,
                  spectrum: ZSpectrum | None = None) -> np.ndarray:
-        """nu along z_path; kernel (self.kernel(p, grid)) and spectrum (the
-        ZSpectrum of z_path's rows) are built here when not given."""
+        """nu along z_path: Z itself for classical, else kernel's nu, with
+        kernel built here (self.kernel(p, grid)) when not given and spectrum
+        the ZSpectrum of z_path's rows when another leg shares it."""
         if self.kind is SchemeKind.CLASSICAL:
             return np.asarray(z_path)
-        if self.kind is SchemeKind.FRACTIONAL_EULER:
-            return nu_fractional_euler(z_path, p.alpha, grid, p.v0, kernel, spectrum)
-        if self.kind is SchemeKind.ROUGH_MARCHAUD:
-            return nu_rough_marchaud(z_path, p.alpha, grid, p.v0, self.delta,
-                                     kernel, spectrum)
-        if self.kind is SchemeKind.QUANTIZED_FRACTIONAL:
-            return nu_quantized_paths(p.v0, self.qm, z_path, grid, kernel, spectrum)
-        return nu_quantized_rough_paths(p.v0, self.qm, z_path, grid, kernel, spectrum)
+        return _volterra_paths(z_path, kernel or self.kernel(p, grid), spectrum)

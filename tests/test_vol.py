@@ -6,7 +6,7 @@ from scipy.fft import next_fast_len
 
 from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         VolScheme, apply_positivity, brownian_batch,
-                        measure_for_atoms, nu_fractional_euler,
+                        hurst_of_alpha, measure_for_atoms, nu_fractional_euler,
                         nu_quantized_paths, nu_quantized_rough_paths,
                         nu_rough_marchaud, simulate_cir)
 from fracheston import vol
@@ -152,36 +152,40 @@ def test_fft_matches_direct_on_ragged_batch(params):
     assert np.max(np.abs(fft - direct)) < 1e-12
 
 
-@pytest.mark.parametrize("construction", [
-    lambda z, g, **kw: nu_fractional_euler(z, 0.75, g, v0=0.03, **kw),
-    lambda z, g, **kw: nu_rough_marchaud(z, -0.75, g, v0=0.1, **kw),
-    lambda z, g, **kw: nu_quantized_paths(
-        0.03, measure_for_atoms(128, 0.75, MeasureKind.MU), z, g, **kw),
-    lambda z, g, **kw: nu_quantized_rough_paths(
-        0.1, measure_for_atoms(128, -0.75, MeasureKind.MU_TILDE), z, g, **kw),
-    lambda z, g, **kw: nu_quantized_paths(
-        0.0, measure_for_atoms(16, 0.5, MeasureKind.MU), z, g, **kw),
+@pytest.mark.parametrize("scheme, alpha, v0", [
+    (VolScheme(SchemeKind.FRACTIONAL_EULER), 0.75, 0.03),
+    (VolScheme(SchemeKind.ROUGH_MARCHAUD), -0.75, 0.1),
+    (VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
+               qm=measure_for_atoms(128, 0.75, MeasureKind.MU)), 0.75, 0.03),
+    (VolScheme(SchemeKind.QUANTIZED_ROUGH,
+               qm=measure_for_atoms(128, -0.75, MeasureKind.MU_TILDE)), -0.75, 0.1),
+    (VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
+               qm=measure_for_atoms(16, 0.5, MeasureKind.MU)), 0.5, 0.0),
 ], ids=["fractional_euler", "rough_marchaud", "quantized", "quantized_rough",
         "quantized-v0=0"])
 @pytest.mark.parametrize("lead", [(), (_ROW_BLOCK + 45,), (3, 2)],
                          ids=["1d", "ragged_batch", "3d"])
-def test_fused_sum_matches_unfused_bit_for_bit(params, monkeypatch, construction, lead):
+def test_fused_sum_matches_unfused_bit_for_bit(params, monkeypatch, scheme, alpha,
+                                               v0, lead):
     # each row block's convolution is summed with local and v0 straight into
     # nu; per element that is conv, then + local, then + v0.  That holds for
-    # whole arrays and for the blocks path_batch builds: the rows of one
-    # ZSpectrum that another kernel has already transformed and read
+    # whole arrays and for the blocks path_batch builds: one kernel applied
+    # to the rows of a ZSpectrum that another kernel has already read
     grid, z = _z_paths(params, 0.01, math.prod(lead))
     z = z.reshape(lead + (grid.steps + 1,))
-    fused = construction(z, grid)
+    p = params.with_(hurst=hurst_of_alpha(alpha), v0=v0)
+    fused = scheme.nu_paths(p, z, grid)
+    kernel = scheme.kernel(p, grid)
     other = VolScheme(SchemeKind.FRACTIONAL_EULER).kernel(params, grid)
     rows = z.reshape(-1, grid.steps + 1)
     shared = np.empty(rows.shape)
     for a in range(0, len(rows), _ROW_BLOCK):
         spectrum = ZSpectrum(rows[a:a + _ROW_BLOCK])
         other.apply(spectrum, np.empty(spectrum.rows.shape))
-        shared[a:a + _ROW_BLOCK] = construction(spectrum.rows, grid, spectrum=spectrum)
+        shared[a:a + _ROW_BLOCK] = scheme.nu_paths(p, spectrum.rows, grid, kernel,
+                                                   spectrum)
     monkeypatch.setattr(vol, "_volterra_paths", volterra_paths_unfused)
-    unfused = construction(z, grid)
+    unfused = scheme.nu_paths(p, z, grid)
     assert np.array_equal(fused, unfused)
     assert np.array_equal(shared.reshape(z.shape), unfused)
 
@@ -225,11 +229,21 @@ def test_vol_scheme_selector(z_batch, params, rough_params):
         VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qmr)
     with pytest.raises(ValueError):
         VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm)
-    s = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm)
-    assert np.allclose(s.nu_paths(params, z, grid),
-                       nu_quantized_paths(params.v0, qm, z, grid))
     c = VolScheme(SchemeKind.CLASSICAL)
     assert np.array_equal(c.nu_paths(params, z, grid), z)
-    r = VolScheme(SchemeKind.ROUGH_MARCHAUD)
-    assert np.allclose(r.nu_paths(rough_params, z, grid),
-                       nu_rough_marchaud(z, -0.75, grid))
+    # each scheme equals its named construction bit for bit, with the
+    # scenario's v0 and delta, whole and as one of mc's blocks (a kernel
+    # built once and a shared spectrum)
+    p, pr = params.with_(v0=0.02), rough_params.with_(v0=0.02)
+    for scheme, q, want in (
+            (VolScheme(SchemeKind.FRACTIONAL_EULER), p,
+             nu_fractional_euler(z, p.alpha, grid, p.v0)),
+            (VolScheme(SchemeKind.ROUGH_MARCHAUD, delta=0.3), pr,
+             nu_rough_marchaud(z, pr.alpha, grid, pr.v0, delta=0.3)),
+            (VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm), p,
+             nu_quantized_paths(p.v0, qm, z, grid)),
+            (VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qmr), pr,
+             nu_quantized_rough_paths(pr.v0, qmr, z, grid))):
+        assert np.array_equal(scheme.nu_paths(q, z, grid), want)
+        assert np.array_equal(
+            scheme.nu_paths(q, z, grid, scheme.kernel(q, grid), ZSpectrum(z)), want)
