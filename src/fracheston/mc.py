@@ -4,14 +4,14 @@ Every estimator and CLI command simulates through path_batch, mapped by
 map_paths over fixed batches of per-path Philox streams and reduced by
 McEstimate.of with exact (fsum) sums, so results are bit-identical for any
 worker count.  A batch draws the Brownian pair and drives Z once for all
-its legs (alphas, levels or schemes on common random numbers), then runs
-the legs over blocks of 256 rows: each leg's kernel is built once per
-batch, each block's Z is transformed once for every leg that convolves
-it, and a leg's nu, positivity map and integrand exist one block at a
-time, so no full-size nu is held.  The rho != 0 Z-tilde depends on nu,
-so it drives a single leg, whose nu is sliced per block.  One
-Feynman-Kac leg serves both value estimators; utility legs read the
-terminal wealth only.
+its legs (alphas, levels or schemes on common random numbers), writing Z
+over its own increments, then runs the legs over blocks of 128 rows:
+each leg's kernel is built once per batch, each block's Z is transformed
+once for every leg that convolves it, and a leg's nu, positivity map and
+integrand exist one block at a time, so no full-size nu is held.  The
+rho != 0 Z-tilde depends on nu, so it drives a single leg, whose nu is
+sliced per block.  One Feynman-Kac leg serves both value estimators;
+utility legs read the terminal wealth only.
 """
 from __future__ import annotations
 
@@ -124,8 +124,11 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     paths start..stop, in leg order.
 
     The legs share rho and the CIR constants, so the Brownian pair and Z
-    are drawn once (dBz only drives Z and is freed before the legs run).
-    The legs then run over blocks of at most _ROW_BLOCK (256) rows: per
+    are drawn once.  dBz only drives Z: it is drawn into the [:, 1:] of
+    the array Z is written into, so Z overwrites its own increments, and
+    the Z-tilde step allocates nothing per step.  The path-sized arrays
+    are Z, dBs if drawn and the Z-tilde's nu.
+    The legs then run over blocks of at most _ROW_BLOCK (128) rows: per
     block, every leg gets the block's read-only dBs and Z and its own nu,
     after pos_map (raw with pos_map=None), and the integrand is called
     once per block.  Its output is an array, or a tuple of arrays, whose
@@ -137,12 +140,14 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     draw_dBs=False passes dBs=None, for legs that do not read it.
     """
     p = _driver_params(legs, tilde)
-    dBz, dBs = brownian_batch(master_seed, range(start, stop), grid, p.rho, draw_dBs)
+    # dBz is drawn into z[:, 1:], and Z is written over its own increments
+    z = np.empty((stop - start, grid.steps + 1))
+    dBz, dBs = brownian_batch(master_seed, range(start, stop), grid, p.rho,
+                              draw_dBs, out=z[:, 1:])
     if tilde and p.rho != 0.0:
-        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, dBz)
+        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, dBz, out=z)
     else:
-        z, nu = simulate_cir(p, grid, dBz), None
-    del dBz
+        z, nu = simulate_cir(p, grid, dBz, out=z), None
     for a in (dBs, z):
         if a is not None:
             a.flags.writeable = False

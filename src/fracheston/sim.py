@@ -8,15 +8,19 @@ normals only when they are read.  The CIR process uses full-truncation
 Euler (reported values are clipped at zero), stepped time-major: per block
 of steps the increments are copied once into a contiguous buffer and every
 path advances a row at a time in place, bit for bit the stepwise update.
-The exponential factor processes use exact exponential integrators, which
-are unconditionally stable for the stiff large-x atoms produced by
-quantization.
+Because a block copies its increments before it writes the same columns
+of the path, both drivers can write Z over its own increments (out=, the
+array whose [..., 1:] is dBz), which is how mc holds one path-sized array
+for both.  The exponential factor processes use exact exponential
+integrators, which are unconditionally stable for the stiff large-x atoms
+produced by quantization.
 
 simulate_tilde_z, the rho != 0 Feynman-Kac driver, is the one loop that
 carries factor state (nu feeds back into its drift).  It is a step-blocked
 update: the factor state advances once per block of steps by two GEMMs,
 and nu inside a block comes from that state plus a buffer of the block's
-Z values, so only the state and one block-long buffer are kept.
+Z values, so only the state and one block-long buffer are kept.  Each
+step writes through out= into preallocated rows, so it allocates nothing.
 """
 from __future__ import annotations
 
@@ -54,8 +58,15 @@ class TimeGrid:
         return np.arange(self.steps + 1) * self.h
 
 
+# Rows per block of every row-wise pass over a batch: brownian_batch's
+# scaling, vol's FFT and mc's leg loop.  It bounds the rho * dBz temporary
+# and a leg's nu block (about 1 MB each at 1000 steps) and the shared
+# spectrum (about 2 MB), whatever the batch size.
+_ROW_BLOCK = 128
+
+
 def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
-                   draw_dBs: bool = True) -> tuple:
+                   draw_dBs: bool = True, out: np.ndarray | None = None) -> tuple:
     """(dBz, dBs): per-step increments of B^Z and B^S with Corr = rho, for a
     batch of path streams, each of shape (n_paths, steps).
 
@@ -64,11 +75,17 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
     `steps` the independent part of dBs.  One Philox is reused for the
     batch; resetting its key, counter and buffer per stream gives the same
     sequence as a fresh Philox(key=...).  With draw_dBs=False only the dBz
-    normals are drawn and dBs is None.
+    normals are drawn and dBs is None.  out, if given, is an (n_paths,
+    steps) array with contiguous rows that receives dBz (mc passes the
+    [:, 1:] of the array Z is then written into).
     """
+    n = len(stream_ids)
+    if out is not None and out.shape != (n, grid.steps):
+        raise ValueError(f"out must have shape {(n, grid.steps)}, got {out.shape}")
     # one array per row kind, so that dBz can be freed while dBs is in use
-    normals = [np.empty((len(stream_ids), grid.steps))
-               for _ in range(2 if draw_dBs else 1)]
+    normals = [np.empty((n, grid.steps)) if out is None else out]
+    if draw_dBs:
+        normals.append(np.empty((n, grid.steps)))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # zero counter, empty buffer
@@ -79,16 +96,17 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
         for rows in normals:
             gen.standard_normal(out=rows[row])
     sqh = np.sqrt(grid.h)
-    dBz = normals[0]
-    dBz *= sqh
-    if not draw_dBs:
-        return dBz, None
-    # in place but with the products of rho*dBz + (sqrt(1-rho^2)*n1)*sqh, so
-    # every increment is bit-identical to that expression
-    dBs = normals[1]
-    dBs *= np.sqrt(1.0 - rho ** 2)
-    dBs *= sqh
-    dBs += rho * dBz
+    dBz, dBs = normals if draw_dBs else (normals[0], None)
+    # a row block at a time, in place but with the products of
+    # rho*dBz + (sqrt(1-rho^2)*n1)*sqh, so every increment is bit-identical
+    # to that expression and no path-sized temporary is made
+    for a in range(0, n, _ROW_BLOCK):
+        block = slice(a, a + _ROW_BLOCK)
+        dBz[block] *= sqh
+        if dBs is not None:
+            dBs[block] *= np.sqrt(1.0 - rho ** 2)
+            dBs[block] *= sqh
+            dBs[block] += rho * dBz[block]
     return dBz, dBs
 
 
@@ -99,9 +117,24 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
 _STEP_BLOCK = 32
 
 
-def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
+def _path_rows(out: np.ndarray | None, dBz: np.ndarray, steps: int) -> np.ndarray:
+    """The (paths, steps+1) rows a driver writes its path into: a new array,
+    or a view of out, which must be C-contiguous of shape dBz.shape[:-1] +
+    (steps+1,).  out may hold dBz itself in out[..., 1:]: every block of
+    steps copies its increments out before it writes the same columns."""
+    shape = dBz.shape[:-1] + (steps + 1,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    return out.reshape(-1, steps + 1)
+
+
+def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """CIR path(s) by full-truncation Euler; output is clipped at zero.
-    Shape: dBz.shape[:-1] + (steps+1,).
+    Shape: dBz.shape[:-1] + (steps+1,), written into out if given (which
+    may be the array whose [..., 1:] is dBz, see _path_rows).
 
     Time-major: each block of _STEP_BLOCK steps copies its dBz columns once
     into a contiguous buffer, steps every path a row at a time in place,
@@ -114,11 +147,11 @@ def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
     """
     h, steps = grid.h, grid.steps
     db = dBz.reshape(-1, steps)
+    z = _path_rows(out, dBz, steps)
     n = db.shape[0]
     blk = min(_STEP_BLOCK, steps)
     db_blk, z_blk = np.empty((2, blk, n))
     zp, drift = np.empty((2, n))
-    z = np.empty((n, steps + 1))
     z[:, 0] = p.z0
     zk = np.full(n, float(p.z0))
     for s in range(0, steps, blk):
@@ -139,7 +172,7 @@ def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray) -> np.ndarray:
 
 
 def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
-                     dBz: np.ndarray):
+                     dBz: np.ndarray, out: np.ndarray | None = None):
     """Drift-corrected CIR (the Feynman-Kac driving process) by
     full-truncation Euler.
 
@@ -155,17 +188,20 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
     one GEMM per block for the far history, a dot of length <= B per step
     for the near one, and Y_{s+B} = d^B Y_s + (Z+ buffer) @ G with
     G[t, i] = (1 - d_i)/x_i d_i^{B-1-t}, a second GEMM.  Only Y and one
-    B-step buffer are kept, so large batches stay memory-light.  This is
+    B-step buffer are kept, so large batches stay memory-light, and each
+    step writes into preallocated rows, so it allocates nothing.  This is
     the per-step recurrence Y_{k+1} = d Y_k + Z+_k (1 - d)/x with its sums
     reordered.  The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu)
     vanishes at rho = 0, where the path coincides with simulate_cir bit for
-    bit.  Shapes: dBz.shape[:-1] + (steps+1,).
+    bit.  Shapes: dBz.shape[:-1] + (steps+1,); z is written into out if
+    given (which may be the array whose [..., 1:] is dBz, see _path_rows).
     """
     if qm.kind is not MeasureKind.MU:
         raise ValueError("simulate_tilde_z needs a fractional-kind measure")
     coef = p.lam * p.gamma * p.sigma * p.rho / (1.0 - p.gamma)
     h, steps = grid.h, grid.steps
     db = dBz.reshape(-1, steps)
+    z = _path_rows(out, dBz, steps)
     n = db.shape[0]
     blk = min(_STEP_BLOCK, steps)
     powers = np.exp(-np.outer(np.arange(blk + 1), qm.nodes * h))  # d_i^m
@@ -174,11 +210,11 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
     w_rev = (powers[:blk] @ (qm.weights * gain))[::-1]    # w[B], ..., w[1]
     push = (powers[blk - 1::-1] * gain).T                 # G transposed
     # work arrays are time-major (row t of a block holds every path at step
-    # s+t) and allocated once, so the loop allocates nothing larger than a row
+    # s+t) and allocated once, so the loop allocates nothing
     y = np.zeros((qm.n_atoms, n))
     y_push = np.empty_like(y)
     db_blk, hist, zp_blk, z_blk, nu_blk = np.empty((5, blk, n))
-    z = np.empty((n, steps + 1))
+    drift, corr = np.empty((2, n))
     z[:, 0] = p.z0
     nu = np.empty_like(z)
     nu[:, 0] = p.v0
@@ -190,12 +226,26 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
         np.matmul(far[:b], y, out=hist[:b])
         hist[:b] += p.v0
         for t in range(b):
+            # Z+ = max(Z, 0), corr = coef sqrt(Z+ max(nu, 0)) and
+            # Z + (kappa (theta - Z+) + corr) h + sigma sqrt(Z+) dB, through
+            # out= but with the operations of those expressions
             zp = np.maximum(zk, 0.0, out=zp_blk[t])
-            corr = coef * np.sqrt(zp * np.maximum(nuk, 0.0))
-            zk = zk + (p.kappa * (p.theta - zp) + corr) * h + p.sigma * np.sqrt(zp) * db_blk[t]
-            z_blk[t] = zk
-            nuk = hist[t] + w_rev[blk - 1 - t:] @ zp_blk[:t + 1]
-            nu_blk[t] = nuk
+            np.maximum(nuk, 0.0, out=corr)
+            corr *= zp
+            np.sqrt(corr, out=corr)
+            corr *= coef
+            np.subtract(p.theta, zp, out=drift)
+            drift *= p.kappa
+            drift += corr
+            drift *= h
+            zk = np.add(zk, drift, out=z_blk[t])
+            np.sqrt(zp, out=corr)
+            corr *= p.sigma
+            corr *= db_blk[t]
+            zk += corr
+            # nu = hist + w . Z+ over the block so far
+            nuk = np.matmul(w_rev[blk - 1 - t:], zp_blk[:t + 1], out=nu_blk[t])
+            nuk += hist[t]
         z[:, s + 1:s + b + 1] = z_blk[:b].T
         nu[:, s + 1:s + b + 1] = nu_blk[:b].T
         if s + b < steps:

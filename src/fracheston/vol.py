@@ -15,7 +15,7 @@ weights, the Marchaud weights, or the summed exponential-factor kernel of a
 quantized measure (with the singular and q . J terms in the rough case).
 The convolution runs through one FFT engine on numpy's pocketfft
 (np.fft) at 5-smooth lengths, in two steps: a ZSpectrum is the forward
-transform of a block of at most 256 rows of Z, and a VolterraKernel (w's
+transform of a block of at most 128 rows of Z, and a VolterraKernel (w's
 transform, the local coefficient and v0, built once) applies one
 construction to it, summing the inverse transform with the local term and
 v0 straight into nu.  VolScheme.kernel is the one place a scheme picks
@@ -40,12 +40,7 @@ import numpy as np
 
 from .params import DEFAULT_DELTA, ModelParams, check_delta_window, gamma_fn
 from .quantize import MeasureKind, QuantizedMeasure
-from .sim import TimeGrid
-
-# Rows per FFT block, and per block of mc's leg loop: bounds the spectrum
-# (about 4 MB at 1000 steps) and a leg's nu block (about 2 MB) whatever the
-# batch size.
-_ROW_BLOCK = 256
+from .sim import _ROW_BLOCK, TimeGrid  # rows per FFT block and per leg block
 
 
 class PositivityMap(Enum):
@@ -89,6 +84,9 @@ class ZSpectrum:
     needs are never transformed."""
 
     def __init__(self, rows: np.ndarray):
+        if len(rows) > _ROW_BLOCK:
+            raise ValueError(f"a ZSpectrum takes at most _ROW_BLOCK = {_ROW_BLOCK} "
+                             f"rows, got {len(rows)}")
         self.rows = rows
         self.n = _fast_len(2 * (rows.shape[-1] - 1))
         self._spec = None

@@ -42,7 +42,7 @@ SMALL = {
     "seed": 7,
 }
 # the identity map meets a negative rough nu on paths 163 and 190 only at
-# level 8 (one 256-row block of the 300), and in both blocks at level 16
+# level 8 (one row block of the 300), and in every block at level 16
 ONE_BLOCK_FAILS = {**SMALL, "rhos": [0.0], "v0": 0.1, "n_paths": 300,
                    "positivity_map": "identity"}
 
@@ -94,7 +94,7 @@ def run_cli(name: str, threads: int, work_dir: Path) -> tuple:
 
 def _estimates() -> dict:
     grid = TimeGrid.from_horizon(1.0, 0.02)
-    n, seed = 300, 11  # 300 paths: a full 256-row block and a ragged one
+    n, seed = 300, 11  # 300 paths: full row blocks and a ragged one
     qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
     quantized = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm)
     out = {}

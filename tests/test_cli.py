@@ -10,6 +10,7 @@ from fracheston import (MeasureKind, PositivityMap, ScenarioConfig, SchemeKind,
                         TimeGrid, VolScheme, load_config, measure_for_atoms)
 from fracheston.cli import _guarded, _write_csv, build_parser, main
 from fracheston.mc import BATCH_SIZE, feynman_kac_leg, map_paths
+from fracheston.vol import _ROW_BLOCK
 from golden.make_golden import ONE_BLOCK_FAILS
 from oracles import csv_text
 
@@ -214,8 +215,9 @@ def test_value_keeps_the_rows_that_do_not_fail(tmp_path, capsys, change, blow_up
 
 def test_guarded_row_failing_in_one_block_yields_nan(tmp_path):
     # the golden value_one_block_fails scenario: at level 8 the identity map
-    # rejects the rough nu on paths 163 and 190 only, inside the first
-    # 256-row block of 300; that block's values are NaN and the row fails
+    # rejects the rough nu on paths 163 and 190 only, which share one
+    # _ROW_BLOCK-row block of the 300; that block's values are NaN and the
+    # row fails
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(ONE_BLOCK_FAILS))
     cfg = load_config(str(cfg))
@@ -228,7 +230,12 @@ def test_guarded_row_failing_in_one_block_yields_nan(tmp_path):
     values, = map_paths([leg], grid, cfg.seed, cfg.n_paths, draw_dBs=False)
     assert [str(exc) for exc in failures] == [
         "identity positivity map applied to a path with negative entries; use abs or exp"]
-    assert np.isnan(values[:256]).all() and np.isfinite(values[256:]).all()
+    blocks = {path // _ROW_BLOCK for path in (163, 190)}
+    assert len(blocks) == 1
+    first = blocks.pop() * _ROW_BLOCK
+    block = np.zeros(len(values), dtype=bool)
+    block[first:first + _ROW_BLOCK] = True
+    assert np.isnan(values[block]).all() and np.isfinite(values[~block]).all()
 
 
 def test_every_flag_overrides_a_scenario_field():

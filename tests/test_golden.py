@@ -8,12 +8,15 @@ codes, stderr) exactly.  The test never skips.
 """
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from golden.make_golden import (HERE, RECORD, RUNS, THREADS, estimates,
-                                platform_fingerprint, run_cli)
+from golden.make_golden import (HERE, RECORD, RUNS, THREADS, _estimates,
+                                estimates, platform_fingerprint, run_cli)
 
 REL_TOL = 1e-12
 _INT = re.compile(r"-?\d+")
@@ -72,6 +75,20 @@ def test_estimates_match_golden():
         assert all(map(_same_cell, map(str, got[name]), map(str, want[name]))), name
         if SAME_PLATFORM:
             assert got[name] == want[name], name
+
+
+def test_one_blas_thread_gives_the_same_rho_estimate():
+    # the Z-tilde's GEMV and GEMMs are the only calls whose bits could
+    # depend on BLAS threading
+    code = ("from golden.make_golden import _estimates; "
+            "print(repr(_estimates()['feynman_kac_rho-0.7']))")
+    paths = [str(HERE.parent.parent / "src"), str(HERE.parent),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == repr(_estimates()["feynman_kac_rho-0.7"])
 
 
 @pytest.mark.parametrize("got, want, same", [

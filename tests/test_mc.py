@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
             assert len(got) == len(want) and all(map(np.array_equal, got, want))
         else:
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rho, bound", [(-0.7, 2.6), (0.0, 1.7)], ids=["tilde", "rho0"])
+def test_batch_holds_few_path_sized_arrays(params, rho, bound):
+    # traced peak of one benchmark-sized Feynman-Kac batch, in arrays of
+    # paths x steps doubles: Z is written over dBz, the Z-tilde adds its nu,
+    # and the row blocks add a fraction of one
+    grid = TimeGrid.from_horizon(1.0, 0.001)
+    p = params.with_(rho=rho)
+    qm = measure_for_atoms(128, p.alpha, MeasureKind.MU)
+    leg = feynman_kac_leg(p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm), grid)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        path_batch([leg], grid, 3, 0, BATCH_SIZE, tilde=True, draw_dBs=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (BATCH_SIZE * grid.steps * 8) < bound
 
 
 def test_kernel_is_built_once_per_leg_per_batch(monkeypatch):

@@ -154,6 +154,49 @@ def test_tilde_z_blocks_match_recurrence(params, rho, lead, grid):
     assert np.max(np.abs(nu - nu_ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.7])
+def test_drivers_write_z_over_their_increments_bit_for_bit(params, rho):
+    # as in mc.path_batch: dBz is drawn into buf[:, 1:] and the driver
+    # writes Z into buf; the steps are not a multiple of the step block
+    grid = TimeGrid(h=0.001, steps=3 * _STEP_BLOCK + 5)
+    qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)
+    p = params.with_(rho=rho, v0=0.01)
+    dBz, dBs = brownian_batch(5, range(40), grid, rho)
+    buf = np.empty((40, grid.steps + 1))
+    got = brownian_batch(5, range(40), grid, rho, out=buf[:, 1:])
+    assert np.shares_memory(got[0], buf)
+    assert np.array_equal(got[0], dBz) and np.array_equal(got[1], dBs)
+
+    z = simulate_cir(p, grid, buf[:, 1:], out=buf)
+    assert np.shares_memory(z, buf)
+    assert np.array_equal(z, simulate_cir(p, grid, dBz))
+    assert np.array_equal(z, simulate_cir_stepwise(p, grid, dBz))
+
+    buf[:, 1:] = dBz
+    z, nu = simulate_tilde_z(p, qm, grid, buf[:, 1:], out=buf)
+    assert np.shares_memory(z, buf)
+    z_out, nu_out = simulate_tilde_z(p, qm, grid, dBz)
+    assert np.array_equal(z, z_out) and np.array_equal(nu, nu_out)
+    # the recurrence sums the factors in another order, so its nu is equal
+    # to rounding only
+    z_ref, nu_ref = simulate_tilde_z_recurrence(p, qm, grid, dBz)
+    assert np.array_equal(z, z_ref)
+    assert np.max(np.abs(nu - nu_ref)) <= 1e-12
+
+
+def test_drivers_reject_an_out_they_cannot_write_rows_into(params, coarse_grid):
+    qm = measure_for_atoms(16, params.alpha, MeasureKind.MU)
+    dBz, _ = brownian_batch(5, range(4), coarse_grid, 0.0)
+    for out in (np.empty((4, coarse_grid.steps)),          # no column for Z_0
+                np.empty((coarse_grid.steps + 1, 4)).T):   # not C-contiguous
+        with pytest.raises(ValueError, match="C-contiguous array of shape"):
+            simulate_cir(params, coarse_grid, dBz, out=out)
+        with pytest.raises(ValueError, match="C-contiguous array of shape"):
+            simulate_tilde_z(params, qm, coarse_grid, dBz, out=out)
+    with pytest.raises(ValueError, match="out must have shape"):
+        brownian_batch(5, range(4), coarse_grid, 0.0, out=np.empty((4, 1)))
+
+
 def test_tilde_z_nu_is_quantized_volatility_at_rho_zero(params):
     grid = TimeGrid(h=0.001, steps=1001)
     qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)

@@ -152,6 +152,15 @@ def test_fft_matches_direct_on_ragged_batch(params):
     assert np.max(np.abs(fft - direct)) < 1e-12
 
 
+def test_spectrum_rejects_more_rows_than_a_block():
+    # nu is written a _ROW_BLOCK-row block at a time, so a larger spectrum
+    # could not be applied to it
+    z = np.zeros((_ROW_BLOCK + 1, 21))
+    assert len(ZSpectrum(z[:_ROW_BLOCK]).rows) == _ROW_BLOCK
+    with pytest.raises(ValueError, match=f"at most _ROW_BLOCK = {_ROW_BLOCK} rows"):
+        ZSpectrum(z)
+
+
 @pytest.mark.parametrize("scheme, alpha, v0", [
     (VolScheme(SchemeKind.FRACTIONAL_EULER), 0.75, 0.03),
     (VolScheme(SchemeKind.ROUGH_MARCHAUD), -0.75, 0.1),
