@@ -21,6 +21,11 @@ update: the factor state advances once per block of steps by two GEMMs,
 and nu inside a block comes from that state plus a buffer of the block's
 Z values, so only the state and one block-long buffer are kept.  Each
 step writes through out= into preallocated rows, so it allocates nothing.
+The two GEMMs run over column chunks of the paths (_serial_matmul), each
+below OpenBLAS's threading bound, so a batch's factor updates stay on its
+own thread instead of waking OpenBLAS's pool, whose spinning threads would
+compete with the step loop for the cores.  A GEMM is split only where the
+chunks keep the bits of one call: whole-panel batches of at most 384 atoms.
 """
 from __future__ import annotations
 
@@ -116,6 +121,38 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
 # at most this length.
 _STEP_BLOCK = 32
 
+# OpenBLAS runs a GEMM on the calling thread when m*n*k is at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (4), and on its thread pool above that.
+_SERIAL_GEMM_MNK = 1 << 18
+# A chunk keeps the bits of one GEMM only where OpenBLAS's small-matrix
+# kernel, which serial-sized chunks reach, agrees with its large kernel: on
+# whole panels of 8 columns (C's columns are the paths), not on a tail of
+# n % 8, and for k at most GEMM_Q = 384, which the large kernel sums in one
+# block (seen with OpenBLAS 0.3.31 on AVX-512 x86-64; tests/test_sim.py pins
+# every split against one call).  The bound is on max(m, k), so that
+# simulate_tilde_z's GEMMs (b, atoms) @ (atoms, n) and (atoms, b) @ (b, n)
+# split together: once one must wake the pool, narrow chunks of the other
+# only cost more per column than one call.
+_GEMM_PANEL = 8
+_GEMM_Q = 384
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b, out=out) for a (m, k) and b (k, n), bit for bit, over
+    column chunks of at most _SERIAL_GEMM_MNK // (m*k) columns, rounded down
+    to whole panels, so that each GEMM runs on the calling thread and
+    OpenBLAS's pool stays asleep instead of spinning against the caller.
+    A GEMM that cannot be split without moving a bit (see _GEMM_PANEL) is
+    one call."""
+    m, k = a.shape
+    n = b.shape[1]
+    width = _SERIAL_GEMM_MNK // (m * k) // _GEMM_PANEL * _GEMM_PANEL
+    if width == 0 or n % _GEMM_PANEL or max(m, k) > _GEMM_Q:
+        return np.matmul(a, b, out=out)
+    for c in range(0, n, width):
+        np.matmul(a, b[:, c:c + width], out=out[:, c:c + width])
+    return out
+
 
 def _path_rows(out: np.ndarray | None, dBz: np.ndarray, steps: int) -> np.ndarray:
     """The (paths, steps+1) rows a driver writes its path into: a new array,
@@ -189,9 +226,11 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
     for the near one, and Y_{s+B} = d^B Y_s + (Z+ buffer) @ G with
     G[t, i] = (1 - d_i)/x_i d_i^{B-1-t}, a second GEMM.  Only Y and one
     B-step buffer are kept, so large batches stay memory-light, and each
-    step writes into preallocated rows, so it allocates nothing.  This is
-    the per-step recurrence Y_{k+1} = d Y_k + Z+_k (1 - d)/x with its sums
-    reordered.  The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu)
+    step writes into preallocated rows, so it allocates nothing.  Both
+    GEMMs go through _serial_matmul, which runs them on this thread in
+    column chunks where that keeps the bits of one call; the per-step dot
+    is always one call.  This is the per-step recurrence
+    Y_{k+1} = d Y_k + Z+_k (1 - d)/x with its sums reordered.  The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu)
     vanishes at rho = 0, where the path coincides with simulate_cir bit for
     bit.  Shapes: dBz.shape[:-1] + (steps+1,); z is written into out if
     given (which may be the array whose [..., 1:] is dBz, see _path_rows).
@@ -223,7 +262,7 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
     for s in range(0, steps, blk):
         b = min(blk, steps - s)
         db_blk[:b] = db[:, s:s + b].T
-        np.matmul(far[:b], y, out=hist[:b])
+        _serial_matmul(far[:b], y, out=hist[:b])
         hist[:b] += p.v0
         for t in range(b):
             # Z+ = max(Z, 0), corr = coef sqrt(Z+ max(nu, 0)) and
@@ -250,7 +289,7 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
         nu[:, s + 1:s + b + 1] = nu_blk[:b].T
         if s + b < steps:
             y *= powers[blk, :, None]
-            y += np.matmul(push, zp_blk, out=y_push)
+            y += _serial_matmul(push, zp_blk, out=y_push)
     shape = dBz.shape[:-1] + (steps + 1,)
     return np.maximum(z, 0.0, out=z).reshape(shape), nu.reshape(shape)
 

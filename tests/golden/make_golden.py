@@ -64,7 +64,8 @@ THREADS = (1, 2)
 
 def platform_fingerprint() -> str:
     """numpy version, SIMD targets and BLAS: what the bit-for-bit pins rest
-    on (numpy's exp kernels, pocketfft and the BLAS ddot)."""
+    on (numpy's exp kernels, pocketfft and the BLAS kernels: the Riccati
+    ddot, the Z-tilde dgemm and dgemv)."""
     line = f"numpy {np.__version__}"
     try:
         info = np.show_config(mode="dicts")

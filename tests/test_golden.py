@@ -78,8 +78,9 @@ def test_estimates_match_golden():
 
 
 def test_one_blas_thread_gives_the_same_rho_estimate():
-    # the Z-tilde's GEMV and GEMMs are the only calls whose bits could
-    # depend on BLAS threading
+    # the byte pins rest on the Z-tilde dgemv and dgemms as well as on the
+    # Riccati ddot; the dgemv and any dgemm that sim._serial_matmul leaves
+    # whole may run on OpenBLAS's pool, so one BLAS thread must not move a bit
     code = ("from golden.make_golden import _estimates; "
             "print(repr(_estimates()['feynman_kac_rho-0.7']))")
     paths = [str(HERE.parent.parent / "src"), str(HERE.parent),

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from fracheston import (MeasureKind, TimeGrid, brownian_batch,
                         measure_for_atoms, nu_quantized_paths, simulate_cir,
                         simulate_stock, simulate_tilde_z, simulate_wealth)
-from fracheston.sim import _STEP_BLOCK, terminal_wealth
+from fracheston import sim
+from fracheston.sim import (_GEMM_PANEL, _GEMM_Q, _SERIAL_GEMM_MNK, _STEP_BLOCK,
+                           _serial_matmul, terminal_wealth)
 from fracheston.mc import BATCH_SIZE
 from oracles import (RngSpec, brownian_pair, cov_cir, optimal_wealth_closed_form,
                      sample_cir_exact, simulate_cir_stepwise, simulate_factors,
@@ -152,6 +154,87 @@ def test_tilde_z_blocks_match_recurrence(params, rho, lead, grid):
     assert z.shape == nu.shape == lead + (grid.steps + 1,)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
     assert np.max(np.abs(nu - nu_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("level, n_atoms", [(256, 286), (512, 574)])
+@pytest.mark.parametrize("n", [301, 304])
+def test_tilde_z_blocks_match_recurrence_at_many_atoms(params, level, n_atoms, n):
+    # 304 paths are split into chunks at 286 atoms; 301 (not whole panels)
+    # and 574 atoms (deeper than _GEMM_Q) keep each GEMM one call
+    grid = TimeGrid(h=0.001, steps=3 * _STEP_BLOCK + 5)
+    qm = measure_for_atoms(level, params.alpha, MeasureKind.MU)
+    assert qm.n_atoms == n_atoms
+    p = params.with_(rho=-0.7, v0=0.01)
+    dBz = brownian_batch(5, range(n), grid, p.rho)[0]
+    z, nu = simulate_tilde_z(p, qm, grid, dBz)
+    z_ref, nu_ref = simulate_tilde_z_recurrence(p, qm, grid, dBz)
+    assert np.max(np.abs(z - z_ref)) <= 1e-12
+    assert np.max(np.abs(nu - nu_ref)) <= 1e-12
+
+
+def _driver_gemms(n_atoms, b, n, gen):
+    """The two per-block GEMM operands of simulate_tilde_z, laid out as the
+    driver lays them out: far[:b] @ y and push @ zp_blk."""
+    far = gen.random((_STEP_BLOCK, n_atoms))[:b]
+    y = gen.standard_normal((n_atoms, n))
+    push = gen.random((b, n_atoms)).T  # a transposed view, as in the driver
+    zp_blk = gen.random((b, n))
+    return (far, y), (push, zp_blk)
+
+
+@pytest.mark.parametrize("n_atoms", [16, 142, 286, 574])
+@pytest.mark.parametrize("b", [_STEP_BLOCK, 7])
+@pytest.mark.parametrize("n", [1, 300, 2048, 2049])
+def test_serial_matmul_is_one_matmul_bit_for_bit(monkeypatch, n_atoms, b, n):
+    matmul = np.matmul
+    for a, rhs in _driver_gemms(n_atoms, b, n, np.random.default_rng(n_atoms + n)):
+        want = matmul(a, rhs)
+        calls = []
+
+        def spy(x, y, out):
+            calls.append(y.shape[1])
+            return matmul(x, y, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = _serial_matmul(a, rhs, np.empty_like(want))
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        assert sum(calls) == n
+        m, k = a.shape
+        if n == 2048 and n_atoms <= _GEMM_Q and m * k * n > _SERIAL_GEMM_MNK:
+            assert len(calls) > 1  # a full batch is split
+        if n_atoms > _GEMM_Q:
+            assert len(calls) == 1  # both GEMMs, though push's k is only b
+        if len(calls) > 1:
+            # whole panels that each run below OpenBLAS's threading bound,
+            # 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
+            assert all(w % _GEMM_PANEL == 0 and m * k * w <= 2 ** 18 for w in calls)
+        else:
+            # one call only where a split would move bits or gains nothing
+            assert (n % _GEMM_PANEL or n_atoms > _GEMM_Q
+                    or m * k * n <= _SERIAL_GEMM_MNK)
+
+
+@pytest.mark.parametrize("level", [128, 256])
+def test_tilde_z_is_bit_for_bit_the_unsplit_gemms(monkeypatch, params, level):
+    grid = TimeGrid(h=0.001, steps=2 * _STEP_BLOCK + 3)
+    qm = measure_for_atoms(level, params.alpha, MeasureKind.MU)
+    p = params.with_(rho=-0.7, v0=0.01)
+    dBz = brownian_batch(5, range(2048), grid, p.rho)[0]
+    calls = []
+
+    def counted(a, b, out):
+        calls.append(a.shape)
+        return _serial_matmul(a, b, out)
+
+    monkeypatch.setattr(sim, "_serial_matmul", counted)
+    z, nu = simulate_tilde_z(p, qm, grid, dBz)
+    # the far history of each of the 3 blocks and the push between them
+    assert len(calls) == 3 + 2
+    monkeypatch.setattr(sim, "_serial_matmul",
+                        lambda a, b, out: np.matmul(a, b, out=out))
+    z_one, nu_one = simulate_tilde_z(p, qm, grid, dBz)
+    assert np.array_equal(z, z_one) and np.array_equal(nu, nu_one)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.7])
