@@ -11,23 +11,19 @@ import json
 import sys
 import tempfile
 
-from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
-                        VolScheme, default_params, measure_for_atoms,
-                        merton_ratio, mc_utility)
+from fracheston import (PositivityMap, Regime, TimeGrid, VolScheme,
+                        default_params, measure_for_atoms, merton_ratio,
+                        mc_utility)
 from fracheston.cli import main
+from fracheston.mc import REGIMES
 
 
 def utility_table(alpha, n_paths, step, seed, threads):
     p = default_params(alpha=alpha)
     grid = TimeGrid.from_horizon(p.horizon, step)
-    if alpha > 0:
-        qm = measure_for_atoms(64, alpha, MeasureKind.MU)
-        scheme = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm)
-        pmap = PositivityMap.IDENTITY
-    else:
-        qm = measure_for_atoms(64, alpha, MeasureKind.MU_TILDE)
-        scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm)
-        pmap = PositivityMap.ABSOLUTE
+    _, measure, quantized, _ = REGIMES[p.regime]
+    scheme = VolScheme(quantized, qm=measure_for_atoms(64, alpha, measure))
+    pmap = PositivityMap.ABSOLUTE if p.regime is Regime.ROUGH else PositivityMap.IDENTITY
     star = merton_ratio(p)
     print(f"alpha={alpha}  pi_star={star:.6f}")
     for c in (0.5, 0.8, 1.0, 1.2, 1.5):

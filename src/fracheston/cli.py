@@ -18,17 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, file_tag, load_config
-from .mc import (ConvergenceRow, McEstimate, convergence_study, feynman_kac_leg,
-                 map_paths, path_batch)
+from .mc import (REGIMES, ConvergenceRow, McEstimate, convergence_study,
+                 feynman_kac_leg, map_paths, path_batch)
 from .params import ModelParams, Regime, merton_ratio
-from .quantize import MeasureKind, dyadic_chain, measure_for_atoms
-from .riccati import (RiccatiBlowUp, solve_riccati_finite, solve_riccati_limit,
-                      solve_riccati_rough, value_function)
+from .quantize import dyadic_chain, measure_for_atoms
+from .riccati import RiccatiBlowUp, value_function
 # brownian_batch is not called here: perfbench/test_gates.py checks the
 # tracer's rebinding on fracheston.cli.brownian_batch
 from .sim import (TimeGrid, brownian_batch, simulate_stock,  # noqa: F401
                   simulate_wealth, terminal_wealth)
-from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
+from .vol import PositivityMap, VolScheme, apply_positivity
 
 FMT = "%.17g"
 
@@ -64,11 +63,7 @@ def _write_manifest(out_dir: Path, files: list, cfg: ScenarioConfig) -> None:
 
 
 def _scheme_for(p: ModelParams, cfg: ScenarioConfig) -> VolScheme:
-    if p.regime is Regime.CLASSICAL_HESTON:
-        return VolScheme(SchemeKind.CLASSICAL)
-    if p.regime is Regime.FRACTIONAL:
-        return VolScheme(SchemeKind.FRACTIONAL_EULER)
-    return VolScheme(SchemeKind.ROUGH_MARCHAUD, delta=cfg.delta)
+    return VolScheme(REGIMES[p.regime].direct, delta=cfg.delta)
 
 
 def _stock_map(p: ModelParams, cfg: ScenarioConfig) -> PositivityMap:
@@ -128,11 +123,8 @@ def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
     """Quantized measures (atoms and weights) per alpha and refinement level."""
     files = []
     for alpha in cfg.alphas:
-        p = cfg.model_params(alpha, 0.0)
-        if p.regime is Regime.CLASSICAL_HESTON:
-            continue
-        kind = MeasureKind.MU if p.regime is Regime.FRACTIONAL else MeasureKind.MU_TILDE
-        for n in cfg.levels:
+        kind = REGIMES[cfg.model_params(alpha, 0.0).regime].measure
+        for n in cfg.levels if kind else ():  # classical has no measure
             qm = measure_for_atoms(n, alpha, kind)
             pts = qm.source.points
             name = f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv"
@@ -169,20 +161,13 @@ def cmd_value(cfg: ScenarioConfig, out_dir: Path, errors: list) -> list:
         wfac = p.w0 ** p.gamma / p.gamma
         # the rough leg carries the wealth factor, as in mc_value_rough
         scale, k = (wfac, 1.0) if p.regime is Regime.ROUGH else (1.0, wfac)
+        _, measure, quantized, riccati = REGIMES[p.regime]
         # levels are irrelevant without a quantized measure
-        for level in cfg.levels[:1] if p.regime is Regime.CLASSICAL_HESTON else cfg.levels:
+        for level in cfg.levels if measure else cfg.levels[:1]:
             try:
-                if p.regime is Regime.FRACTIONAL:
-                    qm = measure_for_atoms(level, alpha, MeasureKind.MU)
-                    sol = solve_riccati_finite(qm, p, ode_step=cfg.step)
-                    scheme = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm)
-                elif p.regime is Regime.ROUGH:
-                    qm = measure_for_atoms(level, alpha, MeasureKind.MU_TILDE)
-                    sol = solve_riccati_rough(qm, p, ode_step=cfg.step)
-                    scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm)
-                else:
-                    sol = solve_riccati_limit(p, ode_step=cfg.step, alpha=0.0)
-                    scheme = VolScheme(SchemeKind.CLASSICAL)
+                qm = measure and measure_for_atoms(level, alpha, measure)
+                sol = riccati(qm, p, cfg.step)
+                scheme = VolScheme(quantized, qm=qm)
                 failures = []
                 legs.append(_guarded(feynman_kac_leg(
                     p, scheme, grid, _stock_map(p, cfg), scale), failures))
@@ -289,8 +274,8 @@ def cmd_converge(cfg: ScenarioConfig, out_dir: Path) -> list:
     alpha = _converge_alpha(cfg)
     p = cfg.model_params(alpha, 0.0)
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    base = measure_for_atoms(cfg.levels[0], alpha, MeasureKind.MU)
-    qms = dyadic_chain(base.n_atoms, alpha, MeasureKind.MU, len(cfg.levels))
+    base = measure_for_atoms(cfg.levels[0], alpha, REGIMES[p.regime].measure)
+    qms = dyadic_chain(base.n_atoms, alpha, base.kind, len(cfg.levels))
     rows = convergence_study(p, qms, cfg.n_paths, grid, cfg.seed, cfg.threads)
     _write_csv(out_dir / "converge.csv",
                [f.name for f in dataclasses.fields(ConvergenceRow)],

@@ -11,19 +11,22 @@ once for every leg that convolves it, and a leg's nu, positivity map and
 integrand exist one block at a time, so no full-size nu is held.  The
 rho != 0 Z-tilde depends on nu, so it drives a single leg, whose nu is
 sliced per block.  One Feynman-Kac leg serves both value estimators;
-utility legs read the terminal wealth only.
+utility legs read the terminal wealth only.  REGIMES is the one table from
+a regime to its schemes, quantized measure and Riccati system.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import ModelParams, Regime, merton_ratio
-from .quantize import QuantizedMeasure, approx_kernel, frac_kernel
-from .riccati import solve_riccati_finite, value_function
+from .quantize import MeasureKind, QuantizedMeasure, approx_kernel, frac_kernel
+from .riccati import (solve_riccati_finite, solve_riccati_limit, solve_riccati_rough,
+                      value_function)
 from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_tilde_z,
                   terminal_wealth)
 from .vol import (_ROW_BLOCK, PositivityMap, SchemeKind, VolScheme, ZSpectrum,
@@ -31,6 +34,19 @@ from .vol import (_ROW_BLOCK, PositivityMap, SchemeKind, VolScheme, ZSpectrum,
 
 BATCH_SIZE = 2048
 MONOTONE_PATHS = 100
+
+# Per regime: the direct scheme, the quantized measure (None for classical,
+# where levels do not apply), the quantized scheme and riccati(qm, p, ode_step).
+RegimeRow = namedtuple("RegimeRow", "direct measure quantized riccati")
+REGIMES = {
+    Regime.FRACTIONAL: RegimeRow(SchemeKind.FRACTIONAL_EULER, MeasureKind.MU,
+                                 SchemeKind.QUANTIZED_FRACTIONAL, solve_riccati_finite),
+    Regime.ROUGH: RegimeRow(SchemeKind.ROUGH_MARCHAUD, MeasureKind.MU_TILDE,
+                            SchemeKind.QUANTIZED_ROUGH, solve_riccati_rough),
+    Regime.CLASSICAL_HESTON: RegimeRow(
+        SchemeKind.CLASSICAL, None, SchemeKind.CLASSICAL,
+        lambda qm, p, ode_step: solve_riccati_limit(p, ode_step=ode_step, alpha=0.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -218,7 +234,7 @@ def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
     kind): the feynman_kac_leg at c = 1, scaled by the wealth factor."""
     if p.rho != 0.0:
         raise ValueError("the rough value estimator is defined for rho = 0")
-    leg = feynman_kac_leg(p, VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm_tilde),
+    leg = feynman_kac_leg(p, VolScheme(REGIMES[Regime.ROUGH].quantized, qm=qm_tilde),
                           grid, pos_map, p.w0 ** p.gamma / p.gamma)
     values, = map_paths([leg], grid, master_seed, n_paths, threads, draw_dBs=False)
     return McEstimate.of(values)
@@ -249,17 +265,17 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
     """
     if p.regime is not Regime.FRACTIONAL:
         raise ValueError("the convergence study runs in the fractional regime")
-    schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm) for qm in qms]
+    direct, _, quantized, riccati = REGIMES[p.regime]
+    schemes = [VolScheme(quantized, qm=qm) for qm in qms]
     nus = path_batch([(p, s, None, lambda dBs, z, nu: nu) for s in schemes], grid,
                      master_seed, 0, MONOTONE_PATHS, draw_dBs=False)
     utility = _utility(p, merton_ratio(p), grid)
     euler_util, *utils = map(McEstimate.of, map_paths(
         [(p, s, PositivityMap.IDENTITY, utility)
-         for s in [VolScheme(SchemeKind.FRACTIONAL_EULER), *schemes]],
+         for s in [VolScheme(direct), *schemes]],
         grid, master_seed, n_paths, threads))
     rows = []
-    values = [value_function(p, solve_riccati_finite(qm, p, ode_step=grid.h)).value
-              for qm in qms]
+    values = [value_function(p, riccati(qm, p, grid.h)).value for qm in qms]
     for i, (qm, util) in enumerate(zip(qms, utils)):
         if i + 1 < len(qms):
             violations = int(np.sum(nus[i] > nus[i + 1] + 1e-12))

@@ -167,17 +167,9 @@ def solve_riccati_limit(p: ModelParams, ode_step: float = 1e-3,
     return _rk4_system(forcing, p, ode_step)
 
 
-def h_closed_form(t: float, horizon: float, qm: QuantizedMeasure) -> float:
-    """h^n(t) = sum_i q~_i (1 - e^{-x_i t})(1 - e^{-x_i (T-t)}) / x_i^2.
-
-    Closed form of the triple integral of e^{-x(s+u)} over
-    [0,t] x [0,T-t] against mu~^n; vanishes at t = 0 and t = T.
-    """
-    return float(np.dot(qm.weights, _h_terms(t, horizon, qm.nodes)[0]))
-
-
 def _h_terms(t, horizon: float, x: np.ndarray) -> np.ndarray:
-    """Per-atom terms of h^n, one row per entry of t (a scalar or array)."""
+    """Per-atom terms of h^n(t) = sum_i q~_i (1 - e^{-x_i t})(1 - e^{-x_i (T-t)})
+    / x_i^2, one row per entry of t (a scalar or array)."""
     return ((1.0 - np.exp(np.outer(t, -x))) * (1.0 - np.exp(np.outer(horizon - t, -x)))
             / x ** 2)
 

@@ -14,6 +14,7 @@ CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -25,7 +26,7 @@ import numpy as np
 from fracheston import (MeasureKind, TimeGrid, default_params, mc_feynman_kac,
                         mc_utility, mc_value_rough, measure_for_atoms, merton_ratio)
 from fracheston.cli import main
-from fracheston.mc import BATCH_SIZE
+from fracheston.mc import BATCH_SIZE, map_paths
 from fracheston.vol import PositivityMap, SchemeKind, VolScheme
 
 HERE = Path(__file__).resolve().parent
@@ -61,6 +62,17 @@ RUNS = {
 }
 THREADS = (1, 2)
 
+# rho = -0.7 Feynman-Kac estimates sized to reach each branch of
+# sim._serial_matmul: name -> (target atoms, paths).  At 142 atoms a
+# 2048-path batch's Z-tilde GEMMs are split into serial column chunks; a
+# ragged 2047-path second batch and 574 atoms keep them one pooled call.
+GEMM_CASES = {
+    "feynman_kac_142x4096_split": (128, 4096),
+    "feynman_kac_142x4095_ragged": (128, 4095),
+    "feynman_kac_574x4096_pooled": (512, 4096),
+}
+GEMM_GRID = TimeGrid.from_horizon(1.0, 5e-3)
+
 
 def platform_fingerprint() -> str:
     """numpy version, SIMD targets and BLAS: what the bit-for-bit pins rest
@@ -93,6 +105,35 @@ def run_cli(name: str, threads: int, work_dir: Path) -> tuple:
     return code, err.getvalue(), files
 
 
+def _gemm_cases():
+    """(name, params, quantized scheme, paths) of each GEMM_CASES entry."""
+    p = default_params(rho=-0.7)
+    for name, (atoms, n) in GEMM_CASES.items():
+        qm = measure_for_atoms(atoms, 0.75, MeasureKind.MU)
+        yield name, p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm), n
+
+
+def gemm_estimates(threads: int = 1) -> dict:
+    """The GEMM_CASES estimates, on a coarser grid than _estimates'."""
+    return {name: mc_feynman_kac(p, scheme, n, GEMM_GRID, 11, threads)
+            for name, p, scheme, n in _gemm_cases()}
+
+
+def gemm_digests(threads: int = 1) -> dict:
+    """name -> sha256 of each GEMM_CASES run's Z-tilde paths z and nu.
+
+    An estimate can hide a moved last bit of the GEMMs: nu enters it as
+    exp(eta/c h sum(nu)), with eta/c h about -3e-4 here.  The digests see
+    every bit.  They are not recorded, only compared across BLAS and worker
+    thread counts."""
+    out = {}
+    for name, p, scheme, n in _gemm_cases():
+        paths, = map_paths([(p, scheme, None, lambda dBs, z, nu: np.hstack([z, nu]))],
+                           GEMM_GRID, 11, n, threads, tilde=True, draw_dBs=False)
+        out[name] = hashlib.sha256(paths.tobytes()).hexdigest()
+    return out
+
+
 def _estimates() -> dict:
     grid = TimeGrid.from_horizon(1.0, 0.02)
     n, seed = 300, 11  # 300 paths: full row blocks and a ragged one
@@ -109,13 +150,14 @@ def _estimates() -> dict:
         default_params(alpha=-0.75),
         measure_for_atoms(16, -0.75, MeasureKind.MU_TILDE),
         PositivityMap.ABSOLUTE, n, grid, seed)
-    return out
+    return {**out, **gemm_estimates()}
 
 
-def estimates() -> dict:
-    """name -> [mean, std_error] as 17-digit strings, and n_paths."""
+def estimates(ests: dict) -> dict:
+    """name -> [mean, std_error] as 17-digit strings, and n_paths, of the
+    _estimates() ests."""
     return {name: ["%.17g" % e.mean, "%.17g" % e.std_error, e.n_paths]
-            for name, e in _estimates().items()}
+            for name, e in ests.items()}
 
 
 def main_golden() -> None:
@@ -133,7 +175,7 @@ def main_golden() -> None:
                 (target / fname).write_bytes(data)
             runs[name] = {"exit": code, "stderr": err, "files": sorted(files)}
     record = {"fingerprint": platform_fingerprint(), "runs": runs,
-              "estimates": estimates()}
+              "estimates": estimates(_estimates())}
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 

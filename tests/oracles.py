@@ -9,10 +9,10 @@ recurrence behind the quantized volatility and the rho != 0 Z-tilde
 driver, a Girsanov-weighted Feynman-Kac estimator on the physical Z, the
 O(k^2) sums of the direct Euler schemes, the unfused FFT convolution
 behind the fused volatility sum, the per-node Riccati forcings behind the
-batched ones, the exact CIR law, the mixing densities, the CIR and
-volatility covariances, and the per-cell CSV formatting behind the row
-formats of the CLI writer.  None of it is part
-of the library; the tests import it from here.
+batched ones, the closed form h^n of the rough Riccati, the exact CIR law,
+the mixing densities, the CIR and volatility covariances, and the per-cell
+CSV formatting behind the row formats of the CLI writer.  None of it is
+part of the library; the tests import it from here.
 """
 from __future__ import annotations
 
@@ -366,14 +366,10 @@ def solve_riccati_rough_per_node(qm: QuantizedMeasure, p: ModelParams,
     eta = p.derived().eta
     kap, sig2 = p.kappa, p.sigma ** 2
     gna = gamma_fn(-alpha)
-    x, q = qm.nodes, qm.weights
 
     def forcing(tau):
-        t = horizon - tau
-        hn = float(np.dot(q, (1.0 - np.exp(-x * t)) * (1.0 - np.exp(-x * (horizon - t)))
-                          / x ** 2))
         return (eta * ((horizon - tau) ** (-alpha) - horizon ** (-alpha)) / (alpha * gna),
-                hn)
+                h_closed_form(horizon - tau, horizon, qm))
 
     def deriv(f, vs):
         psing, hn = f
@@ -387,6 +383,18 @@ def solve_riccati_rough_per_node(qm: QuantizedMeasure, p: ModelParams,
 
 
 # --- closed forms and exact laws ---
+
+
+def h_closed_form(t: float, horizon: float, qm: QuantizedMeasure) -> float:
+    """h^n(t) = sum_i q~_i (1 - e^{-x_i t})(1 - e^{-x_i (T-t)}) / x_i^2, the
+    rough Riccati's h.
+
+    Closed form of the triple integral of e^{-x(s+u)} over
+    [0,t] x [0,T-t] against mu~^n; vanishes at t = 0 and t = T.
+    """
+    x = qm.nodes
+    return float(np.dot(qm.weights, (1.0 - np.exp(-x * t))
+                        * (1.0 - np.exp(-x * (horizon - t))) / x ** 2))
 
 
 def sample_cir_exact(p: ModelParams, t: float, n: int,

@@ -115,6 +115,23 @@ def test_value_outputs(tmp_path, cfg_path):
     assert all(r[7] == "0" for r in rows)
 
 
+def test_classical_alias_runs_as_alpha_zero(tmp_path):
+    # -1 and 0 both name the classical model, and the regime table is keyed
+    # by the params' regime, not by the scenario's alpha
+    rows = []
+    for i, alpha in enumerate([-1, 0]):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({**SMALL, "alphas": [alpha]}))
+        for command in ("value", "quantize"):
+            out = tmp_path / f"{command}{i}"
+            assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+        assert [f.name for f in (tmp_path / f"quantize{i}").iterdir()] == ["manifest.csv"]
+        row, = (tmp_path / f"value{i}" / "value.csv").read_text().splitlines()[1:]
+        rows.append(row.split(","))
+    assert [r[1] for r in rows] == ["-1", "0"]
+    assert rows[0][:1] + rows[0][2:] == rows[1][:1] + rows[1][2:]
+
+
 def test_wealth_outputs(tmp_path, cfg_path):
     out = tmp_path / "out"
     assert _run(cfg_path, out, "wealth") == 0

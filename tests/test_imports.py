@@ -1,12 +1,14 @@
 """Every name a library module imports is used by that module, every
-library name the benchmark and the scripts reach still resolves, and the
-CLI imports without scipy."""
+library name the benchmark and the scripts reach still resolves, the
+package's public names are the pinned list, and the CLI imports without
+scipy."""
 import ast
 import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,31 @@ def _unresolved(module: str, attr) -> bool:
 @pytest.mark.parametrize("path", CONSUMERS, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_benchmark_and_script_library_names_resolve(path):
     assert [n for n in _library_names(path) if _unresolved(*n)] == []
+
+
+# fracheston's public non-module names: adding or removing one is an API
+# change, made here on purpose
+PUBLIC_NAMES = [
+    "AffineValue", "DerivedConstants", "McEstimate", "MeasureKind", "ModelParams",
+    "PositivityMap", "QuantizedMeasure", "Regime", "RiccatiBlowUp",
+    "RiccatiSolution", "ScenarioConfig", "SchemeKind", "TimeGrid", "VolScheme",
+    "apply_positivity", "approx_kernel", "brownian_batch", "convergence_study",
+    "default_params", "dyadic_chain", "frac_kernel", "hurst_of_alpha",
+    "load_config", "map_paths", "mc_feynman_kac", "mc_utility", "mc_value_rough",
+    "measure_for_atoms", "merton_ratio", "nu_fractional_euler",
+    "nu_quantized_paths", "nu_quantized_rough_paths", "nu_rough_marchaud",
+    "path_batch", "psi", "regime_of_alpha", "simulate_cir", "simulate_stock",
+    "simulate_tilde_z", "simulate_wealth", "solve_riccati_finite",
+    "solve_riccati_limit", "solve_riccati_rough", "value_function",
+    "value_function_at_t",
+]
+
+
+def test_public_names_are_pinned():
+    import fracheston
+    assert sorted(name for name, obj in vars(fracheston).items()
+                  if not name.startswith("_")
+                  and not isinstance(obj, types.ModuleType)) == PUBLIC_NAMES
 
 
 def test_cli_import_loads_no_scipy():

@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
+from fracheston import (MeasureKind, PositivityMap, Regime, SchemeKind, TimeGrid,
                         VolScheme, brownian_batch, convergence_study,
                         default_params, mc_feynman_kac, mc_utility,
                         mc_value_rough, measure_for_atoms, merton_ratio,
                         nu_quantized_paths, simulate_cir, simulate_wealth,
-                        solve_riccati_finite)
+                        solve_riccati_finite, solve_riccati_limit,
+                        solve_riccati_rough)
 from fracheston import vol
-from fracheston.mc import (BATCH_SIZE, McEstimate, _map_batches, feynman_kac_leg,
-                           map_paths, path_batch)
+from fracheston.mc import (BATCH_SIZE, REGIMES, McEstimate, _map_batches,
+                           feynman_kac_leg, map_paths, path_batch)
 from fracheston.vol import _ROW_BLOCK, apply_positivity
 from oracles import feynman_kac_girsanov
 
@@ -26,6 +27,37 @@ def quant_scheme(params):
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, std_error=0.0, n_paths=1)
+
+
+def test_every_regime_has_a_row():
+    assert set(REGIMES) == set(Regime)
+
+
+def _same_solution(a, b) -> bool:
+    return (np.array_equal(a.tau_grid, b.tau_grid) and np.array_equal(a.varphi, b.varphi)
+            and np.array_equal(a.phi_big, b.phi_big) and a.blow_up == b.blow_up)
+
+
+@pytest.mark.parametrize("regime, alpha, solver", [
+    (Regime.FRACTIONAL, 0.75, solve_riccati_finite),
+    (Regime.ROUGH, -0.75, solve_riccati_rough),
+])
+def test_regime_row_builds_its_quantized_scheme_and_riccati(regime, alpha, solver):
+    row = REGIMES[regime]
+    p = default_params(alpha=alpha)
+    assert p.regime is regime
+    qm = measure_for_atoms(16, alpha, row.measure)
+    VolScheme(row.quantized, qm=qm)  # rejects a measure of the other kind
+    assert _same_solution(row.riccati(qm, p, 0.01), solver(qm, p, ode_step=0.01))
+
+
+def test_classical_row_has_no_measure():
+    row = REGIMES[Regime.CLASSICAL_HESTON]
+    assert row.measure is None
+    assert row.direct is row.quantized is SchemeKind.CLASSICAL
+    p = default_params(alpha=0.0)
+    assert _same_solution(row.riccati(None, p, 0.01),
+                          solve_riccati_limit(p, ode_step=0.01, alpha=0.0))
 
 
 def test_map_batches_order_independent_of_threads():

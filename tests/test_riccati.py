@@ -9,8 +9,7 @@ from fracheston import (MeasureKind, RiccatiBlowUp, TimeGrid, brownian_batch,
                         psi, simulate_cir, solve_riccati_finite,
                         solve_riccati_limit, solve_riccati_rough,
                         value_function, value_function_at_t)
-from fracheston.riccati import h_closed_form
-from oracles import (simulate_factors, solve_riccati_finite_per_node,
+from oracles import (h_closed_form, simulate_factors, solve_riccati_finite_per_node,
                      solve_riccati_limit_per_node, solve_riccati_rough_per_node)
 
 ETA = -1.0 / 12.0  # lam=0.5, gamma=-2
