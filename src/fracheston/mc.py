@@ -9,10 +9,12 @@ over its own increments, then runs the legs over blocks of 128 rows:
 each leg's kernel is built once per batch, each block's Z is transformed
 once for every leg that convolves it, and a leg's nu, positivity map and
 integrand exist one block at a time, so no full-size nu is held.  The
-rho != 0 Z-tilde depends on nu, so it drives a single leg, whose nu is
-sliced per block.  One Feynman-Kac leg serves both value estimators;
-utility legs read the terminal wealth only.  REGIMES is the one table from
-a regime to its schemes, quantized measure and Riccati system.
+rho != 0 Z-tilde depends on nu, so it drives a single leg.  There the
+driver writes nu over the increments in place of Z-tilde, which nothing
+reads, and the leg gets nu sliced per block and z=None.  One Feynman-Kac
+leg serves both value estimators; utility legs read the terminal wealth
+only.  REGIMES is the one table from a regime to its schemes, quantized
+measure and Riccati system.
 """
 from __future__ import annotations
 
@@ -109,28 +111,30 @@ def _joined(parts: list):
     return np.concatenate(parts)
 
 
-def _run_blocks(legs, grid: TimeGrid, dBs, z: np.ndarray, nu=None) -> list:
+def _run_blocks(legs, grid: TimeGrid, dBs, z: np.ndarray | None, nu=None) -> list:
     """Each leg's integrand over blocks of _ROW_BLOCK rows of the batch.
 
     Each leg's kernel is built once; per block, Z is transformed once for
     all the legs that need it, and each leg's nu exists for that block
-    only.  A driver's nu (Z-tilde) is sliced instead.  No rows still make
-    one block, so every integrand runs and keeps its output's shape."""
+    only.  With a driver's nu (Z-tilde), z is None: nu is sliced instead,
+    and the leg gets z=None.  No rows still make one block, so every
+    integrand runs and keeps its output's shape."""
     kernels = [None if nu is not None else scheme.kernel(p, grid)
                for p, scheme, _, _ in legs]
     parts = [[] for _ in legs]
-    for a in range(0, max(len(z), 1), _ROW_BLOCK):
+    for a in range(0, max(len(nu if z is None else z), 1), _ROW_BLOCK):
         rows = slice(a, a + _ROW_BLOCK)
-        spectrum = ZSpectrum(z[rows])
+        z_rows = None if z is None else z[rows]
+        spectrum = None if z is None else ZSpectrum(z_rows)
         dBs_rows = None if dBs is None else dBs[rows]
         for (p, scheme, pos_map, integrand), kernel, part in zip(legs, kernels, parts):
             if nu is not None:
                 nu_rows = nu[rows]
             else:
-                nu_rows = scheme.nu_paths(p, spectrum.rows, grid, kernel, spectrum)
+                nu_rows = scheme.nu_paths(p, z_rows, grid, kernel, spectrum)
             if pos_map is not None:
                 nu_rows = apply_positivity(nu_rows, pos_map)
-            part.append(integrand(dBs_rows, spectrum.rows, nu_rows))
+            part.append(integrand(dBs_rows, z_rows, nu_rows))
     return [_joined(part) for part in parts]
 
 
@@ -142,8 +146,9 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     The legs share rho and the CIR constants, so the Brownian pair and Z
     are drawn once.  dBz only drives Z: it is drawn into the [:, 1:] of
     the array Z is written into, so Z overwrites its own increments, and
-    the Z-tilde step allocates nothing per step.  The path-sized arrays
-    are Z, dBs if drawn and the Z-tilde's nu.
+    the Z-tilde step allocates nothing per step.  The Z-tilde driver
+    writes its nu, not Z-tilde, over the increments instead.  So the
+    path-sized arrays are one for Z (or the Z-tilde's nu) and dBs if drawn.
     The legs then run over blocks of at most _ROW_BLOCK (128) rows: per
     block, every leg gets the block's read-only dBs and Z and its own nu,
     after pos_map (raw with pos_map=None), and the integrand is called
@@ -152,19 +157,21 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     block outputs are kept until the batch ends, so an integrand copies a
     slice (w[..., -1]) rather than return a view of the block.  tilde=True
     drives a single quantized fractional leg by the Feynman-Kac Z-tilde
-    (others raise ValueError at rho != 0; at rho = 0 it is Z).
+    (others raise ValueError at rho != 0; at rho = 0 it is Z); at rho != 0
+    that leg gets z=None, since Z-tilde is not kept, and a read-only nu.
     draw_dBs=False passes dBs=None, for legs that do not read it.
     """
     p = _driver_params(legs, tilde)
-    # dBz is drawn into z[:, 1:], and Z is written over its own increments
-    z = np.empty((stop - start, grid.steps + 1))
+    # dBz is drawn into paths[:, 1:], and Z (or the Z-tilde's nu) is
+    # written over its own increments
+    paths = np.empty((stop - start, grid.steps + 1))
     dBz, dBs = brownian_batch(master_seed, range(start, stop), grid, p.rho,
-                              draw_dBs, out=z[:, 1:])
+                              draw_dBs, out=paths[:, 1:])
     if tilde and p.rho != 0.0:
-        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, dBz, out=z)
+        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, dBz, out=paths, keep_z=False)
     else:
-        z, nu = simulate_cir(p, grid, dBz, out=z), None
-    for a in (dBs, z):
+        z, nu = simulate_cir(p, grid, dBz, out=paths), None
+    for a in (dBs, z, nu):
         if a is not None:
             a.flags.writeable = False
     return _run_blocks(legs, grid, dBs, z, nu)

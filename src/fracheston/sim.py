@@ -21,11 +21,16 @@ update: the factor state advances once per block of steps by two GEMMs,
 and nu inside a block comes from that state plus a buffer of the block's
 Z values, so only the state and one block-long buffer are kept.  Each
 step writes through out= into preallocated rows, so it allocates nothing.
+With keep_z=False it writes nu, not Z-tilde, over the increments in out=
+and keeps no Z-tilde, so mc's Feynman-Kac batch, whose integrand reads nu
+only, holds dBz and nu in one path-sized array.
 The two GEMMs run over column chunks of the paths (_serial_matmul), each
 below OpenBLAS's threading bound, so a batch's factor updates stay on its
 own thread instead of waking OpenBLAS's pool, whose spinning threads would
 compete with the step loop for the cores.  A GEMM is split only where the
 chunks keep the bits of one call: whole-panel batches of at most 384 atoms.
+The per-step dot of the near history reads a reversed view of the kernel,
+so numpy sums it left to right in its own loop, not through BLAS.
 """
 from __future__ import annotations
 
@@ -209,7 +214,8 @@ def simulate_cir(p: ModelParams, grid: TimeGrid, dBz: np.ndarray,
 
 
 def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
-                     dBz: np.ndarray, out: np.ndarray | None = None):
+                     dBz: np.ndarray, out: np.ndarray | None = None, *,
+                     keep_z: bool = True):
     """Drift-corrected CIR (the Feynman-Kac driving process) by
     full-truncation Euler.
 
@@ -228,19 +234,25 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
     B-step buffer are kept, so large batches stay memory-light, and each
     step writes into preallocated rows, so it allocates nothing.  Both
     GEMMs go through _serial_matmul, which runs them on this thread in
-    column chunks where that keeps the bits of one call; the per-step dot
-    is always one call.  This is the per-step recurrence
-    Y_{k+1} = d Y_k + Z+_k (1 - d)/x with its sums reordered.  The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu)
-    vanishes at rho = 0, where the path coincides with simulate_cir bit for
-    bit.  Shapes: dBz.shape[:-1] + (steps+1,); z is written into out if
-    given (which may be the array whose [..., 1:] is dBz, see _path_rows).
+    column chunks where that keeps the bits of one call.  The per-step dot
+    takes a reversed (non-contiguous) view of w, which numpy sums left to
+    right in its own loop, never in BLAS; a contiguous copy would reach
+    OpenBLAS's dgemv and move nu's last bits.  This is the per-step
+    recurrence Y_{k+1} = d Y_k + Z+_k (1 - d)/x with its sums reordered.
+    The correction lam*gamma*sigma*rho/(1-gamma) * sqrt(Z * nu) vanishes at
+    rho = 0, where the path coincides with simulate_cir bit for bit.
+    Shapes: dBz.shape[:-1] + (steps+1,); z is written into out if given
+    (which may be the array whose [..., 1:] is dBz, see _path_rows).  With
+    keep_z=False, nu is written into out instead, z is not kept, and the
+    result is (None, nu), with nu bit for bit the default call's.
     """
     if qm.kind is not MeasureKind.MU:
         raise ValueError("simulate_tilde_z needs a fractional-kind measure")
     coef = p.lam * p.gamma * p.sigma * p.rho / (1.0 - p.gamma)
     h, steps = grid.h, grid.steps
     db = dBz.reshape(-1, steps)
-    z = _path_rows(out, dBz, steps)
+    rows = _path_rows(out, dBz, steps)
+    z, nu = (rows, np.empty_like(rows)) if keep_z else (None, rows)
     n = db.shape[0]
     blk = min(_STEP_BLOCK, steps)
     powers = np.exp(-np.outer(np.arange(blk + 1), qm.nodes * h))  # d_i^m
@@ -254,8 +266,6 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
     y_push = np.empty_like(y)
     db_blk, hist, zp_blk, z_blk, nu_blk = np.empty((5, blk, n))
     drift, corr = np.empty((2, n))
-    z[:, 0] = p.z0
-    nu = np.empty_like(z)
     nu[:, 0] = p.v0
     zk = np.full(n, float(p.z0))
     nuk = np.full(n, float(p.v0))
@@ -285,13 +295,17 @@ def simulate_tilde_z(p: ModelParams, qm: QuantizedMeasure, grid: TimeGrid,
             # nu = hist + w . Z+ over the block so far
             nuk = np.matmul(w_rev[blk - 1 - t:], zp_blk[:t + 1], out=nu_blk[t])
             nuk += hist[t]
-        z[:, s + 1:s + b + 1] = z_blk[:b].T
+        if keep_z:
+            z[:, s + 1:s + b + 1] = z_blk[:b].T
         nu[:, s + 1:s + b + 1] = nu_blk[:b].T
         if s + b < steps:
             y *= powers[blk, :, None]
             y += _serial_matmul(push, zp_blk, out=y_push)
     shape = dBz.shape[:-1] + (steps + 1,)
-    return np.maximum(z, 0.0, out=z).reshape(shape), nu.reshape(shape)
+    if keep_z:
+        z[:, 0] = p.z0
+        z = np.maximum(z, 0.0, out=z).reshape(shape)
+    return z, nu.reshape(shape)
 
 
 def simulate_stock(nu_path: np.ndarray, grid: TimeGrid, dBs: np.ndarray,

@@ -7,8 +7,8 @@ from golden.make_golden import platform_fingerprint
 
 def pytest_report_header(config):
     # the bit-for-bit pins rest on numpy's exp kernels, pocketfft and the
-    # BLAS kernels (the Riccati ddot, the Z-tilde dgemm and dgemv), so name
-    # the ones in play; the golden outputs record the same line
+    # BLAS kernels (the Riccati ddot, the Z-tilde dgemms), so name the
+    # ones in play; the golden outputs record the same line
     return platform_fingerprint()
 
 

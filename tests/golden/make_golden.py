@@ -120,15 +120,17 @@ def gemm_estimates(threads: int = 1) -> dict:
 
 
 def gemm_digests(threads: int = 1) -> dict:
-    """name -> sha256 of each GEMM_CASES run's Z-tilde paths z and nu.
+    """name -> sha256 of each GEMM_CASES run's Z-tilde nu paths.
 
     An estimate can hide a moved last bit of the GEMMs: nu enters it as
     exp(eta/c h sum(nu)), with eta/c h about -3e-4 here.  The digests see
-    every bit.  They are not recorded, only compared across BLAS and worker
-    thread counts."""
+    every bit.  nu is enough: every GEMM bit reaches it, and each Z-tilde
+    step is elementwise in the previous Z-tilde, nu and dBz, so equal nu
+    means equal Z-tilde (which a Z-tilde map does not keep).  They are not
+    recorded, only compared across BLAS and worker thread counts."""
     out = {}
     for name, p, scheme, n in _gemm_cases():
-        paths, = map_paths([(p, scheme, None, lambda dBs, z, nu: np.hstack([z, nu]))],
+        paths, = map_paths([(p, scheme, None, lambda dBs, z, nu: nu.copy())],
                            GEMM_GRID, 11, n, threads, tilde=True, draw_dBs=False)
         out[name] = hashlib.sha256(paths.tobytes()).hexdigest()
     return out

@@ -92,15 +92,15 @@ RHO_CASES = ("feynman_kac_rho-0.7", *GEMM_CASES)
 
 
 def test_one_blas_thread_gives_the_same_rho_estimate(got_estimates, got_digests):
-    # the byte pins rest on the Z-tilde dgemv and dgemms as well as on the
-    # Riccati ddot; the dgemv and any dgemm that sim._serial_matmul leaves
-    # whole may run on OpenBLAS's pool, so one BLAS thread must not move a
-    # bit of the estimates, whether the GEMMs are split, ragged or pooled
-    # (GEMM_CASES).  The split GEMMs never wake the pool, so the paths
-    # behind the split case keep every bit too.  A pooled GEMM's own bits
-    # do move with OpenBLAS's thread count: the ragged and pooled cases'
-    # paths differ under one BLAS thread, though their estimates do not
-    # (FOUND in CHANGES.md), so only their estimates are compared.
+    # the byte pins rest on the Z-tilde dgemms as well as on the Riccati ddot
+    # (its per-step dot never reaches BLAS); any dgemm that sim._serial_matmul
+    # leaves whole may run on OpenBLAS's pool, so one BLAS thread must not
+    # move a bit of the estimates, whether the GEMMs are split, ragged or
+    # pooled (GEMM_CASES).  The split GEMMs never wake the pool, so the paths
+    # behind the split case keep every bit too.  A pooled GEMM's own bits do
+    # move with OpenBLAS's thread count: the ragged and pooled cases' paths
+    # differ under one BLAS thread, though their estimates do not (README's
+    # library section), so only their estimates are compared.
     split = "feynman_kac_142x4096_split"
     code = ("from golden.make_golden import _estimates, gemm_digests; "
             f"e = _estimates(); print(repr([e[name] for name in {RHO_CASES!r}])); "

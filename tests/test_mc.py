@@ -140,11 +140,11 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("rho, bound", [(-0.7, 2.6), (0.0, 1.7)], ids=["tilde", "rho0"])
+@pytest.mark.parametrize("rho, bound", [(-0.7, 1.7), (0.0, 1.7)], ids=["tilde", "rho0"])
 def test_batch_holds_few_path_sized_arrays(params, rho, bound):
     # traced peak of one benchmark-sized Feynman-Kac batch, in arrays of
-    # paths x steps doubles: Z is written over dBz, the Z-tilde adds its nu,
-    # and the row blocks add a fraction of one
+    # paths x steps doubles: Z (at rho != 0 the Z-tilde's nu) is written
+    # over dBz, and the row blocks add a fraction of one
     grid = TimeGrid.from_horizon(1.0, 0.001)
     p = params.with_(rho=rho)
     qm = measure_for_atoms(128, p.alpha, MeasureKind.MU)
@@ -195,17 +195,23 @@ def test_feynman_kac_legs_of_one_map_equal_their_estimators(threads):
     assert [McEstimate.of(v) for v in shared] == alone
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda dBs, z, nu: nu.__iadd__(1.0),  # classical: nu is the shared Z
-    lambda dBs, z, nu: z.fill(0.0),
-    lambda dBs, z, nu: dBs.__imul__(2.0),
-], ids=["nu-of-classical", "z", "dBs"])
-def test_legs_cannot_mutate_shared_paths(mutate):
+@pytest.mark.parametrize("mutate, tilde", [
+    (lambda dBs, z, nu: nu.__iadd__(1.0), False),  # classical: nu is the shared Z
+    (lambda dBs, z, nu: z.fill(0.0), False),
+    (lambda dBs, z, nu: dBs.__imul__(2.0), False),
+    (lambda dBs, z, nu: nu.__iadd__(1.0), True),  # rho != 0: the driver's nu
+], ids=["nu-of-classical", "z", "dBs", "nu-of-z-tilde"])
+def test_legs_cannot_mutate_shared_paths(mutate, tilde):
     grid = TimeGrid.from_horizon(1.0, 0.02)
-    p = default_params(alpha=0.0)
-    leg = (p, VolScheme(SchemeKind.CLASSICAL), PositivityMap.IDENTITY, mutate)
+    if tilde:
+        p = default_params(rho=-0.7)
+        scheme = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
+                           qm=measure_for_atoms(8, p.alpha, MeasureKind.MU))
+    else:
+        p, scheme = default_params(alpha=0.0), VolScheme(SchemeKind.CLASSICAL)
+    leg = (p, scheme, PositivityMap.IDENTITY, mutate)
     with pytest.raises(ValueError, match="read-only"):
-        map_paths([leg], grid, 19, 10)
+        map_paths([leg], grid, 19, 10, tilde=tilde)
 
 
 def test_legs_must_share_the_driver(params, quant_scheme):

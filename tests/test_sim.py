@@ -237,6 +237,31 @@ def test_tilde_z_is_bit_for_bit_the_unsplit_gemms(monkeypatch, params, level):
     assert np.array_equal(z, z_one) and np.array_equal(nu, nu_one)
 
 
+def test_tilde_z_near_history_dot_is_a_sequential_sum(monkeypatch, params):
+    # the per-step dot reads a reversed view of the kernel, which numpy sums
+    # left to right in its own loop, not in BLAS; a contiguous copy would
+    # reach OpenBLAS's dgemv, whose summation order moves nu's last bits
+    grid = TimeGrid(h=0.001, steps=2 * _STEP_BLOCK + 3)
+    qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)
+    p = params.with_(rho=-0.7, v0=0.01)
+    dBz = brownian_batch(5, range(64), grid, p.rho)[0]
+    matmul, lengths = np.matmul, []
+
+    def spy(w, zp, out=None):
+        got = matmul(w, zp, out=out)
+        if w.ndim == 1:
+            want = np.zeros(zp.shape[1])
+            for w_j, zp_j in zip(w, zp):
+                want = want + w_j * zp_j
+            assert np.array_equal(got, want)
+            lengths.append(len(w))
+        return got
+
+    monkeypatch.setattr(np, "matmul", spy)
+    simulate_tilde_z(p, qm, grid, dBz)
+    assert lengths == [t + 1 for b in (_STEP_BLOCK, _STEP_BLOCK, 3) for t in range(b)]
+
+
 @pytest.mark.parametrize("rho", [0.0, -0.7])
 def test_drivers_write_z_over_their_increments_bit_for_bit(params, rho):
     # as in mc.path_batch: dBz is drawn into buf[:, 1:] and the driver
@@ -266,6 +291,18 @@ def test_drivers_write_z_over_their_increments_bit_for_bit(params, rho):
     assert np.array_equal(z, z_ref)
     assert np.max(np.abs(nu - nu_ref)) <= 1e-12
 
+    # as in mc.path_batch at rho != 0: nu, not Z-tilde, over the increments
+    buf[:, 1:] = dBz
+    no_z, nu_in_place = simulate_tilde_z(p, qm, grid, buf[:, 1:], out=buf, keep_z=False)
+    assert no_z is None and np.shares_memory(nu_in_place, buf)
+    assert np.array_equal(nu_in_place, nu)
+    # and one 1-D path
+    row = np.empty(grid.steps + 1)
+    row[1:] = dBz[3]
+    no_z, nu_row = simulate_tilde_z(p, qm, grid, row[1:], out=row, keep_z=False)
+    assert no_z is None and np.shares_memory(nu_row, row)
+    assert np.array_equal(nu_row, simulate_tilde_z(p, qm, grid, dBz[3])[1])
+
 
 def test_drivers_reject_an_out_they_cannot_write_rows_into(params, coarse_grid):
     qm = measure_for_atoms(16, params.alpha, MeasureKind.MU)
@@ -274,8 +311,9 @@ def test_drivers_reject_an_out_they_cannot_write_rows_into(params, coarse_grid):
                 np.empty((coarse_grid.steps + 1, 4)).T):   # not C-contiguous
         with pytest.raises(ValueError, match="C-contiguous array of shape"):
             simulate_cir(params, coarse_grid, dBz, out=out)
-        with pytest.raises(ValueError, match="C-contiguous array of shape"):
-            simulate_tilde_z(params, qm, coarse_grid, dBz, out=out)
+        for keep_z in (True, False):
+            with pytest.raises(ValueError, match="C-contiguous array of shape"):
+                simulate_tilde_z(params, qm, coarse_grid, dBz, out=out, keep_z=keep_z)
     with pytest.raises(ValueError, match="out must have shape"):
         brownian_batch(5, range(4), coarse_grid, 0.0, out=np.empty((4, 1)))
 
