@@ -81,9 +81,23 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     diagnostics for rough alphas.  The alphas at one rho are the legs of
     one draw.  nu is built from Z and Z from dBz alone, so neither depends
     on rho: each rough alpha's posmap file reads path 0 of the first rho's
-    draw, which has at least one path.  Every table is built before the
-    first file is written, so a failing cell leaves no partial output."""
+    draw, which has at least one path, and each distinct column (t, every
+    z_i, every alpha's nu_i) is formatted once for all the files that hold
+    it.  Every table is built before the first file is written, so a
+    failing cell leaves no partial output."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
+    texts = {}  # a column's cells as _write_csv formats them, by its bytes
+
+    def text(col: np.ndarray) -> list:
+        key = col.tobytes()
+        if key not in texts:
+            fmt = _cell_format(col.dtype.type)
+            texts[key] = [fmt % v for v in col.tolist()]
+        return texts[key]
+
+    def table(name: str, header: list, cols: list) -> tuple:
+        return name, header, zip(*map(text, cols))
+
     tables = []  # (file name, header, rows)
     diags = [[] for _ in cfg.alphas]  # rough diagnostics rows per alpha
     npaths = cfg.n_sample_paths
@@ -94,9 +108,9 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
         for alpha, p, (dBs, z, nu), diag in zip(cfg.alphas, ps, cells, diags):
             rough = p.regime is Regime.ROUGH
             if rough and rho == cfg.rhos[0]:
-                tables.append((f"posmap_a{file_tag(alpha)}.csv",
-                               ["t", "nu_raw", "nu_abs", "nu_exp"],
-                               zip(grid.times, nu[0], np.abs(nu[0]), np.exp(nu[0]))))
+                tables.append(table(f"posmap_a{file_tag(alpha)}.csv",
+                                    ["t", "nu_raw", "nu_abs", "nu_exp"],
+                                    [grid.times, nu[0], np.abs(nu[0]), np.exp(nu[0])]))
             z, nu = z[:npaths], nu[:npaths]
             s = simulate_stock(apply_positivity(nu, _stock_map(p, cfg)),
                                grid, dBs[:npaths], p, s0=cfg.s0)
@@ -105,8 +119,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
             for i in range(npaths):
                 header += [f"z{i}", f"nu{i}", f"s{i}"]
                 cols += [z[i], nu[i], s[i]]
-            tables.append((f"paths_a{file_tag(alpha)}_r{file_tag(rho)}.csv",
-                           header, zip(*cols)))
+            tables.append(table(f"paths_a{file_tag(alpha)}_r{file_tag(rho)}.csv",
+                                header, cols))
             if rough:
                 diag += [(alpha, rho, i, float(np.mean(nu[i] < 0.0)))
                          for i in range(npaths)]

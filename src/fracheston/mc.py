@@ -3,18 +3,20 @@
 Every estimator and CLI command simulates through path_batch, mapped by
 map_paths over fixed batches of per-path Philox streams and reduced by
 McEstimate.of with exact (fsum) sums, so results are bit-identical for any
-worker count.  A batch draws the Brownian pair and drives Z once for all
-its legs (alphas, levels or schemes on common random numbers), writing Z
-over its own increments, then runs the legs over blocks of 128 rows:
-each leg's kernel is built once per batch, each block's Z is transformed
-once for every leg that convolves it, and a leg's nu, positivity map and
-integrand exist one block at a time, so no full-size nu is held.  The
-rho != 0 Z-tilde depends on nu, so it drives a single leg.  There the
-driver writes nu over the increments in place of Z-tilde, which nothing
-reads, and the leg gets nu sliced per block and z=None.  One Feynman-Kac
-leg serves both value estimators; utility legs read the terminal wealth
-only.  REGIMES is the one table from a regime to its schemes, quantized
-measure and Riccati system.
+worker count.  A batch draws dBz and drives Z once for all its legs
+(alphas, levels or schemes on common random numbers), writing Z over its
+own increments, so Z is its one path-sized array.  It then runs the legs
+over blocks of 64 rows with one set of scratch: each leg's kernel is
+built once per batch, each block's Z is transformed once for every leg
+that convolves it, the block's dBs is drawn only if the legs read it, and
+each leg in turn writes its nu, after its positivity map, into one reused
+nu block and runs its integrand on it.  The rho != 0 Z-tilde depends on
+nu, so it drives a single leg.  There the driver writes nu over the
+increments in place of Z-tilde, which nothing reads, and the leg gets nu
+sliced per block and z=None.  One Feynman-Kac leg serves both value
+estimators; utility legs read the terminal wealth only.  REGIMES is the
+one table from a regime to its schemes, quantized measure and Riccati
+system.
 """
 from __future__ import annotations
 
@@ -103,39 +105,59 @@ def _driver_params(legs, tilde: bool) -> ModelParams:
     return p
 
 
-def _joined(parts: list):
-    """One leg's block outputs as one output: arrays (or tuples of arrays)
-    joined along their first, path axis."""
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
+def _gather(dest, out, a: int, n: int):
+    """dest with rows a.. set to one block's integrand output: an array, or
+    a tuple of arrays, whose first axis is the block's paths.  The first
+    block allocates dest (None) for the batch's n paths."""
+    if isinstance(out, tuple):
+        return tuple(_gather(d, o, a, n)
+                     for d, o in zip(dest or (None,) * len(out), out))
+    out = np.asarray(out)
+    if dest is None:
+        dest = np.empty((n,) + out.shape[1:], out.dtype)
+    dest[a:a + len(out)] = out
+    return dest
 
 
-def _run_blocks(legs, grid: TimeGrid, dBs, z: np.ndarray | None, nu=None) -> list:
+def _run_blocks(legs, grid: TimeGrid, z: np.ndarray | None, nu=None,
+                draw_dBs=None) -> list:
     """Each leg's integrand over blocks of _ROW_BLOCK rows of the batch.
 
-    Each leg's kernel is built once; per block, Z is transformed once for
-    all the legs that need it, and each leg's nu exists for that block
-    only.  With a driver's nu (Z-tilde), z is None: nu is sliced instead,
-    and the leg gets z=None.  No rows still make one block, so every
-    integrand runs and keeps its output's shape."""
+    Each leg's kernel is built once, and the batch's scratch once: a
+    ZSpectrum, if a leg convolves Z, and one block of nu.  Per block, Z is
+    transformed once for all the legs that convolve it, draw_dBs(rows,
+    out), if given, draws the block's read-only dBs with its dBz redrawn
+    into out (the nu block's [:, 1:]), and then each leg's nu and
+    positivity map are written into the nu block in turn.  With a driver's
+    nu (Z-tilde), z is None: nu is sliced instead, and the leg gets
+    z=None.  Each block's output is copied into its leg's batch output
+    before the next leg runs, so an integrand may return a view of what it
+    is given.  No rows still make one block, so every integrand runs and
+    keeps its output's shape."""
+    paths = nu if z is None else z
+    n = len(paths)
     kernels = [None if nu is not None else scheme.kernel(p, grid)
                for p, scheme, _, _ in legs]
-    parts = [[] for _ in legs]
-    for a in range(0, max(len(nu if z is None else z), 1), _ROW_BLOCK):
+    convolves = any(k is not None for k in kernels)
+    nu_block = np.empty((min(n, _ROW_BLOCK), paths.shape[-1]))
+    spectrum = None
+    outs = [None] * len(legs)
+    for a in range(0, max(n, 1), _ROW_BLOCK):
         rows = slice(a, a + _ROW_BLOCK)
         z_rows = None if z is None else z[rows]
-        spectrum = None if z is None else ZSpectrum(z_rows)
-        dBs_rows = None if dBs is None else dBs[rows]
-        for (p, scheme, pos_map, integrand), kernel, part in zip(legs, kernels, parts):
+        block = nu_block[:n - a]
+        if convolves:
+            spectrum = ZSpectrum(z_rows) if spectrum is None else spectrum.take(z_rows)
+        dBs_rows = None if draw_dBs is None else draw_dBs(rows, block[:, 1:])
+        for i, ((p, scheme, pos_map, integrand), kernel) in enumerate(zip(legs, kernels)):
             if nu is not None:
                 nu_rows = nu[rows]
             else:
-                nu_rows = scheme.nu_paths(p, z_rows, grid, kernel, spectrum)
+                nu_rows = scheme.nu_paths(p, z_rows, grid, kernel, spectrum, block)
             if pos_map is not None:
-                nu_rows = apply_positivity(nu_rows, pos_map)
-            part.append(integrand(dBs_rows, z_rows, nu_rows))
-    return [_joined(part) for part in parts]
+                nu_rows = apply_positivity(nu_rows, pos_map, block)
+            outs[i] = _gather(outs[i], integrand(dBs_rows, z_rows, nu_rows), a, n)
+    return outs
 
 
 def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
@@ -143,38 +165,49 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     """integrand(dBs, Z, nu) of each leg (p, scheme, pos_map, integrand) for
     paths start..stop, in leg order.
 
-    The legs share rho and the CIR constants, so the Brownian pair and Z
-    are drawn once.  dBz only drives Z: it is drawn into the [:, 1:] of
-    the array Z is written into, so Z overwrites its own increments, and
-    the Z-tilde step allocates nothing per step.  The Z-tilde driver
-    writes its nu, not Z-tilde, over the increments instead.  So the
-    path-sized arrays are one for Z (or the Z-tilde's nu) and dBs if drawn.
-    The legs then run over blocks of at most _ROW_BLOCK (128) rows: per
-    block, every leg gets the block's read-only dBs and Z and its own nu,
-    after pos_map (raw with pos_map=None), and the integrand is called
-    once per block.  Its output is an array, or a tuple of arrays, whose
-    first axis is the block's paths; the blocks are joined along it.  The
-    block outputs are kept until the batch ends, so an integrand copies a
-    slice (w[..., -1]) rather than return a view of the block.  tilde=True
-    drives a single quantized fractional leg by the Feynman-Kac Z-tilde
-    (others raise ValueError at rho != 0; at rho = 0 it is Z); at rho != 0
-    that leg gets z=None, since Z-tilde is not kept, and a read-only nu.
-    draw_dBs=False passes dBs=None, for legs that do not read it.
+    The legs share rho and the CIR constants, so Z is driven once.  dBz
+    only drives Z: it is drawn into the [:, 1:] of the array Z is written
+    into, so Z overwrites its own increments, and the Z-tilde step
+    allocates nothing per step.  The Z-tilde driver writes its nu, not
+    Z-tilde, over the increments instead.  So the one path-sized array is
+    Z (or the Z-tilde's nu).  The legs then run over blocks of at most
+    _ROW_BLOCK (64) rows, which share one set of scratch (_run_blocks):
+    per block, every leg gets the block's read-only dBs and Z and its own
+    nu, after pos_map (raw with pos_map=None), and the integrand is called
+    once per block.  dBs is drawn per block, from the block's streams:
+    redrawing their dBz normals on the way gives dBs the bits of one
+    whole-batch draw at any rho.  The integrand's output is an array, or a
+    tuple of arrays, whose first axis is the block's paths; it is copied
+    into the leg's output for the batch at once, so it may be a view of
+    the block's dBs, Z or nu, which are reused or gone by the next block.
+    tilde=True drives a single quantized fractional leg by the Feynman-Kac
+    Z-tilde (others raise ValueError at rho != 0; at rho = 0 it is Z); at
+    rho != 0 that leg gets z=None, since Z-tilde is not kept, and a
+    read-only nu.  draw_dBs=False passes dBs=None, for legs that do not
+    read it.
     """
     p = _driver_params(legs, tilde)
     # dBz is drawn into paths[:, 1:], and Z (or the Z-tilde's nu) is
     # written over its own increments
     paths = np.empty((stop - start, grid.steps + 1))
-    dBz, dBs = brownian_batch(master_seed, range(start, stop), grid, p.rho,
-                              draw_dBs, out=paths[:, 1:])
+    dBz, _ = brownian_batch(master_seed, range(start, stop), grid, p.rho, False,
+                            out=paths[:, 1:])
     if tilde and p.rho != 0.0:
         z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, dBz, out=paths, keep_z=False)
     else:
         z, nu = simulate_cir(p, grid, dBz, out=paths), None
-    for a in (dBs, z, nu):
+    for a in (z, nu):
         if a is not None:
             a.flags.writeable = False
-    return _run_blocks(legs, grid, dBs, z, nu)
+
+    def block_dBs(rows: slice, out: np.ndarray) -> np.ndarray:
+        # the block's streams again, for their dBs; dBz is redrawn into out
+        _, dBs = brownian_batch(master_seed, range(start, stop)[rows], grid, p.rho,
+                                out=out)
+        dBs.flags.writeable = False
+        return dBs
+
+    return _run_blocks(legs, grid, z, nu, block_dBs if draw_dBs else None)
 
 
 def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,

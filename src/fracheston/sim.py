@@ -4,10 +4,13 @@ Randomness is organized as counter-based Philox streams keyed by
 (master_seed, stream_id), one stream per path, so any path is bit-identical
 across runs and thread schedules.  brownian_batch draws a batch from one
 reused Philox, reset to each path's stream in turn, and draws the dBs
-normals only when they are read.  The CIR process uses full-truncation
-Euler (reported values are clipped at zero), stepped time-major: per block
-of steps the increments are copied once into a contiguous buffer and every
-path advances a row at a time in place, bit for bit the stepwise update.
+normals only when they are read.  mc draws a batch's dBz alone for the
+drive and then each row block's pair: the dBz normals come first in every
+stream, so redrawing them gives dBs the bits of one draw of the whole
+batch at any rho.  The CIR process uses full-truncation Euler (reported
+values are clipped at zero), stepped time-major: per block of steps the
+increments are copied once into a contiguous buffer and every path
+advances a row at a time in place, bit for bit the stepwise update.
 Because a block copies its increments before it writes the same columns
 of the path, both drivers can write Z over its own increments (out=, the
 array whose [..., 1:] is dBz), which is how mc holds one path-sized array
@@ -69,10 +72,13 @@ class TimeGrid:
 
 
 # Rows per block of every row-wise pass over a batch: brownian_batch's
-# scaling, vol's FFT and mc's leg loop.  It bounds the rho * dBz temporary
-# and a leg's nu block (about 1 MB each at 1000 steps) and the shared
-# spectrum (about 2 MB), whatever the batch size.
-_ROW_BLOCK = 128
+# scaling, vol's FFT and mc's leg loop, which draws dBs per block.  It
+# bounds the block's dBs, the nu block and an integrand's temporaries
+# (about 0.5 MB each at 1000 steps) and the FFT scratch (3 MB), whatever
+# the batch size.  With glibc's malloc, temporaries this small are reused
+# from block to block instead of being handed back to the OS and faulted
+# in again, as they were at 128 rows.
+_ROW_BLOCK = 64
 
 
 def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
@@ -87,7 +93,8 @@ def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,
     sequence as a fresh Philox(key=...).  With draw_dBs=False only the dBz
     normals are drawn and dBs is None.  out, if given, is an (n_paths,
     steps) array with contiguous rows that receives dBz (mc passes the
-    [:, 1:] of the array Z is then written into).
+    [:, 1:] of the array Z is then written into, or of the nu block that
+    a row block's legs then write into).
     """
     n = len(stream_ids)
     if out is not None and out.shape != (n, grid.steps):

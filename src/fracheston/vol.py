@@ -15,13 +15,17 @@ weights, the Marchaud weights, or the summed exponential-factor kernel of a
 quantized measure (with the singular and q . J terms in the rough case).
 The convolution runs through one FFT engine on numpy's pocketfft
 (np.fft) at 5-smooth lengths, in two steps: a ZSpectrum is the forward
-transform of a block of at most 128 rows of Z, and a VolterraKernel (w's
+transform of a block of at most 64 rows of Z, and a VolterraKernel (w's
 transform, the local coefficient and v0, built once) applies one
 construction to it, summing the inverse transform with the local term and
-v0 straight into nu.  VolScheme.kernel is the one place a scheme picks
-its construction; mc builds each leg's kernel once per batch, and each of
+v0 straight into nu.  The ZSpectrum also holds the scratch the kernels
+apply it with, and takes block after block into the same buffers, so
+every transform writes through out= and no block allocates.
+VolScheme.kernel is the one place a scheme picks its construction; mc
+builds each leg's kernel and one ZSpectrum once per batch, and each of
 its row blocks reaches VolterraKernel.apply through VolScheme.nu_paths,
-sharing the block's spectrum among all its legs.  The four nu_* functions
+sharing the block's spectrum among all its legs and writing each leg's nu
+into one reused block (out=).  The four nu_* functions
 are whole-array conveniences that build their kernel and go block by
 block.  The test suite holds the engine to 1e-12 against the O(k^2) sums
 and the per-atom factor recurrence, and bit for bit to the unfused conv,
@@ -49,16 +53,19 @@ class PositivityMap(Enum):
     EXPONENTIAL = "exp"
 
 
-def apply_positivity(nu_path: np.ndarray, pmap: PositivityMap) -> np.ndarray:
-    """Elementwise positivity transform; Identity rejects negative entries."""
+def apply_positivity(nu_path: np.ndarray, pmap: PositivityMap,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise positivity transform, into out (nu_path's shape, which
+    may be nu_path itself) if given; Identity rejects negative entries and
+    returns nu_path as it is."""
     if pmap is PositivityMap.IDENTITY:
         if np.any(nu_path < 0):
             raise ValueError("identity positivity map applied to a path with "
                              "negative entries; use abs or exp")
         return np.asarray(nu_path)
     if pmap is PositivityMap.ABSOLUTE:
-        return np.abs(nu_path)
-    return np.exp(nu_path)
+        return np.abs(nu_path, out=out)
+    return np.exp(nu_path, out=out)
 
 
 def _fast_len(n: int) -> int:
@@ -77,29 +84,38 @@ def _fast_len(n: int) -> int:
 
 
 class ZSpectrum:
-    """Forward transform of at most _ROW_BLOCK rows of Z: their first steps
-    entries, zero-padded to a fast length n >= 2*steps (no circular
-    wrap-around).  It is taken when a kernel first asks for it and then
-    shared by every kernel applied to the same rows, so rows that no kernel
-    needs are never transformed."""
+    """Forward transform of a block of at most _ROW_BLOCK rows of Z: their
+    first steps entries, zero-padded to a fast length n >= 2*steps (no
+    circular wrap-around), shared by every kernel applied to the block.
+    It also holds the scratch the kernels apply it with: a product buffer
+    for spectrum x kernel, and the padded buffer, which is free once the
+    spectrum is taken and receives each inverse transform.  take(rows)
+    transforms the next block, of at most as many rows, into the same
+    buffers, so a batch allocates them once."""
 
     def __init__(self, rows: np.ndarray):
         if len(rows) > _ROW_BLOCK:
             raise ValueError(f"a ZSpectrum takes at most _ROW_BLOCK = {_ROW_BLOCK} "
                              f"rows, got {len(rows)}")
-        self.rows = rows
         self.n = _fast_len(2 * (rows.shape[-1] - 1))
-        self._spec = None
+        self.padded = np.empty((len(rows), self.n))
+        self._spec = np.empty((len(rows), self.n // 2 + 1), dtype=complex)
+        self.product = np.empty_like(self._spec)
+        self.take(rows)
 
-    def get(self) -> np.ndarray:
-        if self._spec is None:
-            steps = self.rows.shape[-1] - 1
-            # copying into a zero-padded buffer is faster than letting
-            # np.fft.rfft pad each row
-            padded = np.zeros((len(self.rows), self.n))
-            padded[:, :steps] = self.rows[:, :steps]
-            self._spec = np.fft.rfft(padded)
-        return self._spec
+    def take(self, rows: np.ndarray) -> "ZSpectrum":
+        """This spectrum, now of rows."""
+        m, steps = len(rows), rows.shape[-1] - 1
+        if m > len(self.padded):
+            raise ValueError(f"this ZSpectrum takes at most {len(self.padded)} rows, got {m}")
+        # copying into a zero-padded buffer is faster than letting
+        # np.fft.rfft pad each row; the tail holds the last inverse transform
+        padded = self.padded[:m]
+        padded[:, :steps] = rows[:, :steps]
+        padded[:, steps:] = 0.0
+        self.rows = rows
+        self.spec = np.fft.rfft(padded, out=self._spec[:m])
+        return self
 
 
 @dataclass(frozen=True)
@@ -121,33 +137,50 @@ class VolterraKernel:
         return cls(np.fft.rfft(w[1:], _fast_len(2 * (len(w) - 1))), v0, local)
 
     def apply(self, spectrum: ZSpectrum, out: np.ndarray) -> None:
-        """Write nu of spectrum's rows into out (same shape): the inverse
-        transform is summed with the local term straight into out[:, 1:],
-        where v0 is then added, so no block-size temporary outlives the
-        call and the shared spectrum is left as it is."""
+        """Write nu of spectrum's rows into out (same shape): the product
+        with w's transform and its inverse go into spectrum's scratch, and
+        the inverse is summed with the local term straight into out[:, 1:],
+        where v0 is then added.  The call allocates no block-size array and
+        leaves the spectrum itself as it is, for the next kernel."""
         rows = spectrum.rows
-        steps = rows.shape[-1] - 1
-        conv = np.fft.irfft(spectrum.get() * self.w_hat, spectrum.n)[:, :steps]
+        m, steps = len(rows), rows.shape[-1] - 1
+        product = np.multiply(spectrum.spec, self.w_hat, out=spectrum.product[:m])
+        conv = np.fft.irfft(product, spectrum.n, out=spectrum.padded[:m])[:, :steps]
         out[:, 0] = self.v0
         body = out[:, 1:]
-        np.add(conv, 0.0 if self.local is None else rows[:, 1:] * self.local, out=body)
+        if self.local is None:
+            np.add(conv, 0.0, out=body)
+        else:  # c_k Z_k + conv, which is conv + c_k Z_k bit for bit
+            np.multiply(rows[:, 1:], self.local, out=body)
+            body += conv
         body += self.v0
 
 
 def _volterra_paths(z_path: np.ndarray, kernel: VolterraKernel,
-                    spectrum: ZSpectrum | None = None) -> np.ndarray:
-    """kernel's nu along Z path(s) of any leading shape, _ROW_BLOCK rows at
-    a time, so the scratch memory does not grow with the batch.  spectrum,
-    if given, is the ZSpectrum of z_path's rows (one block), which other
-    kernels share."""
-    nu = np.empty(z_path.shape)
+                    spectrum: ZSpectrum | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """kernel's nu along Z path(s) of any leading shape, written into out
+    (a C-contiguous array of z_path's shape) if given.  It goes _ROW_BLOCK
+    rows at a time through one ZSpectrum, so the scratch memory does not
+    grow with the batch.  spectrum, if given, is the ZSpectrum of z_path's
+    rows (one block), which other kernels share."""
+    if out is None:
+        nu = np.empty(z_path.shape)
+    elif out.shape != z_path.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {z_path.shape}")
+    else:
+        nu = out
     rows = z_path.reshape(-1, z_path.shape[-1])
-    out = nu.reshape(rows.shape)
-    if spectrum is not None and spectrum.rows.shape != rows.shape:
-        raise ValueError("spectrum must be the ZSpectrum of z_path's rows")
+    nu_rows = nu.reshape(rows.shape)
+    if spectrum is not None:
+        if spectrum.rows.shape != rows.shape:
+            raise ValueError("spectrum must be the ZSpectrum of z_path's rows")
+        kernel.apply(spectrum, nu_rows)
+        return nu
     for a in range(0, len(rows), _ROW_BLOCK):
-        block = spectrum if spectrum is not None else ZSpectrum(rows[a:a + _ROW_BLOCK])
-        kernel.apply(block, out[a:a + _ROW_BLOCK])
+        block = rows[a:a + _ROW_BLOCK]
+        spectrum = ZSpectrum(block) if spectrum is None else spectrum.take(block)
+        kernel.apply(spectrum, nu_rows[a:a + _ROW_BLOCK])
     return nu
 
 
@@ -297,10 +330,12 @@ class VolScheme:
 
     def nu_paths(self, p: ModelParams, z_path: np.ndarray, grid: TimeGrid,
                  kernel: VolterraKernel | None = None,
-                 spectrum: ZSpectrum | None = None) -> np.ndarray:
+                 spectrum: ZSpectrum | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """nu along z_path: Z itself for classical, else kernel's nu, with
-        kernel built here (self.kernel(p, grid)) when not given and spectrum
-        the ZSpectrum of z_path's rows when another leg shares it."""
+        kernel built here (self.kernel(p, grid)) when not given, spectrum
+        the ZSpectrum of z_path's rows when another leg shares it, and
+        written into out (C-contiguous, z_path's shape) if given."""
         if self.kind is SchemeKind.CLASSICAL:
             return np.asarray(z_path)
-        return _volterra_paths(z_path, kernel or self.kernel(p, grid), spectrum)
+        return _volterra_paths(z_path, kernel or self.kernel(p, grid), spectrum, out)

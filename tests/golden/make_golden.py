@@ -77,7 +77,8 @@ GEMM_GRID = TimeGrid.from_horizon(1.0, 5e-3)
 def platform_fingerprint() -> str:
     """numpy version, SIMD targets and BLAS: what the bit-for-bit pins rest
     on (numpy's exp kernels, pocketfft and the BLAS kernels: the Riccati
-    ddot, the Z-tilde dgemm and dgemv)."""
+    ddot and the Z-tilde dgemms; the Z-tilde per-step dot never reaches
+    BLAS, since numpy sums its reversed view in its own loop)."""
     line = f"numpy {np.__version__}"
     try:
         info = np.show_config(mode="dicts")

@@ -248,12 +248,13 @@ def causal_convolve(z: np.ndarray, w_hat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def volterra_paths_unfused(z_path: np.ndarray, kernel, spectrum=None) -> np.ndarray:
+def volterra_paths_unfused(z_path: np.ndarray, kernel, spectrum=None,
+                           out=None) -> np.ndarray:
     """vol._volterra_paths in whole-array passes: the gathered convolution,
     from its own transform of Z (a shared spectrum is not read), then
-    += the local term, then += v0."""
+    += the local term, then += v0, into out if given."""
     steps = z_path.shape[-1] - 1
-    nu = np.empty(z_path.shape)
+    nu = np.empty(z_path.shape) if out is None else out
     nu[..., 0] = kernel.v0
     nu[..., 1:] = causal_convolve(z_path, kernel.w_hat, _fast_len(2 * steps))
     nu[..., 1:] += 0.0 if kernel.local is None else z_path[..., 1:] * kernel.local

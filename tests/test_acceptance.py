@@ -13,13 +13,14 @@ import numpy as np
 from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         VolScheme, brownian_batch, default_params,
                         dyadic_chain, approx_kernel, frac_kernel,
-                        mc_feynman_kac, mc_utility, mc_value_rough,
+                        mc_feynman_kac, mc_value_rough,
                         measure_for_atoms, merton_ratio, nu_quantized_paths,
                         nu_quantized_rough_paths, nu_rough_marchaud, psi,
                         simulate_cir, solve_riccati_finite,
                         solve_riccati_limit, solve_riccati_rough,
                         value_function)
 from fracheston.cli import main
+from fracheston.mc import McEstimate, _utility, map_paths
 from oracles import cov_cir, simulate_factors
 
 SEED = 20240801
@@ -143,11 +144,11 @@ def test_criterion_07_merton_optimality_both_regimes():
     ]
     for label, p, scheme, pmap in cases:
         star = merton_ratio(p)
-        u_star = mc_utility(p, star, scheme, pmap, 20_000, grid, SEED,
-                            threads=4)
-        for frac in (0.8, 1.2):
-            u_alt = mc_utility(p, frac * star, scheme, pmap, 20_000, grid,
-                               SEED, threads=4)
+        # mc_utility of each fraction, as the legs of one map: one draw
+        u_star, *u_alts = map(McEstimate.of, map_paths(
+            [(p, scheme, pmap, _utility(p, frac * star, grid)) for frac in (1.0, 0.8, 1.2)],
+            grid, SEED, 20_000, threads=4))
+        for u_alt in u_alts:
             slack = 3.0 * max(u_star.std_error, u_alt.std_error)
             assert u_star.mean >= u_alt.mean - slack, label
     _ok(7, "Merton fraction beats 0.8x and 1.2x perturbations under common "

@@ -53,22 +53,36 @@ def test_simulate_outputs(tmp_path, cfg_path):
     assert header == "t,z0,nu0,s0,z1,nu1,s1"
 
 
-@pytest.mark.parametrize("command, n_draws", [("simulate", len(SMALL["rhos"])),
-                                              ("value", 1)])
+@pytest.mark.parametrize("command, n_drives", [("simulate", len(SMALL["rhos"])),
+                                               ("value", 1)])
 def test_simulate_draws_once_per_rho(tmp_path, cfg_path, monkeypatch, command,
-                                     n_draws):
+                                     n_drives):
     # simulate: every alpha at one rho is a leg of one path batch; value:
-    # every row, at rho = 0, is a leg of one map (SMALL has a single batch)
-    draws = []
+    # every row, at rho = 0, is a leg of one map (SMALL has a single batch).
+    # Z is driven once per batch, and dBs is drawn per row block only for
+    # legs that read it: simulate's cover each sample row once per rho
+    drives, dBs_rows = [], []
+
+    def driver(fn):
+        def counted(*args, **kwargs):
+            drives.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
     draw = fracheston.mc.brownian_batch
 
-    def counted(*args, **kwargs):
-        draws.append(args)
-        return draw(*args, **kwargs)
+    def drawn(master_seed, stream_ids, grid, rho, draw_dBs=True, out=None):
+        if draw_dBs:
+            dBs_rows.extend((rho, i) for i in stream_ids)
+        return draw(master_seed, stream_ids, grid, rho, draw_dBs, out=out)
 
-    monkeypatch.setattr(fracheston.mc, "brownian_batch", counted)
+    for name in ("simulate_cir", "simulate_tilde_z"):
+        monkeypatch.setattr(fracheston.mc, name, driver(getattr(fracheston.mc, name)))
+    monkeypatch.setattr(fracheston.mc, "brownian_batch", drawn)
     assert _run(cfg_path, tmp_path / "out", command) == 0
-    assert len(draws) == n_draws
+    assert len(drives) == n_drives
+    sample_rows = [(rho, i) for rho in SMALL["rhos"] for i in range(SMALL["n_sample_paths"])]
+    assert sorted(dBs_rows) == (sample_rows if command == "simulate" else [])
 
 
 def test_posmap_is_independent_of_rhos_and_sample_paths(tmp_path):

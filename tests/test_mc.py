@@ -12,7 +12,7 @@ from fracheston import (MeasureKind, PositivityMap, Regime, SchemeKind, TimeGrid
                         solve_riccati_finite, solve_riccati_limit,
                         solve_riccati_rough)
 from fracheston import vol
-from fracheston.mc import (BATCH_SIZE, REGIMES, McEstimate, _map_batches,
+from fracheston.mc import (BATCH_SIZE, REGIMES, McEstimate, _map_batches, _utility,
                            feynman_kac_leg, map_paths, path_batch)
 from fracheston.vol import _ROW_BLOCK, apply_positivity
 from oracles import feynman_kac_girsanov
@@ -140,23 +140,32 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("rho, bound", [(-0.7, 1.7), (0.0, 1.7)], ids=["tilde", "rho0"])
-def test_batch_holds_few_path_sized_arrays(params, rho, bound):
-    # traced peak of one benchmark-sized Feynman-Kac batch, in arrays of
-    # paths x steps doubles: Z (at rho != 0 the Z-tilde's nu) is written
-    # over dBz, and the row blocks add a fraction of one
+@pytest.mark.parametrize("rho, reads_dBs", [(-0.7, False), (0.0, False), (0.0, True),
+                                             (0.7, True)],
+                         ids=["tilde", "rho0", "wealth-rho0", "wealth-rho0.7"])
+def test_batch_holds_few_path_sized_arrays(params, rho, reads_dBs):
+    # traced peak of one benchmark-sized batch, in arrays of paths x steps
+    # doubles: Z (at rho != 0 under Z-tilde the driver's nu) is written over
+    # dBz, dBs is drawn per row block, and the row blocks' scratch adds a
+    # fraction of one.  The Feynman-Kac leg reads no dBs; the terminal-wealth
+    # leg does, at either rho
     grid = TimeGrid.from_horizon(1.0, 0.001)
     p = params.with_(rho=rho)
     qm = measure_for_atoms(128, p.alpha, MeasureKind.MU)
-    leg = feynman_kac_leg(p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm), grid)
+    scheme = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=qm)
+    if reads_dBs:
+        leg = (p, scheme, PositivityMap.IDENTITY, _utility(p, merton_ratio(p), grid))
+    else:
+        leg = feynman_kac_leg(p, scheme, grid)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        path_batch([leg], grid, 3, 0, BATCH_SIZE, tilde=True, draw_dBs=False)
+        path_batch([leg], grid, 3, 0, BATCH_SIZE, tilde=not reads_dBs,
+                   draw_dBs=reads_dBs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - base) / (BATCH_SIZE * grid.steps * 8) < bound
+    assert (peak - base) / (BATCH_SIZE * grid.steps * 8) < 1.7
 
 
 def test_kernel_is_built_once_per_leg_per_batch(monkeypatch):
@@ -212,6 +221,50 @@ def test_legs_cannot_mutate_shared_paths(mutate, tilde):
     leg = (p, scheme, PositivityMap.IDENTITY, mutate)
     with pytest.raises(ValueError, match="read-only"):
         map_paths([leg], grid, 19, 10, tilde=tilde)
+
+
+def test_integrands_may_return_their_block():
+    # every leg's nu is written into one block of scratch that the next leg
+    # and the next block reuse, and dBs and Z come as per-block views;
+    # each block's output is copied out at once, so an integrand that
+    # returns them as they are (cli's simulate and convergence_study's
+    # monotone legs do) still gets every row, in arrays of its own
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    start, stop = 5, 5 + 2 * _ROW_BLOCK + 7  # three blocks, the last ragged
+    legs = [(p, scheme, pos_map, lambda dBs, z, nu: (dBs, z, nu))
+            for p, scheme, pos_map, _ in _four_legs(grid)]
+    legs += [(p, scheme, None, lambda dBs, z, nu: nu) for p, scheme, _, _ in legs]
+    out = path_batch(legs, grid, 19, start, stop)
+    dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
+    z = simulate_cir(legs[0][0], grid, dBz)
+    for (p, scheme, pos_map, _), got in zip(legs, out):
+        nu = scheme.nu_paths(p, z, grid)
+        if pos_map is None:
+            assert np.array_equal(got, nu)
+            continue
+        assert all(map(np.array_equal, got, (dBs, z, apply_positivity(nu, pos_map))))
+    arrays = [a for leg in out for a in (leg if isinstance(leg, tuple) else (leg,))]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                   for b in arrays[i + 1:])
+
+
+@pytest.mark.parametrize("batch_size", [512, 1000, 2048])
+def test_batch_size_does_not_move_a_dBs_leg(batch_size):
+    # dBs is drawn per row block of each batch, from the block's streams;
+    # whatever the batch and block boundaries, every path gets its own
+    # stream's dBs at rho = 0.7, and a leg that reads it the same bits
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    p = default_params(rho=0.7)
+    n = 2 * BATCH_SIZE + 5
+    legs = [(p, VolScheme(SchemeKind.FRACTIONAL_EULER), PositivityMap.IDENTITY,
+             _utility(p, merton_ratio(p), grid)),
+            (p, VolScheme(SchemeKind.CLASSICAL), None, lambda dBs, z, nu: dBs)]
+    utility, dBs = _map_batches(
+        lambda a, b: path_batch(legs, grid, 19, a, b), n, threads=2,
+        batch_size=batch_size)
+    want, = _map_batches(lambda a, b: path_batch(legs[:1], grid, 19, a, b), n)
+    assert np.array_equal(utility, want)
+    assert np.array_equal(dBs, brownian_batch(19, range(n), grid, p.rho)[1])
 
 
 def test_legs_must_share_the_driver(params, quant_scheme):
