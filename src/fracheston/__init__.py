@@ -6,7 +6,7 @@ affine value functions, and Monte Carlo cross-validation.
 """
 from .config import ScenarioConfig, load_config
 from .mc import (McEstimate, convergence_study, map_paths, mc_feynman_kac,
-                 mc_utility, mc_value_rough, path_batch)
+                 mc_utility, mc_value_rough)
 from .params import (DerivedConstants, ModelParams, Regime, default_params,
                      hurst_of_alpha, merton_ratio, regime_of_alpha)
 from .quantize import (MeasureKind, QuantizedMeasure, approx_kernel,

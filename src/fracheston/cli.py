@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ScenarioConfig, file_tag, load_config
 from .mc import (REGIMES, ConvergenceRow, McEstimate, convergence_study,
-                 feynman_kac_leg, map_paths, path_batch)
+                 feynman_kac_leg, map_paths)
 from .params import ModelParams, Regime, merton_ratio
 from .quantize import dyadic_chain, measure_for_atoms
 from .riccati import RiccatiBlowUp, value_function
@@ -103,8 +103,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     npaths = cfg.n_sample_paths
     for rho in cfg.rhos:
         ps = [cfg.model_params(alpha, rho) for alpha in cfg.alphas]
-        cells = path_batch([(p, _scheme_for(p, cfg), None, _whole) for p in ps],
-                           grid, cfg.seed, 0, max(npaths, 1))
+        cells = map_paths([(p, _scheme_for(p, cfg), None, _whole) for p in ps],
+                          grid, cfg.seed, max(npaths, 1), cfg.threads)
         for alpha, p, (dBs, z, nu), diag in zip(cfg.alphas, ps, cells, diags):
             rough = p.regime is Regime.ROUGH
             if rough and rho == cfg.rhos[0]:
@@ -148,20 +148,19 @@ def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
     return files
 
 
-def _guarded(leg, failures: list) -> tuple:
-    """leg with its positivity map moved into the integrand: a rejected batch
-    yields NaN and records in failures the error, minus its path-holding traceback."""
-    p, scheme, pos_map, integrand = leg
-
+def _guarded(leg, failures: list):
+    """leg (an mc Leg) with its positivity map moved into the integrand, its
+    measure kept: a rejected block yields NaN and records in failures the
+    error, minus its path-holding traceback."""
     def run(dBs, z, nu):
         try:
-            nu = apply_positivity(nu, pos_map)
+            nu = apply_positivity(nu, leg.pos_map)
         except ValueError as exc:
             failures.append(exc.with_traceback(None))
-            return np.full(len(z), math.nan)
-        return integrand(dBs, z, nu)
+            return np.full(len(nu), math.nan)
+        return leg.integrand(dBs, z, nu)
 
-    return p, scheme, None, run
+    return leg._replace(pos_map=None, integrand=run)
 
 
 def cmd_value(cfg: ScenarioConfig, out_dir: Path, errors: list) -> list:
@@ -188,8 +187,8 @@ def cmd_value(cfg: ScenarioConfig, out_dir: Path, errors: list) -> list:
                 cases.append((p, alpha, level, sol, failures, k))
             except Exception as exc:  # noqa: BLE001 - reported with its row
                 cases.append((p, alpha, level, None, [exc], k))
-    outs = iter(map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads,
-                          draw_dBs=False) if legs else ())
+    outs = iter(map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads)
+                if legs else ())
     rows = []
     for p, alpha, level, sol, failures, k in cases:
         try:
@@ -211,7 +210,7 @@ def cmd_value(cfg: ScenarioConfig, out_dir: Path, errors: list) -> list:
 
 
 def _alpha_legs(cfg: ScenarioConfig, functional) -> list:
-    """One path_batch leg per scenario alpha at rho = 0: that alpha's scheme
+    """One map_paths leg per scenario alpha at rho = 0: that alpha's scheme
     and positivity map, with integrand functional(p)."""
     ps = [cfg.model_params(alpha, 0.0) for alpha in cfg.alphas]
     return [(p, _scheme_for(p, cfg), _stock_map(p, cfg), functional(p)) for p in ps]
@@ -229,8 +228,8 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path) -> list:
         return lambda dBs, z, nu: terminal_wealth(merton_ratio(p), nu, grid, dBs, p)
 
     legs = _alpha_legs(cfg, terminal)
-    samples = path_batch(_alpha_legs(cfg, wealth), grid, cfg.seed, 0,
-                         cfg.n_sample_paths)
+    samples = map_paths(_alpha_legs(cfg, wealth), grid, cfg.seed,
+                        cfg.n_sample_paths, cfg.threads)
     terminals = map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads)
     files, summary = [], []
     for alpha, (p, *_), w, wt in zip(cfg.alphas, legs, samples, terminals):

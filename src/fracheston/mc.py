@@ -1,22 +1,26 @@
 """Monte Carlo engines and affine cross-validation.
 
-Every estimator and CLI command simulates through path_batch, mapped by
-map_paths over fixed batches of per-path Philox streams and reduced by
-McEstimate.of with exact (fsum) sums, so results are bit-identical for any
-worker count.  A batch draws dBz and drives Z once for all its legs
-(alphas, levels or schemes on common random numbers), writing Z over its
-own increments, so Z is its one path-sized array.  It then runs the legs
-over blocks of 64 rows with one set of scratch: each leg's kernel is
-built once per batch, each block's Z is transformed once for every leg
-that convolves it, the block's dBs is drawn only if the legs read it, and
-each leg in turn writes its nu, after its positivity map, into one reused
-nu block and runs its integrand on it.  The rho != 0 Z-tilde depends on
-nu, so it drives a single leg.  There the driver writes nu over the
-increments in place of Z-tilde, which nothing reads, and the leg gets nu
-sliced per block and z=None.  One Feynman-Kac leg serves both value
-estimators; utility legs read the terminal wealth only.  REGIMES is the
-one table from a regime to its schemes, quantized measure and Riccati
-system.
+Every estimator and CLI command simulates through map_paths, which runs
+legs (Leg: p, scheme, positivity map, integrand, tilde) over fixed
+batches of per-path Philox streams; the estimators reduce each leg's
+values by McEstimate.of with exact (fsum) sums, so results are
+bit-identical for any worker count.  The leg names its measure: a tilde
+leg (feynman_kac_leg) is a Feynman-Kac expectation, taken under the
+drift-corrected measure that Z-tilde simulates at rho != 0; any other leg
+is taken under the physical measure.  A batch draws dBz and drives Z once
+for all its legs (alphas, levels or schemes on common random numbers),
+writing Z over its own increments, so Z is its one path-sized array.  It
+then runs the legs over blocks of 64 rows with one set of scratch: each
+leg's kernel is built once per batch, each block's Z is transformed once
+for every leg that convolves it, the block's dBs is drawn only if a leg
+is not a tilde leg, and each leg in turn writes its nu, after its
+positivity map, into one reused nu block and runs its integrand on it.
+The rho != 0 Z-tilde depends on nu, so it drives a single tilde leg.
+There the driver writes nu over the increments in place of Z-tilde, which
+nothing reads, and the leg gets nu sliced per block and z=None.  One
+Feynman-Kac leg serves both value estimators; utility legs read the
+terminal wealth only.  REGIMES is the one table from a regime to its
+schemes, quantized measure and Riccati system.
 """
 from __future__ import annotations
 
@@ -68,41 +72,68 @@ class McEstimate:
     def of(cls, values: np.ndarray) -> "McEstimate":
         """Mean and standard error of per-path values, by exact (fsum) sums."""
         n = len(values)
+        if n < 2:
+            raise ValueError("need at least 2 paths for a standard error")
         mean = math.fsum(values) / n
         var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
         return cls(mean=mean, std_error=math.sqrt(var / n), n_paths=n)
 
 
+def _concat(parts):
+    """One leg's batch outputs in path order: an array, or a tuple of
+    arrays concatenated element by element."""
+    if isinstance(parts[0], tuple):
+        return tuple(map(_concat, zip(*parts)))
+    return np.concatenate(parts)
+
+
 def _map_batches(batch_fn, n_paths: int, threads: int = 1,
                  batch_size: int = BATCH_SIZE) -> list:
-    """Run batch_fn(start, stop), which returns one array per leg, over fixed
-    path-index slices and concatenate each leg's arrays; batch layout is
-    independent of the worker count, so the output is too."""
-    slices = [(s, min(s + batch_size, n_paths)) for s in range(0, n_paths, batch_size)]
+    """Run batch_fn(start, stop), which returns one output per leg, over
+    fixed path-index slices and concatenate each leg's outputs; batch layout
+    is independent of the worker count, so the output is too.  No paths run
+    one empty batch, so every leg keeps its output's shape."""
+    slices = [(s, min(s + batch_size, n_paths))
+              for s in range(0, n_paths, batch_size)] or [(0, 0)]
     if threads <= 1 or len(slices) == 1:
         parts = [batch_fn(a, b) for a, b in slices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             parts = list(ex.map(lambda ab: batch_fn(*ab), slices))
-    return [np.concatenate(leg) for leg in zip(*parts)]
+    return [_concat(leg) for leg in zip(*parts)]
 
+
+# A leg of a path map: integrand(dBs, Z, nu) on the volatility of scheme
+# under p, after pos_map.  tilde marks a Feynman-Kac leg, whose expectation
+# is taken under the drift-corrected measure (Z-tilde at rho != 0); other
+# legs are taken under the physical measure.  Plain 4-tuples are physical.
+Leg = namedtuple("Leg", "p scheme pos_map integrand tilde", defaults=(False,))
 
 _DRIVER_FIELDS = ("rho", "z0", "kappa", "theta", "sigma")  # what Z depends on
 
 
-def _driver_params(legs, tilde: bool) -> ModelParams:
-    """The first leg's params, once every leg shares its rho and CIR
-    constants and a Z-tilde run has the one leg that can drive it."""
-    p = legs[0][0]
-    if any(getattr(q, f) != getattr(p, f) for q, *_ in legs for f in _DRIVER_FIELDS):
+def _driver_params(legs) -> tuple:
+    """(p, tilde, draw_dBs) of a batch of legs.  p is the first leg's
+    params, once every leg shares its rho and CIR constants.  The batch
+    drives Z-tilde if rho != 0 and its legs are tilde legs; there a
+    physical leg beside them raises, and so does anything but one quantized
+    fractional leg.  It draws dBs if some leg is not a tilde leg."""
+    p = legs[0].p
+    if any(getattr(leg.p, f) != getattr(p, f) for leg in legs for f in _DRIVER_FIELDS):
         raise ValueError("legs of one path batch must share rho and the CIR "
                          "constants (z0, kappa, theta, sigma)")
-    kinds = [leg[1].kind.value for leg in legs]
-    if tilde and p.rho != 0.0 and kinds != [SchemeKind.QUANTIZED_FRACTIONAL.value]:
+    tildes = {leg.tilde for leg in legs}
+    tilde = p.rho != 0.0 and True in tildes
+    if tilde and False in tildes:
+        raise ValueError(f"rho={p.rho}: Feynman-Kac (tilde) legs need the "
+                         f"drift-corrected Z-tilde and other legs the physical Z, "
+                         f"so they cannot share a path map")
+    kinds = [leg.scheme.kind.value for leg in legs]
+    if tilde and kinds != [SchemeKind.QUANTIZED_FRACTIONAL.value]:
         raise ValueError(f"rho={p.rho} needs the drift-corrected Z-tilde, which only "
                          f"one {SchemeKind.QUANTIZED_FRACTIONAL.value} leg provides; "
                          f"got {kinds}")
-    return p
+    return p, tilde, False in tildes
 
 
 def _gather(dest, out, a: int, n: int):
@@ -136,8 +167,8 @@ def _run_blocks(legs, grid: TimeGrid, z: np.ndarray | None, nu=None,
     keeps its output's shape."""
     paths = nu if z is None else z
     n = len(paths)
-    kernels = [None if nu is not None else scheme.kernel(p, grid)
-               for p, scheme, _, _ in legs]
+    kernels = [None if nu is not None else leg.scheme.kernel(leg.p, grid)
+               for leg in legs]
     convolves = any(k is not None for k in kernels)
     nu_block = np.empty((min(n, _ROW_BLOCK), paths.shape[-1]))
     spectrum = None
@@ -149,21 +180,22 @@ def _run_blocks(legs, grid: TimeGrid, z: np.ndarray | None, nu=None,
         if convolves:
             spectrum = ZSpectrum(z_rows) if spectrum is None else spectrum.take(z_rows)
         dBs_rows = None if draw_dBs is None else draw_dBs(rows, block[:, 1:])
-        for i, ((p, scheme, pos_map, integrand), kernel) in enumerate(zip(legs, kernels)):
+        for i, (leg, kernel) in enumerate(zip(legs, kernels)):
             if nu is not None:
                 nu_rows = nu[rows]
             else:
-                nu_rows = scheme.nu_paths(p, z_rows, grid, kernel, spectrum, block)
-            if pos_map is not None:
-                nu_rows = apply_positivity(nu_rows, pos_map, block)
-            outs[i] = _gather(outs[i], integrand(dBs_rows, z_rows, nu_rows), a, n)
+                nu_rows = leg.scheme.nu_paths(leg.p, z_rows, grid, kernel, spectrum,
+                                              block)
+            if leg.pos_map is not None:
+                nu_rows = apply_positivity(nu_rows, leg.pos_map, block)
+            outs[i] = _gather(outs[i], leg.integrand(dBs_rows, z_rows, nu_rows), a, n)
     return outs
 
 
-def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
-               tilde: bool = False, draw_dBs: bool = True) -> list:
-    """integrand(dBs, Z, nu) of each leg (p, scheme, pos_map, integrand) for
-    paths start..stop, in leg order.
+def _path_batch(legs, grid: TimeGrid, master_seed: int, start: int,
+                stop: int) -> list:
+    """integrand(dBs, Z, nu) of each Leg (or plain 4-tuple) for paths
+    start..stop, in leg order.
 
     The legs share rho and the CIR constants, so Z is driven once.  dBz
     only drives Z: it is drawn into the [:, 1:] of the array Z is written
@@ -180,20 +212,21 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
     tuple of arrays, whose first axis is the block's paths; it is copied
     into the leg's output for the batch at once, so it may be a view of
     the block's dBs, Z or nu, which are reused or gone by the next block.
-    tilde=True drives a single quantized fractional leg by the Feynman-Kac
-    Z-tilde (others raise ValueError at rho != 0; at rho = 0 it is Z); at
-    rho != 0 that leg gets z=None, since Z-tilde is not kept, and a
-    read-only nu.  draw_dBs=False passes dBs=None, for legs that do not
-    read it.
+    The legs decide the measure and the draw (_driver_params): at
+    rho != 0 a single quantized fractional tilde leg is driven by Z-tilde
+    and gets z=None, since Z-tilde is not kept, and a read-only nu (at
+    rho = 0 Z-tilde is Z); a batch of tilde legs only gets dBs=None.
     """
-    p = _driver_params(legs, tilde)
+    legs = [Leg(*leg) for leg in legs]
+    p, tilde, draw_dBs = _driver_params(legs)
     # dBz is drawn into paths[:, 1:], and Z (or the Z-tilde's nu) is
     # written over its own increments
     paths = np.empty((stop - start, grid.steps + 1))
     dBz, _ = brownian_batch(master_seed, range(start, stop), grid, p.rho, False,
                             out=paths[:, 1:])
-    if tilde and p.rho != 0.0:
-        z, nu = simulate_tilde_z(p, legs[0][1].qm, grid, dBz, out=paths, keep_z=False)
+    if tilde:
+        z, nu = simulate_tilde_z(p, legs[0].scheme.qm, grid, dBz, out=paths,
+                                 keep_z=False)
     else:
         z, nu = simulate_cir(p, grid, dBz, out=paths), None
     for a in (z, nu):
@@ -211,23 +244,32 @@ def path_batch(legs, grid: TimeGrid, master_seed: int, start: int, stop: int,
 
 
 def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
-              threads: int = 1, tilde: bool = False,
-              draw_dBs: bool = True) -> list:
-    """path_batch over fixed BATCH_SIZE batches of paths 0..n_paths: one
-    array per leg, concatenated in path order whatever the worker count."""
+              threads: int = 1) -> list:
+    """Each leg's integrand(dBs, Z, nu) on paths 0..n_paths: the one way to
+    run legs.  legs are Legs (p, scheme, pos_map, integrand, tilde) or plain
+    4-tuples, which are physical legs; they share rho and the CIR
+    constants, and each leg's measure is its own: tilde legs are driven by
+    the drift-corrected Z-tilde at rho != 0, which takes one tilde leg and
+    no physical leg on the same map (ValueError), and the others by the
+    physical Z.  A map of tilde legs only draws no dBs.  Runs fixed
+    BATCH_SIZE batches and returns one output per leg, an array or a tuple
+    of arrays, concatenated in path order whatever the worker count;
+    n_paths = 0 gives each leg's output with no rows."""
     def batch(start, stop):
-        return path_batch(legs, grid, master_seed, start, stop, tilde, draw_dBs)
+        return _path_batch(legs, grid, master_seed, start, stop)
 
     return _map_batches(batch, n_paths, threads)
 
 
 def feynman_kac_leg(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
                     pos_map: PositivityMap = PositivityMap.IDENTITY,
-                    scale: float = 1.0) -> tuple:
-    """The path_batch leg of the Laplace-transform representation of the
-    affine factor: per path scale * exp(int_0^T (gamma r / c + eta/c * nu_s) ds),
-    left-endpoint quadrature.  Its expectation needs Z-tilde, so at rho != 0
-    it is the single leg of a tilde=True map."""
+                    scale: float = 1.0) -> Leg:
+    """The tilde Leg of the Laplace-transform representation of the affine
+    factor: per path scale * exp(int_0^T (gamma r / c + eta/c * nu_s) ds),
+    left-endpoint quadrature.  Its expectation is taken under the
+    drift-corrected measure, so at rho != 0 map_paths drives it by Z-tilde,
+    as the single leg of its map; at rho = 0 it may share a map with any
+    leg.  It reads no dBs."""
     d = p.derived()
     c = d.c_exponent
 
@@ -235,16 +277,16 @@ def feynman_kac_leg(p: ModelParams, scheme: VolScheme, grid: TimeGrid,
         integral = grid.h * np.sum(nu[..., :-1], axis=-1)
         return scale * np.exp(p.gamma * p.r / c * grid.horizon + d.eta / c * integral)
 
-    return p, scheme, pos_map, integrand
+    return Leg(p, scheme, pos_map, integrand, tilde=True)
 
 
 def mc_feynman_kac(p: ModelParams, scheme: VolScheme, n_paths: int,
                    grid: TimeGrid, master_seed: int, threads: int = 1,
                    pos_map: PositivityMap = PositivityMap.IDENTITY) -> McEstimate:
-    """Mean of the feynman_kac_leg on Z-tilde (Z at rho = 0); path_batch
+    """Mean of the feynman_kac_leg on Z-tilde (Z at rho = 0); map_paths
     rejects a scheme without that driver at rho != 0."""
     values, = map_paths([feynman_kac_leg(p, scheme, grid, pos_map)], grid,
-                        master_seed, n_paths, threads, tilde=True, draw_dBs=False)
+                        master_seed, n_paths, threads)
     return McEstimate.of(values)
 
 
@@ -276,7 +318,7 @@ def mc_value_rough(p: ModelParams, qm_tilde: QuantizedMeasure,
         raise ValueError("the rough value estimator is defined for rho = 0")
     leg = feynman_kac_leg(p, VolScheme(REGIMES[Regime.ROUGH].quantized, qm=qm_tilde),
                           grid, pos_map, p.w0 ** p.gamma / p.gamma)
-    values, = map_paths([leg], grid, master_seed, n_paths, threads, draw_dBs=False)
+    values, = map_paths([leg], grid, master_seed, n_paths, threads)
     return McEstimate.of(values)
 
 
@@ -307,8 +349,8 @@ def convergence_study(p: ModelParams, qms: list, n_paths: int, grid: TimeGrid,
         raise ValueError("the convergence study runs in the fractional regime")
     direct, _, quantized, riccati = REGIMES[p.regime]
     schemes = [VolScheme(quantized, qm=qm) for qm in qms]
-    nus = path_batch([(p, s, None, lambda dBs, z, nu: nu) for s in schemes], grid,
-                     master_seed, 0, MONOTONE_PATHS, draw_dBs=False)
+    nus = map_paths([(p, s, None, lambda dBs, z, nu: nu) for s in schemes], grid,
+                    master_seed, MONOTONE_PATHS)
     utility = _utility(p, merton_ratio(p), grid)
     euler_util, *utils = map(McEstimate.of, map_paths(
         [(p, s, PositivityMap.IDENTITY, utility)

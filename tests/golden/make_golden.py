@@ -26,7 +26,7 @@ import numpy as np
 from fracheston import (MeasureKind, TimeGrid, default_params, mc_feynman_kac,
                         mc_utility, mc_value_rough, measure_for_atoms, merton_ratio)
 from fracheston.cli import main
-from fracheston.mc import BATCH_SIZE, map_paths
+from fracheston.mc import BATCH_SIZE, Leg, map_paths
 from fracheston.vol import PositivityMap, SchemeKind, VolScheme
 
 HERE = Path(__file__).resolve().parent
@@ -131,8 +131,8 @@ def gemm_digests(threads: int = 1) -> dict:
     recorded, only compared across BLAS and worker thread counts."""
     out = {}
     for name, p, scheme, n in _gemm_cases():
-        paths, = map_paths([(p, scheme, None, lambda dBs, z, nu: nu.copy())],
-                           GEMM_GRID, 11, n, threads, tilde=True, draw_dBs=False)
+        leg = Leg(p, scheme, None, lambda dBs, z, nu: nu.copy(), tilde=True)
+        paths, = map_paths([leg], GEMM_GRID, 11, n, threads)
         out[name] = hashlib.sha256(paths.tobytes()).hexdigest()
     return out
 

@@ -258,7 +258,7 @@ def test_guarded_row_failing_in_one_block_yields_nan(tmp_path):
                        qm=measure_for_atoms(8, -0.75, MeasureKind.MU_TILDE))
     failures = []
     leg = _guarded(feynman_kac_leg(p, scheme, grid, PositivityMap.IDENTITY), failures)
-    values, = map_paths([leg], grid, cfg.seed, cfg.n_paths, draw_dBs=False)
+    values, = map_paths([leg], grid, cfg.seed, cfg.n_paths)
     assert [str(exc) for exc in failures] == [
         "identity positivity map applied to a path with negative entries; use abs or exp"]
     blocks = {path // _ROW_BLOCK for path in (163, 190)}

@@ -99,11 +99,10 @@ PUBLIC_NAMES = [
     "default_params", "dyadic_chain", "frac_kernel", "hurst_of_alpha",
     "load_config", "map_paths", "mc_feynman_kac", "mc_utility", "mc_value_rough",
     "measure_for_atoms", "merton_ratio", "nu_fractional_euler",
-    "nu_quantized_paths", "nu_quantized_rough_paths", "nu_rough_marchaud",
-    "path_batch", "psi", "regime_of_alpha", "simulate_cir", "simulate_stock",
-    "simulate_tilde_z", "simulate_wealth", "solve_riccati_finite",
-    "solve_riccati_limit", "solve_riccati_rough", "value_function",
-    "value_function_at_t",
+    "nu_quantized_paths", "nu_quantized_rough_paths", "nu_rough_marchaud", "psi",
+    "regime_of_alpha", "simulate_cir", "simulate_stock", "simulate_tilde_z",
+    "simulate_wealth", "solve_riccati_finite", "solve_riccati_limit",
+    "solve_riccati_rough", "value_function", "value_function_at_t",
 ]
 
 

@@ -12,8 +12,8 @@ from fracheston import (MeasureKind, PositivityMap, Regime, SchemeKind, TimeGrid
                         solve_riccati_finite, solve_riccati_limit,
                         solve_riccati_rough)
 from fracheston import vol
-from fracheston.mc import (BATCH_SIZE, REGIMES, McEstimate, _map_batches, _utility,
-                           feynman_kac_leg, map_paths, path_batch)
+from fracheston.mc import (BATCH_SIZE, REGIMES, Leg, McEstimate, _map_batches,
+                           _path_batch, _utility, feynman_kac_leg, map_paths)
 from fracheston.vol import _ROW_BLOCK, apply_positivity
 from oracles import feynman_kac_girsanov
 
@@ -27,6 +27,20 @@ def quant_scheme(params):
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, std_error=0.0, n_paths=1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_estimate_of_fewer_than_two_values_raises(n):
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        McEstimate.of(np.ones(n))
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.7])
+@pytest.mark.parametrize("n", [0, 1])
+def test_feynman_kac_on_fewer_than_two_paths_raises(params, quant_scheme, n, rho):
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        mc_feynman_kac(params.with_(rho=rho), quant_scheme, n, grid, 3)
 
 
 def test_every_regime_has_a_row():
@@ -104,14 +118,15 @@ def test_multi_leg_map_equals_one_leg_calls(threads):
         assert np.array_equal(out, alone)
 
 
-def test_zero_row_path_batch_keeps_each_legs_shape():
-    # wealth with n_sample_paths = 0 asks for no rows: each leg still runs
-    # once, on no paths, and returns its empty array
+def test_zero_path_map_keeps_each_legs_shape():
+    # wealth with n_sample_paths = 0 asks for no paths: the map runs one
+    # empty batch, so each leg still runs once, on no paths, and returns
+    # its empty array
     grid = TimeGrid.from_horizon(1.0, 0.02)
     legs = _four_legs(grid)
     p, scheme, pos_map, _ = legs[2]
     legs.append((p, scheme, pos_map, lambda dBs, z, nu: (z, nu)))
-    *out, (z, nu) = path_batch(legs, grid, 19, 0, 0)
+    *out, (z, nu) = map_paths(legs, grid, 19, 0, threads=2)
     assert [o.shape for o in out] == [(0,), (0, 2), (0, 3), (0,)]
     assert z.shape == nu.shape == (0, grid.steps + 1)
 
@@ -119,7 +134,7 @@ def test_zero_row_path_batch_keeps_each_legs_shape():
 @pytest.mark.parametrize("start, stop", [(0, _ROW_BLOCK + 44), (100, 100 + 2 * _ROW_BLOCK)],
                          ids=["ragged", "whole-blocks"])
 def test_row_blocks_equal_whole_array_legs(start, stop):
-    # path_batch runs the legs _ROW_BLOCK rows at a time; every leg's output
+    # _path_batch runs the legs _ROW_BLOCK rows at a time; every leg's output
     # is the integrand on the whole batch's dBs, Z and nu, bit for bit
     grid = TimeGrid.from_horizon(1.0, 0.02)
     rough = default_params(alpha=-0.75)
@@ -128,16 +143,75 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
             16, -0.75, MeasureKind.MU_TILDE)), grid, PositivityMap.EXPONENTIAL),
         (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), None,
          lambda dBs, z, nu: (simulate_wealth(0.2, np.abs(nu), grid, dBs, rough), nu))]
-    out = path_batch(legs, grid, 19, start, stop)
+    out = _path_batch(legs, grid, 19, start, stop)
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
-    for (p, scheme, pos_map, integrand), got in zip(legs, out):
+    for (p, scheme, pos_map, integrand, *_), got in zip(legs, out):
         nu = scheme.nu_paths(p, z, grid)
         want = integrand(dBs, z, nu if pos_map is None else apply_positivity(nu, pos_map))
         if isinstance(want, tuple):
             assert len(got) == len(want) and all(map(np.array_equal, got, want))
         else:
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tuple_outputs_concatenate_across_batches(threads):
+    # a leg that returns (dBs, Z, nu), as the simulate command's does: each
+    # element is concatenated over the map's batches on its own
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    n = BATCH_SIZE + 52  # two batches
+    legs = [(default_params(rho=0.7), VolScheme(SchemeKind.FRACTIONAL_EULER),
+             None, lambda dBs, z, nu: (dBs, z, nu))]
+    got, = map_paths(legs, grid, 19, n, threads)
+    want, = _path_batch(legs, grid, 19, 0, n)
+    assert len(got) == len(want) == 3
+    assert all(map(np.array_equal, got, want))
+
+
+def test_feynman_kac_leg_brings_its_measure_to_a_plain_map():
+    # the leg, not the caller, says that Feynman-Kac is taken under Z-tilde:
+    # a plain map_paths call gives mc_feynman_kac's estimate bit for bit,
+    # and the same integrand as a physical leg does not
+    p = default_params(rho=-0.7)
+    scheme = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
+                       qm=measure_for_atoms(16, p.alpha, MeasureKind.MU))
+    grid = TimeGrid.from_horizon(1.0, 0.01)
+    n = 2 * BATCH_SIZE
+    leg = feynman_kac_leg(p, scheme, grid)
+    values, = map_paths([leg], grid, 7, n)
+    assert McEstimate.of(values) == mc_feynman_kac(p, scheme, n, grid, 7)
+    physical, = map_paths([leg[:4]], grid, 7, n)
+    assert McEstimate.of(physical).mean != McEstimate.of(values).mean
+
+
+def test_map_mixing_measures_at_nonzero_rho_raises(params, quant_scheme):
+    p = params.with_(rho=-0.7)
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    legs = [feynman_kac_leg(p, quant_scheme, grid),
+            (p, quant_scheme, PositivityMap.IDENTITY, _utility(p, merton_ratio(p), grid))]
+    with pytest.raises(ValueError, match="cannot share a path map"):
+        map_paths(legs, grid, 19, 10)
+    with pytest.raises(ValueError, match="cannot share a path map"):
+        map_paths(legs[::-1], grid, 19, 10)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_measures_share_a_map_at_rho_zero(params, quant_scheme, threads):
+    # at rho = 0 Z-tilde is Z, so a Feynman-Kac leg and a utility leg may
+    # share one draw, and each equals its own estimator
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    n = BATCH_SIZE + 52  # two batches
+    pi = merton_ratio(params)
+    fk, utility = map_paths(
+        [feynman_kac_leg(params, quant_scheme, grid),
+         (params, quant_scheme, PositivityMap.IDENTITY, _utility(params, pi, grid))],
+        grid, 29, n, threads)
+    assert McEstimate.of(fk) == mc_feynman_kac(params, quant_scheme, n, grid, 29,
+                                               threads)
+    assert McEstimate.of(utility) == mc_utility(params, pi, quant_scheme,
+                                                PositivityMap.IDENTITY, n, grid, 29,
+                                                threads)
 
 
 @pytest.mark.parametrize("rho, reads_dBs", [(-0.7, False), (0.0, False), (0.0, True),
@@ -160,8 +234,7 @@ def test_batch_holds_few_path_sized_arrays(params, rho, reads_dBs):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        path_batch([leg], grid, 3, 0, BATCH_SIZE, tilde=not reads_dBs,
-                   draw_dBs=reads_dBs)
+        _path_batch([leg], grid, 3, 0, BATCH_SIZE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -178,7 +251,7 @@ def test_kernel_is_built_once_per_leg_per_batch(monkeypatch):
     legs = [feynman_kac_leg(p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
                                          qm=measure_for_atoms(k, 0.75, MeasureKind.MU)), grid)
             for k in (8, 16)]
-    map_paths(legs, grid, 19, BATCH_SIZE + 52, draw_dBs=False)  # two batches, 10 blocks
+    map_paths(legs, grid, 19, BATCH_SIZE + 52)  # two batches, 10 blocks
     assert sorted(calls) == [8, 8, 16, 16]
 
 
@@ -197,7 +270,7 @@ def test_feynman_kac_legs_of_one_map_equal_their_estimators(threads):
         feynman_kac_leg(classical, VolScheme(SchemeKind.CLASSICAL), grid),
         feynman_kac_leg(rough, rough_scheme, grid, PositivityMap.ABSOLUTE,
                         rough.w0 ** rough.gamma / rough.gamma)]
-    shared = map_paths(legs, grid, 23, n, threads, draw_dBs=False)
+    shared = map_paths(legs, grid, 23, n, threads)
     alone = [mc_feynman_kac(frac, s, n, grid, 23, threads) for s in schemes] + [
         mc_feynman_kac(classical, VolScheme(SchemeKind.CLASSICAL), n, grid, 23, threads),
         mc_value_rough(rough, qm_tilde, PositivityMap.ABSOLUTE, n, grid, 23, threads)]
@@ -218,9 +291,9 @@ def test_legs_cannot_mutate_shared_paths(mutate, tilde):
                            qm=measure_for_atoms(8, p.alpha, MeasureKind.MU))
     else:
         p, scheme = default_params(alpha=0.0), VolScheme(SchemeKind.CLASSICAL)
-    leg = (p, scheme, PositivityMap.IDENTITY, mutate)
+    leg = Leg(p, scheme, PositivityMap.IDENTITY, mutate, tilde)
     with pytest.raises(ValueError, match="read-only"):
-        map_paths([leg], grid, 19, 10, tilde=tilde)
+        map_paths([leg], grid, 19, 10)
 
 
 def test_integrands_may_return_their_block():
@@ -234,7 +307,7 @@ def test_integrands_may_return_their_block():
     legs = [(p, scheme, pos_map, lambda dBs, z, nu: (dBs, z, nu))
             for p, scheme, pos_map, _ in _four_legs(grid)]
     legs += [(p, scheme, None, lambda dBs, z, nu: nu) for p, scheme, _, _ in legs]
-    out = path_batch(legs, grid, 19, start, stop)
+    out = _path_batch(legs, grid, 19, start, stop)
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
     for (p, scheme, pos_map, _), got in zip(legs, out):
@@ -260,9 +333,9 @@ def test_batch_size_does_not_move_a_dBs_leg(batch_size):
              _utility(p, merton_ratio(p), grid)),
             (p, VolScheme(SchemeKind.CLASSICAL), None, lambda dBs, z, nu: dBs)]
     utility, dBs = _map_batches(
-        lambda a, b: path_batch(legs, grid, 19, a, b), n, threads=2,
+        lambda a, b: _path_batch(legs, grid, 19, a, b), n, threads=2,
         batch_size=batch_size)
-    want, = _map_batches(lambda a, b: path_batch(legs[:1], grid, 19, a, b), n)
+    want, = _map_batches(lambda a, b: _path_batch(legs[:1], grid, 19, a, b), n)
     assert np.array_equal(utility, want)
     assert np.array_equal(dBs, brownian_batch(19, range(n), grid, p.rho)[1])
 
@@ -280,7 +353,7 @@ def test_legs_must_share_the_driver(params, quant_scheme):
     # the Z-tilde driver depends on the leg's nu, so it takes a single leg
     p = params.with_(rho=-0.7)
     with pytest.raises(ValueError, match="one quantized_fractional leg"):
-        map_paths([leg(p), leg(p)], grid, 19, 10, tilde=True)
+        map_paths([Leg(*leg(p), tilde=True)] * 2, grid, 19, 10)
 
 
 def test_feynman_kac_thread_determinism(params, quant_scheme):
