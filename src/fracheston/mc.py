@@ -7,20 +7,25 @@ values by McEstimate.of with exact (fsum) sums, so results are
 bit-identical for any worker count.  The leg names its measure: a tilde
 leg (feynman_kac_leg) is a Feynman-Kac expectation, taken under the
 drift-corrected measure that Z-tilde simulates at rho != 0; any other leg
-is taken under the physical measure.  A batch draws dBz and drives Z once
-for all its legs (alphas, levels or schemes on common random numbers),
-writing Z over its own increments, so Z is its one path-sized array.  It
-then runs the legs over blocks of 64 rows with one set of scratch: each
-leg's kernel is built once per batch, each block's Z is transformed once
-for every leg that convolves it, the block's dBs is drawn only if a leg
-is not a tilde leg, and each leg in turn writes its nu, after its
-positivity map, into one reused nu block and runs its integrand on it.
-The rho != 0 Z-tilde depends on nu, so it drives a single tilde leg.
-There the driver writes nu over the increments in place of Z-tilde, which
-nothing reads, and the leg gets nu sliced per block and z=None.  One
-Feynman-Kac leg serves both value estimators; utility legs read the
-terminal wealth only.  REGIMES is the one table from a regime to its
-schemes, quantized measure and Riccati system.
+is taken under the physical measure.  Each leg's kernel is built once per
+map, before any batch runs.  A batch draws dBz and drives Z once for all
+its legs (alphas, levels or schemes on common random numbers), writing Z
+over its own increments, so Z is its one path-sized array.  It then runs
+the legs over blocks of 32 rows with one set of scratch: each block's Z
+is transformed once for every leg that convolves it, the block's dBs is
+drawn only if a leg is not a tilde leg, and each leg in turn writes its
+nu, after its positivity map, into one reused nu block and runs its
+integrand on it.  A batch driven by CIR holds CIR_BATCH_SIZE (1024)
+paths, which halves the paths each worker holds in flight and moves no
+bit, since the drive, the dBs draws, the transforms and the sums all go
+path by path.  The rho != 0 Z-tilde depends on nu, so it drives a single
+tilde leg, over BATCH_SIZE (2048) paths: its per-path cost rises at
+narrower widths, and its pooled GEMMs take their bits from the batch's
+columns.  There the driver writes nu over the increments in place of
+Z-tilde, which nothing reads, and the leg gets nu sliced per block and
+z=None.  One Feynman-Kac leg serves both value estimators; utility legs
+read the terminal wealth only.  REGIMES is the one table from a regime to
+its schemes, quantized measure and Riccati system.
 """
 from __future__ import annotations
 
@@ -40,7 +45,8 @@ from .sim import (TimeGrid, brownian_batch, simulate_cir, simulate_tilde_z,
 from .vol import (_ROW_BLOCK, PositivityMap, SchemeKind, VolScheme, ZSpectrum,
                   apply_positivity)
 
-BATCH_SIZE = 2048
+BATCH_SIZE = 2048  # paths per batch driven by Z-tilde
+CIR_BATCH_SIZE = BATCH_SIZE // 2  # paths per batch driven by CIR
 MONOTONE_PATHS = 100
 
 # Per regime: the direct scheme, the quantized measure (None for classical,
@@ -150,25 +156,29 @@ def _gather(dest, out, a: int, n: int):
     return dest
 
 
-def _run_blocks(legs, grid: TimeGrid, z: np.ndarray | None, nu=None,
+def _kernels(legs, grid: TimeGrid, tilde: bool) -> list:
+    """Each leg's VolterraKernel, None where it does not convolve Z: a
+    classical leg, or a leg that gets the Z-tilde driver's nu."""
+    return [None if tilde else leg.scheme.kernel(leg.p, grid) for leg in legs]
+
+
+def _run_blocks(legs, kernels, grid: TimeGrid, z: np.ndarray | None, nu=None,
                 draw_dBs=None) -> list:
     """Each leg's integrand over blocks of _ROW_BLOCK rows of the batch.
 
-    Each leg's kernel is built once, and the batch's scratch once: a
-    ZSpectrum, if a leg convolves Z, and one block of nu.  Per block, Z is
-    transformed once for all the legs that convolve it, draw_dBs(rows,
-    out), if given, draws the block's read-only dBs with its dBz redrawn
-    into out (the nu block's [:, 1:]), and then each leg's nu and
-    positivity map are written into the nu block in turn.  With a driver's
-    nu (Z-tilde), z is None: nu is sliced instead, and the leg gets
-    z=None.  Each block's output is copied into its leg's batch output
-    before the next leg runs, so an integrand may return a view of what it
-    is given.  No rows still make one block, so every integrand runs and
-    keeps its output's shape."""
+    kernels are the legs' kernels (_kernels), built once per map.  The
+    batch's scratch is allocated once: a ZSpectrum, if a leg convolves Z,
+    and one block of nu.  Per block, Z is transformed once for all the
+    legs that convolve it, draw_dBs(rows, out), if given, draws the
+    block's read-only dBs with its dBz redrawn into out (the nu block's
+    [:, 1:]), and then each leg's nu and positivity map are written into
+    the nu block in turn.  With a driver's nu (Z-tilde), z is None: nu is
+    sliced instead, and the leg gets z=None.  Each block's output is
+    copied into its leg's batch output before the next leg runs, so an
+    integrand may return a view of what it is given.  No rows still make
+    one block, so every integrand runs and keeps its output's shape."""
     paths = nu if z is None else z
     n = len(paths)
-    kernels = [None if nu is not None else leg.scheme.kernel(leg.p, grid)
-               for leg in legs]
     convolves = any(k is not None for k in kernels)
     nu_block = np.empty((min(n, _ROW_BLOCK), paths.shape[-1]))
     spectrum = None
@@ -193,9 +203,10 @@ def _run_blocks(legs, grid: TimeGrid, z: np.ndarray | None, nu=None,
 
 
 def _path_batch(legs, grid: TimeGrid, master_seed: int, start: int,
-                stop: int) -> list:
+                stop: int, kernels=None) -> list:
     """integrand(dBs, Z, nu) of each Leg (or plain 4-tuple) for paths
-    start..stop, in leg order.
+    start..stop, in leg order, with the legs' kernels (_kernels; built
+    here if None).
 
     The legs share rho and the CIR constants, so Z is driven once.  dBz
     only drives Z: it is drawn into the [:, 1:] of the array Z is written
@@ -203,7 +214,7 @@ def _path_batch(legs, grid: TimeGrid, master_seed: int, start: int,
     allocates nothing per step.  The Z-tilde driver writes its nu, not
     Z-tilde, over the increments instead.  So the one path-sized array is
     Z (or the Z-tilde's nu).  The legs then run over blocks of at most
-    _ROW_BLOCK (64) rows, which share one set of scratch (_run_blocks):
+    _ROW_BLOCK (32) rows, which share one set of scratch (_run_blocks):
     per block, every leg gets the block's read-only dBs and Z and its own
     nu, after pos_map (raw with pos_map=None), and the integrand is called
     once per block.  dBs is drawn per block, from the block's streams:
@@ -219,6 +230,8 @@ def _path_batch(legs, grid: TimeGrid, master_seed: int, start: int,
     """
     legs = [Leg(*leg) for leg in legs]
     p, tilde, draw_dBs = _driver_params(legs)
+    if kernels is None:
+        kernels = _kernels(legs, grid, tilde)
     # dBz is drawn into paths[:, 1:], and Z (or the Z-tilde's nu) is
     # written over its own increments
     paths = np.empty((stop - start, grid.steps + 1))
@@ -240,7 +253,7 @@ def _path_batch(legs, grid: TimeGrid, master_seed: int, start: int,
         dBs.flags.writeable = False
         return dBs
 
-    return _run_blocks(legs, grid, z, nu, block_dBs if draw_dBs else None)
+    return _run_blocks(legs, kernels, grid, z, nu, block_dBs if draw_dBs else None)
 
 
 def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
@@ -251,14 +264,21 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
     constants, and each leg's measure is its own: tilde legs are driven by
     the drift-corrected Z-tilde at rho != 0, which takes one tilde leg and
     no physical leg on the same map (ValueError), and the others by the
-    physical Z.  A map of tilde legs only draws no dBs.  Runs fixed
-    BATCH_SIZE batches and returns one output per leg, an array or a tuple
-    of arrays, concatenated in path order whatever the worker count;
-    n_paths = 0 gives each leg's output with no rows."""
-    def batch(start, stop):
-        return _path_batch(legs, grid, master_seed, start, stop)
+    physical Z.  A map of tilde legs only draws no dBs.  Builds each leg's
+    kernel once, on the calling thread, and runs fixed batches, of
+    BATCH_SIZE paths when Z-tilde drives them and CIR_BATCH_SIZE when CIR
+    does; returns one output per leg, an array or a tuple of arrays,
+    concatenated in path order whatever the worker count; n_paths = 0
+    gives each leg's output with no rows."""
+    legs = [Leg(*leg) for leg in legs]
+    _, tilde, _ = _driver_params(legs)
+    kernels = _kernels(legs, grid, tilde)
 
-    return _map_batches(batch, n_paths, threads)
+    def batch(start, stop):
+        return _path_batch(legs, grid, master_seed, start, stop, kernels)
+
+    return _map_batches(batch, n_paths, threads,
+                        BATCH_SIZE if tilde else CIR_BATCH_SIZE)
 
 
 def feynman_kac_leg(p: ModelParams, scheme: VolScheme, grid: TimeGrid,

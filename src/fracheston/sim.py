@@ -74,11 +74,13 @@ class TimeGrid:
 # Rows per block of every row-wise pass over a batch: brownian_batch's
 # scaling, vol's FFT and mc's leg loop, which draws dBs per block.  It
 # bounds the block's dBs, the nu block and an integrand's temporaries
-# (about 0.5 MB each at 1000 steps) and the FFT scratch (3 MB), whatever
+# (about 0.25 MB each at 1000 steps) and the FFT scratch (1.5 MB), whatever
 # the batch size.  With glibc's malloc, temporaries this small are reused
 # from block to block instead of being handed back to the OS and faulted
-# in again, as they were at 128 rows.
-_ROW_BLOCK = 64
+# in again.  The CLI wealth child (1024-path batches, threads 2) read
+# 33-35k minor faults and 63 MB with 64-row blocks, and 10.0k and 58 MB
+# with 32.
+_ROW_BLOCK = 32
 
 
 def brownian_batch(master_seed: int, stream_ids, grid: TimeGrid, rho: float,

@@ -15,19 +15,19 @@ weights, the Marchaud weights, or the summed exponential-factor kernel of a
 quantized measure (with the singular and q . J terms in the rough case).
 The convolution runs through one FFT engine on numpy's pocketfft
 (np.fft) at 5-smooth lengths, in two steps: a ZSpectrum is the forward
-transform of a block of at most 64 rows of Z, and a VolterraKernel (w's
+transform of a block of at most 32 rows of Z, and a VolterraKernel (w's
 transform, the local coefficient and v0, built once) applies one
 construction to it, summing the inverse transform with the local term and
 v0 straight into nu.  The ZSpectrum also holds the scratch the kernels
 apply it with, and takes block after block into the same buffers, so
 every transform writes through out= and no block allocates.
 VolScheme.kernel is the one place a scheme picks its construction; mc
-builds each leg's kernel and one ZSpectrum once per batch, and each of
-its row blocks reaches VolterraKernel.apply through VolScheme.nu_paths,
-sharing the block's spectrum among all its legs and writing each leg's nu
-into one reused block (out=).  The four nu_* functions
-are whole-array conveniences that build their kernel and go block by
-block.  The test suite holds the engine to 1e-12 against the O(k^2) sums
+builds each leg's kernel once per map and one ZSpectrum once per batch,
+and each of its row blocks reaches VolterraKernel.apply through
+VolScheme.nu_paths, sharing the block's spectrum among all its legs and
+writing each leg's nu into one reused block (out=).  The four nu_*
+functions are whole-array conveniences that build their kernel and go
+block by block.  The test suite holds the engine to 1e-12 against the O(k^2) sums
 and the per-atom factor recurrence, and bit for bit to the unfused conv,
 then + local, then + v0 (tests/oracles.py).
 The only genuine recurrence left is the rho != 0 drift-corrected Z-tilde

@@ -109,7 +109,7 @@ def _four_legs(grid):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_multi_leg_map_equals_one_leg_calls(threads):
     grid = TimeGrid.from_horizon(1.0, 0.02)
-    n = BATCH_SIZE + 52  # two batches
+    n = BATCH_SIZE + 52  # three batches
     legs = _four_legs(grid)
     shared = map_paths(legs, grid, 19, n, threads)
     assert len(shared) == len(legs)
@@ -160,7 +160,7 @@ def test_tuple_outputs_concatenate_across_batches(threads):
     # a leg that returns (dBs, Z, nu), as the simulate command's does: each
     # element is concatenated over the map's batches on its own
     grid = TimeGrid.from_horizon(1.0, 0.02)
-    n = BATCH_SIZE + 52  # two batches
+    n = BATCH_SIZE + 52  # three batches
     legs = [(default_params(rho=0.7), VolScheme(SchemeKind.FRACTIONAL_EULER),
              None, lambda dBs, z, nu: (dBs, z, nu))]
     got, = map_paths(legs, grid, 19, n, threads)
@@ -201,7 +201,7 @@ def test_measures_share_a_map_at_rho_zero(params, quant_scheme, threads):
     # at rho = 0 Z-tilde is Z, so a Feynman-Kac leg and a utility leg may
     # share one draw, and each equals its own estimator
     grid = TimeGrid.from_horizon(1.0, 0.02)
-    n = BATCH_SIZE + 52  # two batches
+    n = BATCH_SIZE + 52  # three batches
     pi = merton_ratio(params)
     fk, utility = map_paths(
         [feynman_kac_leg(params, quant_scheme, grid),
@@ -241,7 +241,32 @@ def test_batch_holds_few_path_sized_arrays(params, rho, reads_dBs):
     assert (peak - base) / (BATCH_SIZE * grid.steps * 8) < 1.7
 
 
-def test_kernel_is_built_once_per_leg_per_batch(monkeypatch):
+@pytest.mark.parametrize("fk", [False, True], ids=["wealth-euler", "fk-142"])
+def test_map_holds_few_paths_in_flight(params, fk):
+    # traced peak of a two-worker map, in arrays of BATCH_SIZE x steps
+    # doubles: a rho = 0 map is driven by CIR over CIR_BATCH_SIZE-path
+    # batches, so its two workers together hold about one such array plus
+    # their row blocks' scratch.  A terminal-wealth leg on the fractional
+    # Euler scheme reads dBs; a 142-atom Feynman-Kac leg does not
+    grid = TimeGrid.from_horizon(1.0, 0.001)
+    if fk:
+        scheme = VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
+                           qm=measure_for_atoms(142, params.alpha, MeasureKind.MU))
+        leg = feynman_kac_leg(params, scheme, grid)
+    else:
+        leg = (params, VolScheme(SchemeKind.FRACTIONAL_EULER), PositivityMap.IDENTITY,
+               _utility(params, merton_ratio(params), grid))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        map_paths([leg], grid, 3, 2 * BATCH_SIZE, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (BATCH_SIZE * grid.steps * 8) < 1.5
+
+
+def test_kernel_is_built_once_per_leg_per_map(monkeypatch):
     calls = []
     factor_kernel = vol._factor_kernel
     monkeypatch.setattr(vol, "_factor_kernel",
@@ -251,8 +276,8 @@ def test_kernel_is_built_once_per_leg_per_batch(monkeypatch):
     legs = [feynman_kac_leg(p, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
                                          qm=measure_for_atoms(k, 0.75, MeasureKind.MU)), grid)
             for k in (8, 16)]
-    map_paths(legs, grid, 19, BATCH_SIZE + 52)  # two batches, 10 blocks
-    assert sorted(calls) == [8, 8, 16, 16]
+    map_paths(legs, grid, 19, BATCH_SIZE + 52)  # three batches, 66 blocks
+    assert sorted(calls) == [8, 16]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -260,7 +285,7 @@ def test_feynman_kac_legs_of_one_map_equal_their_estimators(threads):
     # the value command's rows: fractional legs at two levels, the classical
     # leg and the rough value leg, all on one draw
     grid = TimeGrid.from_horizon(1.0, 0.02)
-    n = BATCH_SIZE + 52  # two batches
+    n = BATCH_SIZE + 52  # three batches
     frac, classical, rough = (default_params(alpha=a) for a in (0.75, 0.0, -0.75))
     schemes = [VolScheme(SchemeKind.QUANTIZED_FRACTIONAL,
                          qm=measure_for_atoms(k, 0.75, MeasureKind.MU)) for k in (8, 16)]
@@ -321,11 +346,13 @@ def test_integrands_may_return_their_block():
                    for b in arrays[i + 1:])
 
 
-@pytest.mark.parametrize("batch_size", [512, 1000, 2048])
+@pytest.mark.parametrize("batch_size", [512, 1000, 1024, 2048])
 def test_batch_size_does_not_move_a_dBs_leg(batch_size):
     # dBs is drawn per row block of each batch, from the block's streams;
     # whatever the batch and block boundaries, every path gets its own
-    # stream's dBs at rho = 0.7, and a leg that reads it the same bits
+    # stream's dBs at rho = 0.7, and a leg that reads it the same bits.
+    # The value command's rho = 0 Feynman-Kac legs, which read no dBs, keep
+    # theirs too, so CIR batches of CIR_BATCH_SIZE give BATCH_SIZE's values
     grid = TimeGrid.from_horizon(1.0, 0.02)
     p = default_params(rho=0.7)
     n = 2 * BATCH_SIZE + 5
@@ -338,6 +365,16 @@ def test_batch_size_does_not_move_a_dBs_leg(batch_size):
     want, = _map_batches(lambda a, b: _path_batch(legs[:1], grid, 19, a, b), n)
     assert np.array_equal(utility, want)
     assert np.array_equal(dBs, brownian_batch(19, range(n), grid, p.rho)[1])
+    frac, rough = default_params(), default_params(alpha=-0.75)
+    fk = [feynman_kac_leg(frac, VolScheme(SchemeKind.QUANTIZED_FRACTIONAL, qm=measure_for_atoms(
+              16, 0.75, MeasureKind.MU)), grid),
+          feynman_kac_leg(rough, VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=measure_for_atoms(
+              16, -0.75, MeasureKind.MU_TILDE)), grid, PositivityMap.ABSOLUTE,
+              rough.w0 ** rough.gamma / rough.gamma)]
+    got = _map_batches(lambda a, b: _path_batch(fk, grid, 19, a, b), n, threads=2,
+                       batch_size=batch_size)
+    want = _map_batches(lambda a, b: _path_batch(fk, grid, 19, a, b), n)
+    assert all(map(np.array_equal, got, want))
 
 
 def test_legs_must_share_the_driver(params, quant_scheme):
@@ -376,7 +413,7 @@ def test_feynman_kac_thread_determinism_at_nonzero_rho(params, quant_scheme):
 def test_mc_value_rough_thread_determinism(rough_params):
     qm = measure_for_atoms(16, rough_params.alpha, MeasureKind.MU_TILDE)
     grid = TimeGrid.from_horizon(1.0, 0.01)
-    n = BATCH_SIZE + 952  # two batches
+    n = BATCH_SIZE + 952  # three batches
     one = mc_value_rough(rough_params, qm, PositivityMap.ABSOLUTE, n, grid, 13,
                          threads=1)
     four = mc_value_rough(rough_params, qm, PositivityMap.ABSOLUTE, n, grid, 13,
