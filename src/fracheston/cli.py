@@ -134,18 +134,20 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
 
 
 def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
-    """Quantized measures (atoms and weights) per alpha and refinement level."""
-    files = []
+    """Quantized measures (atoms and weights) per alpha and refinement level.
+    Every measure is built before the first file is written, so a level
+    that cannot be built leaves no partial output."""
+    tables = []  # (file name, measure)
     for alpha in cfg.alphas:
         kind = REGIMES[cfg.model_params(alpha, 0.0).regime].measure
         for n in cfg.levels if kind else ():  # classical has no measure
             qm = measure_for_atoms(n, alpha, kind)
-            pts = qm.source.points
-            name = f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv"
-            _write_csv(out_dir / name, ["index", "xi_lo", "xi_hi", "node", "weight"],
-                       zip(range(qm.n_atoms), pts[:-1], pts[1:], qm.nodes, qm.weights))
-            files.append(name)
-    return files
+            tables.append((f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv", qm))
+    for name, qm in tables:
+        pts = qm.source.points
+        _write_csv(out_dir / name, ["index", "xi_lo", "xi_hi", "node", "weight"],
+                   zip(range(qm.n_atoms), pts[:-1], pts[1:], qm.nodes, qm.weights))
+    return [name for name, _ in tables]
 
 
 def _guarded(leg, failures: list):

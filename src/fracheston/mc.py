@@ -1,31 +1,14 @@
 """Monte Carlo engines and affine cross-validation.
 
 Every estimator and CLI command simulates through map_paths, which runs
-legs (Leg: p, scheme, positivity map, integrand, tilde) over fixed
-batches of per-path Philox streams; the estimators reduce each leg's
+legs (Leg) on common random numbers over fixed batches of per-path
+Philox streams; its docstring is the one description of the pipeline
+and of the measure each leg names.  The estimators reduce each leg's
 values by McEstimate.of with exact (fsum) sums, so results are
-bit-identical for any worker count.  The leg names its measure: a tilde
-leg (feynman_kac_leg) is a Feynman-Kac expectation, taken under the
-drift-corrected measure that Z-tilde simulates at rho != 0; any other leg
-is taken under the physical measure.  Each leg's kernel is built once per
-map, before any batch runs.  A batch draws dBz and drives Z once for all
-its legs (alphas, levels or schemes on common random numbers), writing Z
-over its own increments, so Z is its one path-sized array.  It then runs
-the legs over blocks of 32 rows with one set of scratch: each block's Z
-is transformed once for every leg that convolves it, the block's dBs is
-drawn only if a leg is not a tilde leg, and each leg in turn writes its
-nu, after its positivity map, into one reused nu block and runs its
-integrand on it.  A batch driven by CIR holds CIR_BATCH_SIZE (1024)
-paths, which halves the paths each worker holds in flight and moves no
-bit, since the drive, the dBs draws, the transforms and the sums all go
-path by path.  The rho != 0 Z-tilde depends on nu, so it drives a single
-tilde leg, over BATCH_SIZE (2048) paths: its per-path cost rises at
-narrower widths, and its pooled GEMMs take their bits from the batch's
-columns.  There the driver writes nu over the increments in place of
-Z-tilde, which nothing reads, and the leg gets nu sliced per block and
-z=None.  One Feynman-Kac leg serves both value estimators; utility legs
-read the terminal wealth only.  REGIMES is the one table from a regime to
-its schemes, quantized measure and Riccati system.
+bit-identical for any worker count.  One Feynman-Kac leg
+(feynman_kac_leg) serves both value estimators; utility legs read the
+terminal wealth only.  REGIMES is the one table from a regime to its
+schemes, quantized measure and Riccati system.
 """
 from __future__ import annotations
 
@@ -119,8 +102,8 @@ _DRIVER_FIELDS = ("rho", "z0", "kappa", "theta", "sigma")  # what Z depends on
 
 
 def _driver_params(legs) -> tuple:
-    """(p, tilde, draw_dBs) of a batch of legs.  p is the first leg's
-    params, once every leg shares its rho and CIR constants.  The batch
+    """(p, tilde, draw_dBs) of a map's legs.  p is the first leg's
+    params, once every leg shares its rho and CIR constants.  The map
     drives Z-tilde if rho != 0 and its legs are tilde legs; there a
     physical leg beside them raises, and so does anything but one quantized
     fractional leg.  It draws dBs if some leg is not a tilde leg."""
@@ -156,126 +139,84 @@ def _gather(dest, out, a: int, n: int):
     return dest
 
 
-def _kernels(legs, grid: TimeGrid, tilde: bool) -> list:
-    """Each leg's VolterraKernel, None where it does not convolve Z: a
-    classical leg, or a leg that gets the Z-tilde driver's nu."""
-    return [None if tilde else leg.scheme.kernel(leg.p, grid) for leg in legs]
-
-
-def _run_blocks(legs, kernels, grid: TimeGrid, z: np.ndarray | None, nu=None,
-                draw_dBs=None) -> list:
-    """Each leg's integrand over blocks of _ROW_BLOCK rows of the batch.
-
-    kernels are the legs' kernels (_kernels), built once per map.  The
-    batch's scratch is allocated once: a ZSpectrum, if a leg convolves Z,
-    and one block of nu.  Per block, Z is transformed once for all the
-    legs that convolve it, draw_dBs(rows, out), if given, draws the
-    block's read-only dBs with its dBz redrawn into out (the nu block's
-    [:, 1:]), and then each leg's nu and positivity map are written into
-    the nu block in turn.  With a driver's nu (Z-tilde), z is None: nu is
-    sliced instead, and the leg gets z=None.  Each block's output is
-    copied into its leg's batch output before the next leg runs, so an
-    integrand may return a view of what it is given.  No rows still make
-    one block, so every integrand runs and keeps its output's shape."""
-    paths = nu if z is None else z
-    n = len(paths)
-    convolves = any(k is not None for k in kernels)
-    nu_block = np.empty((min(n, _ROW_BLOCK), paths.shape[-1]))
-    spectrum = None
-    outs = [None] * len(legs)
-    for a in range(0, max(n, 1), _ROW_BLOCK):
-        rows = slice(a, a + _ROW_BLOCK)
-        z_rows = None if z is None else z[rows]
-        block = nu_block[:n - a]
-        if convolves:
-            spectrum = ZSpectrum(z_rows) if spectrum is None else spectrum.take(z_rows)
-        dBs_rows = None if draw_dBs is None else draw_dBs(rows, block[:, 1:])
-        for i, (leg, kernel) in enumerate(zip(legs, kernels)):
-            if nu is not None:
-                nu_rows = nu[rows]
-            else:
-                nu_rows = leg.scheme.nu_paths(leg.p, z_rows, grid, kernel, spectrum,
-                                              block)
-            if leg.pos_map is not None:
-                nu_rows = apply_positivity(nu_rows, leg.pos_map, block)
-            outs[i] = _gather(outs[i], leg.integrand(dBs_rows, z_rows, nu_rows), a, n)
-    return outs
-
-
-def _path_batch(legs, grid: TimeGrid, master_seed: int, start: int,
-                stop: int, kernels=None) -> list:
-    """integrand(dBs, Z, nu) of each Leg (or plain 4-tuple) for paths
-    start..stop, in leg order, with the legs' kernels (_kernels; built
-    here if None).
-
-    The legs share rho and the CIR constants, so Z is driven once.  dBz
-    only drives Z: it is drawn into the [:, 1:] of the array Z is written
-    into, so Z overwrites its own increments, and the Z-tilde step
-    allocates nothing per step.  The Z-tilde driver writes its nu, not
-    Z-tilde, over the increments instead.  So the one path-sized array is
-    Z (or the Z-tilde's nu).  The legs then run over blocks of at most
-    _ROW_BLOCK (32) rows, which share one set of scratch (_run_blocks):
-    per block, every leg gets the block's read-only dBs and Z and its own
-    nu, after pos_map (raw with pos_map=None), and the integrand is called
-    once per block.  dBs is drawn per block, from the block's streams:
-    redrawing their dBz normals on the way gives dBs the bits of one
-    whole-batch draw at any rho.  The integrand's output is an array, or a
-    tuple of arrays, whose first axis is the block's paths; it is copied
-    into the leg's output for the batch at once, so it may be a view of
-    the block's dBs, Z or nu, which are reused or gone by the next block.
-    The legs decide the measure and the draw (_driver_params): at
-    rho != 0 a single quantized fractional tilde leg is driven by Z-tilde
-    and gets z=None, since Z-tilde is not kept, and a read-only nu (at
-    rho = 0 Z-tilde is Z); a batch of tilde legs only gets dBs=None.
-    """
-    legs = [Leg(*leg) for leg in legs]
-    p, tilde, draw_dBs = _driver_params(legs)
-    if kernels is None:
-        kernels = _kernels(legs, grid, tilde)
-    # dBz is drawn into paths[:, 1:], and Z (or the Z-tilde's nu) is
-    # written over its own increments
-    paths = np.empty((stop - start, grid.steps + 1))
-    dBz, _ = brownian_batch(master_seed, range(start, stop), grid, p.rho, False,
-                            out=paths[:, 1:])
-    if tilde:
-        z, nu = simulate_tilde_z(p, legs[0].scheme.qm, grid, dBz, out=paths,
-                                 keep_z=False)
-    else:
-        z, nu = simulate_cir(p, grid, dBz, out=paths), None
-    for a in (z, nu):
-        if a is not None:
-            a.flags.writeable = False
-
-    def block_dBs(rows: slice, out: np.ndarray) -> np.ndarray:
-        # the block's streams again, for their dBs; dBz is redrawn into out
-        _, dBs = brownian_batch(master_seed, range(start, stop)[rows], grid, p.rho,
-                                out=out)
-        dBs.flags.writeable = False
-        return dBs
-
-    return _run_blocks(legs, kernels, grid, z, nu, block_dBs if draw_dBs else None)
-
-
 def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
               threads: int = 1) -> list:
     """Each leg's integrand(dBs, Z, nu) on paths 0..n_paths: the one way to
-    run legs.  legs are Legs (p, scheme, pos_map, integrand, tilde) or plain
-    4-tuples, which are physical legs; they share rho and the CIR
-    constants, and each leg's measure is its own: tilde legs are driven by
-    the drift-corrected Z-tilde at rho != 0, which takes one tilde leg and
-    no physical leg on the same map (ValueError), and the others by the
-    physical Z.  A map of tilde legs only draws no dBs.  Builds each leg's
-    kernel once, on the calling thread, and runs fixed batches, of
-    BATCH_SIZE paths when Z-tilde drives them and CIR_BATCH_SIZE when CIR
-    does; returns one output per leg, an array or a tuple of arrays,
-    concatenated in path order whatever the worker count; n_paths = 0
-    gives each leg's output with no rows."""
-    legs = [Leg(*leg) for leg in legs]
-    _, tilde, _ = _driver_params(legs)
-    kernels = _kernels(legs, grid, tilde)
+    run legs, and the whole path pipeline.
 
-    def batch(start, stop):
-        return _path_batch(legs, grid, master_seed, start, stop, kernels)
+    legs are Legs (p, scheme, pos_map, integrand, tilde) or plain
+    4-tuples, which are physical legs.  They are checked once per map
+    (_driver_params): they share rho and the CIR constants, so Z is driven
+    once for all of them, and each leg's measure is its own.  Tilde legs
+    are driven by the drift-corrected Z-tilde at rho != 0, which takes a
+    single quantized fractional leg and no physical leg on the same map
+    (ValueError); the others by the physical Z.  Each leg's kernel is
+    built once, on the calling thread, before any batch runs; a classical
+    leg and a Z-tilde leg convolve nothing.
+
+    The map runs fixed batches: BATCH_SIZE paths when Z-tilde drives them,
+    since its per-path cost rises at narrower widths and its pooled GEMMs
+    take their bits from the batch's columns, and CIR_BATCH_SIZE when CIR
+    does, which moves no bit, since the drive, the dBs draws, the
+    transforms and the sums all go path by path.  A batch draws dBz into
+    the [:, 1:] of the array that Z is then written over, so Z is its one
+    path-sized array; the Z-tilde driver writes its nu there instead, and
+    keeps no Z-tilde.  The legs then run over blocks of _ROW_BLOCK (32)
+    rows, which share one set of scratch: a ZSpectrum, if a leg convolves
+    Z, and one block of nu.  Per block, Z is transformed once for every
+    leg that convolves it; the block's dBs is drawn from its streams, with
+    their dBz normals redrawn into the nu block's [:, 1:], which gives dBs
+    the bits of one whole-batch draw at any rho, unless every leg is a
+    tilde leg (dBs=None); and each leg in turn writes its nu, after its
+    pos_map (raw with None), into the nu block and gets integrand(dBs, Z,
+    nu) once.  A Z-tilde leg gets its driver's nu, sliced, and z=None.
+    dBs, Z and a driver's nu are read-only.  The integrand's output is an
+    array, or a tuple of arrays, whose first axis is the block's paths; it
+    is copied into the leg's batch output at once, so it may be a view of
+    what the integrand was given, which the next block reuses.
+
+    Returns one output per leg, concatenated in path order whatever the
+    worker count; n_paths = 0 runs one empty batch, so each leg keeps its
+    output's shape."""
+    legs = [Leg(*leg) for leg in legs]
+    p, tilde, draw_dBs = _driver_params(legs)
+    kernels = [None if tilde else leg.scheme.kernel(leg.p, grid) for leg in legs]
+    convolves = any(k is not None for k in kernels)
+
+    def batch(start: int, stop: int) -> list:
+        streams = range(start, stop)
+        n = len(streams)
+        # dBz is drawn into paths[:, 1:], and Z (or the Z-tilde's nu) is
+        # written over its own increments
+        paths = np.empty((n, grid.steps + 1))
+        dBz, _ = brownian_batch(master_seed, streams, grid, p.rho, False,
+                                out=paths[:, 1:])
+        if tilde:
+            z, nu = simulate_tilde_z(p, legs[0].scheme.qm, grid, dBz, out=paths,
+                                     keep_z=False)
+        else:
+            z, nu = simulate_cir(p, grid, dBz, out=paths), None
+        (nu if tilde else z).flags.writeable = False
+        nu_block = np.empty((min(n, _ROW_BLOCK), grid.steps + 1))
+        spectrum, dBs = None, None
+        outs = [None] * len(legs)
+        for a in range(0, max(n, 1), _ROW_BLOCK):
+            rows = slice(a, a + _ROW_BLOCK)
+            z_rows = None if tilde else z[rows]
+            block = nu_block[:n - a]
+            if convolves:
+                spectrum = ZSpectrum(z_rows) if spectrum is None else spectrum.take(z_rows)
+            if draw_dBs:
+                _, dBs = brownian_batch(master_seed, streams[rows], grid, p.rho,
+                                        out=block[:, 1:])
+                dBs.flags.writeable = False
+            for i, (leg, kernel) in enumerate(zip(legs, kernels)):
+                nu_rows = nu[rows] if tilde else leg.scheme.nu_paths(
+                    leg.p, z_rows, grid, kernel, spectrum, block)
+                if leg.pos_map is not None:
+                    nu_rows = apply_positivity(nu_rows, leg.pos_map, block)
+                outs[i] = _gather(outs[i], leg.integrand(dBs, z_rows, nu_rows), a, n)
+        return outs
 
     return _map_batches(batch, n_paths, threads,
                         BATCH_SIZE if tilde else CIR_BATCH_SIZE)

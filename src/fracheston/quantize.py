@@ -64,12 +64,17 @@ def make_partition(n: int, alpha: float, kind: MeasureKind = MeasureKind.MU) -> 
     fractional measure that mass is xi_min^(1-alpha), which would decay
     arbitrarily slowly near alpha = 1 with a fixed endpoint).  The upper
     tail is cut exponentially by the Laplace kernel, so n^2 is ample.
+    Near alpha = 1 the lower endpoint underflows (to 0.0 for alpha >= 0.993
+    at 16 cells); one that is not a positive normal float raises ValueError.
     """
     if n < 2:
         raise ValueError("need at least 2 cells")
     _check_alpha(alpha, kind)
     e = _mass_exponent(alpha, kind)
     xi_min, xi_max = float(n) ** (-2.0 / e), float(n) ** 2
+    if xi_min < np.finfo(float).smallest_normal:
+        raise ValueError(f"alpha={alpha}: the lower endpoint n^(-2/e) of a {n}-cell "
+                         f"partition is {xi_min!r}, not a positive normal float")
     pts = xi_min * (xi_max / xi_min) ** (np.arange(n + 1) / n)
     pts[0], pts[-1] = xi_min, xi_max  # pin endpoints against roundoff
     return Partition(points=tuple(pts), level=0)

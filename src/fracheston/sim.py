@@ -4,13 +4,14 @@ Randomness is organized as counter-based Philox streams keyed by
 (master_seed, stream_id), one stream per path, so any path is bit-identical
 across runs and thread schedules.  brownian_batch draws a batch from one
 reused Philox, reset to each path's stream in turn, and draws the dBs
-normals only when they are read.  mc draws a batch's dBz alone for the
-drive and then each row block's pair: the dBz normals come first in every
-stream, so redrawing them gives dBs the bits of one draw of the whole
-batch at any rho.  The CIR process uses full-truncation Euler (reported
-values are clipped at zero), stepped time-major: per block of steps the
-increments are copied once into a contiguous buffer and every path
-advances a row at a time in place, bit for bit the stepwise update.
+normals only when they are read.  mc.map_paths draws a batch's dBz
+alone for the drive and then each row block's pair: the dBz normals come
+first in every stream, so redrawing them gives dBs the bits of one draw
+of the whole batch at any rho.  The CIR process uses full-truncation
+Euler (reported values are clipped at zero), stepped time-major: per
+block of steps the increments are copied once into a contiguous buffer
+and every path advances a row at a time in place, bit for bit the
+stepwise update.
 Because a block copies its increments before it writes the same columns
 of the path, both drivers can write Z over its own increments (out=, the
 array whose [..., 1:] is dBz), which is how mc holds one path-sized array

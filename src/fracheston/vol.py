@@ -21,9 +21,9 @@ construction to it, summing the inverse transform with the local term and
 v0 straight into nu.  The ZSpectrum also holds the scratch the kernels
 apply it with, and takes block after block into the same buffers, so
 every transform writes through out= and no block allocates.
-VolScheme.kernel is the one place a scheme picks its construction; mc
-builds each leg's kernel once per map and one ZSpectrum once per batch,
-and each of its row blocks reaches VolterraKernel.apply through
+VolScheme.kernel is the one place a scheme picks its construction;
+mc.map_paths builds each leg's kernel once per map and one ZSpectrum once
+per batch, and each of its row blocks reaches VolterraKernel.apply through
 VolScheme.nu_paths, sharing the block's spectrum among all its legs and
 writing each leg's nu into one reused block (out=).  The four nu_*
 functions are whole-array conveniences that build their kernel and go

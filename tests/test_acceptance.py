@@ -13,14 +13,13 @@ import numpy as np
 from fracheston import (MeasureKind, PositivityMap, SchemeKind, TimeGrid,
                         VolScheme, brownian_batch, default_params,
                         dyadic_chain, approx_kernel, frac_kernel,
-                        mc_feynman_kac, mc_value_rough,
-                        measure_for_atoms, merton_ratio, nu_quantized_paths,
-                        nu_quantized_rough_paths, nu_rough_marchaud, psi,
+                        mc_feynman_kac, measure_for_atoms, merton_ratio,
+                        nu_quantized_paths, nu_rough_marchaud, psi,
                         simulate_cir, solve_riccati_finite,
                         solve_riccati_limit, solve_riccati_rough,
                         value_function)
 from fracheston.cli import main
-from fracheston.mc import McEstimate, _utility, map_paths
+from fracheston.mc import Leg, McEstimate, _utility, feynman_kac_leg, map_paths
 from oracles import cov_cir, simulate_factors
 
 SEED = 20240801
@@ -112,20 +111,19 @@ def test_criterion_06_rough_affine_vs_mc():
     p = default_params(alpha=-0.75, v0=3.0, z0=0.15)
     grid = TimeGrid.from_horizon(1.0, 2e-3)
     qm = measure_for_atoms(128, p.alpha, MeasureKind.MU_TILDE)
-    est = mc_value_rough(p, qm, PositivityMap.IDENTITY, 100_000, grid, SEED,
-                         threads=4)
+    # mc_value_rough's leg, and a second leg on the same draw that counts
+    # each path's negative raw nu
+    scheme = VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=qm)
+    fk = feynman_kac_leg(p, scheme, grid, PositivityMap.IDENTITY, p.w0 ** p.gamma / p.gamma)
+    values, negatives = map_paths(
+        [fk, Leg(p, scheme, None, lambda dBs, z, nu: (nu < 0).sum(axis=1), tilde=True)],
+        grid, SEED, 100_000, threads=4)
+    est = McEstimate.of(values)
     sol = solve_riccati_rough(qm, p, ode_step=1e-3)
     affine = value_function(p, sol).value
     gap = abs(est.mean - affine)
     assert gap <= max(3.0 * est.std_error, 0.02 * abs(affine))
-    negatives = 0
-    for start in range(0, 100_000, 4096):
-        dBz, _ = brownian_batch(SEED, range(start, min(start + 4096, 100_000)),
-                                grid, 0.0, draw_dBs=False)
-        z = simulate_cir(p, grid, dBz)
-        nu = nu_quantized_rough_paths(p.v0, qm, z, grid)
-        negatives += int(np.sum(nu < 0.0))
-    assert negatives == 0
+    assert int(negatives.sum()) == 0
     _ok(6, f"rough MC vs affine value, gap {gap:.2e} "
            f"(rel {gap / abs(affine):.2e}), 0 negative-volatility points")
 

@@ -442,6 +442,31 @@ def test_converge_blow_up_exits_cleanly(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["quantize", "converge"])
+def test_alpha_near_one_is_a_run_error(tmp_path, capsys, command):
+    # the partition's lower endpoint 16^(-2/(1 - alpha)) is 0.0 at alpha =
+    # 0.999, which loads: the run stops with make_partition's ValueError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alphas": [0.999], "step": 0.05}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"run error ({command}): alpha=0.999: ")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_quantize_failing_level_leaves_no_output(tmp_path, capsys):
+    # alpha = 0.98 fails past its first default level, after alpha = 0.5's
+    # levels: every measure is built before the first file is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alphas": [0.5, 0.98], "step": 0.05}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "quantize"]) == 1
+    assert capsys.readouterr().err.startswith("run error (quantize): ")
+    assert list(out.iterdir()) == []
+
+
 def test_seed_override_changes_output(tmp_path, cfg_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert _run(cfg_path, out1, "simulate") == 0

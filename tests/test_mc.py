@@ -11,9 +11,9 @@ from fracheston import (MeasureKind, PositivityMap, Regime, SchemeKind, TimeGrid
                         nu_quantized_paths, simulate_cir, simulate_wealth,
                         solve_riccati_finite, solve_riccati_limit,
                         solve_riccati_rough)
-from fracheston import vol
-from fracheston.mc import (BATCH_SIZE, REGIMES, Leg, McEstimate, _map_batches,
-                           _path_batch, _utility, feynman_kac_leg, map_paths)
+from fracheston import mc, vol
+from fracheston.mc import (BATCH_SIZE, REGIMES, Leg, McEstimate, _map_batches, _utility,
+                           feynman_kac_leg, map_paths)
 from fracheston.vol import _ROW_BLOCK, apply_positivity
 from oracles import feynman_kac_girsanov
 
@@ -131,11 +131,17 @@ def test_zero_path_map_keeps_each_legs_shape():
     assert z.shape == nu.shape == (0, grid.steps + 1)
 
 
+def _rows_from(out, start: int):
+    """Rows start: of one leg's map output, an array or a tuple of arrays."""
+    return tuple(a[start:] for a in out) if isinstance(out, tuple) else out[start:]
+
+
 @pytest.mark.parametrize("start, stop", [(0, _ROW_BLOCK + 44), (100, 100 + 2 * _ROW_BLOCK)],
                          ids=["ragged", "whole-blocks"])
 def test_row_blocks_equal_whole_array_legs(start, stop):
-    # _path_batch runs the legs _ROW_BLOCK rows at a time; every leg's output
-    # is the integrand on the whole batch's dBs, Z and nu, bit for bit
+    # map_paths runs the legs _ROW_BLOCK rows at a time; every leg's output
+    # on paths start..stop is the integrand on those paths' whole dBs, Z and
+    # nu, bit for bit
     grid = TimeGrid.from_horizon(1.0, 0.02)
     rough = default_params(alpha=-0.75)
     legs = _four_legs(grid) + [
@@ -143,7 +149,7 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
             16, -0.75, MeasureKind.MU_TILDE)), grid, PositivityMap.EXPONENTIAL),
         (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), None,
          lambda dBs, z, nu: (simulate_wealth(0.2, np.abs(nu), grid, dBs, rough), nu))]
-    out = _path_batch(legs, grid, 19, start, stop)
+    out = [_rows_from(o, start) for o in map_paths(legs, grid, 19, stop)]
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
     for (p, scheme, pos_map, integrand, *_), got in zip(legs, out):
@@ -156,15 +162,17 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_tuple_outputs_concatenate_across_batches(threads):
+def test_tuple_outputs_concatenate_across_batches(monkeypatch, threads):
     # a leg that returns (dBs, Z, nu), as the simulate command's does: each
-    # element is concatenated over the map's batches on its own
+    # element is concatenated over the map's batches on its own, and equals
+    # the map run as one batch
     grid = TimeGrid.from_horizon(1.0, 0.02)
     n = BATCH_SIZE + 52  # three batches
     legs = [(default_params(rho=0.7), VolScheme(SchemeKind.FRACTIONAL_EULER),
              None, lambda dBs, z, nu: (dBs, z, nu))]
     got, = map_paths(legs, grid, 19, n, threads)
-    want, = _path_batch(legs, grid, 19, 0, n)
+    monkeypatch.setattr(mc, "CIR_BATCH_SIZE", n)
+    want, = map_paths(legs, grid, 19, n)
     assert len(got) == len(want) == 3
     assert all(map(np.array_equal, got, want))
 
@@ -217,7 +225,7 @@ def test_measures_share_a_map_at_rho_zero(params, quant_scheme, threads):
 @pytest.mark.parametrize("rho, reads_dBs", [(-0.7, False), (0.0, False), (0.0, True),
                                              (0.7, True)],
                          ids=["tilde", "rho0", "wealth-rho0", "wealth-rho0.7"])
-def test_batch_holds_few_path_sized_arrays(params, rho, reads_dBs):
+def test_batch_holds_few_path_sized_arrays(monkeypatch, params, rho, reads_dBs):
     # traced peak of one benchmark-sized batch, in arrays of paths x steps
     # doubles: Z (at rho != 0 under Z-tilde the driver's nu) is written over
     # dBz, dBs is drawn per row block, and the row blocks' scratch adds a
@@ -231,10 +239,11 @@ def test_batch_holds_few_path_sized_arrays(params, rho, reads_dBs):
         leg = (p, scheme, PositivityMap.IDENTITY, _utility(p, merton_ratio(p), grid))
     else:
         leg = feynman_kac_leg(p, scheme, grid)
+    monkeypatch.setattr(mc, "CIR_BATCH_SIZE", BATCH_SIZE)  # one batch at any rho
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _path_batch([leg], grid, 3, 0, BATCH_SIZE)
+        map_paths([leg], grid, 3, BATCH_SIZE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -278,6 +287,17 @@ def test_kernel_is_built_once_per_leg_per_map(monkeypatch):
             for k in (8, 16)]
     map_paths(legs, grid, 19, BATCH_SIZE + 52)  # three batches, 66 blocks
     assert sorted(calls) == [8, 16]
+
+
+def test_legs_are_checked_once_per_map(monkeypatch, params, quant_scheme):
+    calls = []
+    driver_params = mc._driver_params
+    monkeypatch.setattr(mc, "_driver_params",
+                        lambda legs: calls.append(len(legs)) or driver_params(legs))
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    map_paths([feynman_kac_leg(params, quant_scheme, grid)], grid, 19, BATCH_SIZE + 52,
+              threads=2)  # three batches
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -332,7 +352,7 @@ def test_integrands_may_return_their_block():
     legs = [(p, scheme, pos_map, lambda dBs, z, nu: (dBs, z, nu))
             for p, scheme, pos_map, _ in _four_legs(grid)]
     legs += [(p, scheme, None, lambda dBs, z, nu: nu) for p, scheme, _, _ in legs]
-    out = _path_batch(legs, grid, 19, start, stop)
+    out = [_rows_from(o, start) for o in map_paths(legs, grid, 19, stop)]
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
     for (p, scheme, pos_map, _), got in zip(legs, out):
@@ -347,7 +367,7 @@ def test_integrands_may_return_their_block():
 
 
 @pytest.mark.parametrize("batch_size", [512, 1000, 1024, 2048])
-def test_batch_size_does_not_move_a_dBs_leg(batch_size):
+def test_batch_size_does_not_move_a_dBs_leg(monkeypatch, batch_size):
     # dBs is drawn per row block of each batch, from the block's streams;
     # whatever the batch and block boundaries, every path gets its own
     # stream's dBs at rho = 0.7, and a leg that reads it the same bits.
@@ -359,10 +379,10 @@ def test_batch_size_does_not_move_a_dBs_leg(batch_size):
     legs = [(p, VolScheme(SchemeKind.FRACTIONAL_EULER), PositivityMap.IDENTITY,
              _utility(p, merton_ratio(p), grid)),
             (p, VolScheme(SchemeKind.CLASSICAL), None, lambda dBs, z, nu: dBs)]
-    utility, dBs = _map_batches(
-        lambda a, b: _path_batch(legs, grid, 19, a, b), n, threads=2,
-        batch_size=batch_size)
-    want, = _map_batches(lambda a, b: _path_batch(legs[:1], grid, 19, a, b), n)
+    monkeypatch.setattr(mc, "CIR_BATCH_SIZE", batch_size)
+    utility, dBs = map_paths(legs, grid, 19, n, threads=2)
+    monkeypatch.setattr(mc, "CIR_BATCH_SIZE", BATCH_SIZE)
+    want, = map_paths(legs[:1], grid, 19, n)
     assert np.array_equal(utility, want)
     assert np.array_equal(dBs, brownian_batch(19, range(n), grid, p.rho)[1])
     frac, rough = default_params(), default_params(alpha=-0.75)
@@ -371,9 +391,10 @@ def test_batch_size_does_not_move_a_dBs_leg(batch_size):
           feynman_kac_leg(rough, VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=measure_for_atoms(
               16, -0.75, MeasureKind.MU_TILDE)), grid, PositivityMap.ABSOLUTE,
               rough.w0 ** rough.gamma / rough.gamma)]
-    got = _map_batches(lambda a, b: _path_batch(fk, grid, 19, a, b), n, threads=2,
-                       batch_size=batch_size)
-    want = _map_batches(lambda a, b: _path_batch(fk, grid, 19, a, b), n)
+    monkeypatch.setattr(mc, "CIR_BATCH_SIZE", batch_size)
+    got = map_paths(fk, grid, 19, n, threads=2)
+    monkeypatch.setattr(mc, "CIR_BATCH_SIZE", BATCH_SIZE)
+    want = map_paths(fk, grid, 19, n)
     assert all(map(np.array_equal, got, want))
 
 

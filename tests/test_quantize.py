@@ -60,6 +60,12 @@ def test_make_partition_shape():
     assert pts[-1] == pytest.approx(64.0)
 
 
+def test_partition_near_alpha_one_raises_value_error():
+    # 16^(-2/(1 - alpha)) is 0.0 here: the documented error, not a division by zero
+    with pytest.raises(ValueError, match=r"alpha=0\.995: .* 16-cell .* not a positive normal"):
+        make_partition(16, 0.995)
+
+
 def test_refine_is_superset():
     p = make_partition(6, 0.5, MeasureKind.MU)
     r = refine(p)

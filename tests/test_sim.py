@@ -264,7 +264,7 @@ def test_tilde_z_near_history_dot_is_a_sequential_sum(monkeypatch, params):
 
 @pytest.mark.parametrize("rho", [0.0, -0.7])
 def test_drivers_write_z_over_their_increments_bit_for_bit(params, rho):
-    # as in mc._path_batch: dBz is drawn into buf[:, 1:] and the driver
+    # as in mc.map_paths: dBz is drawn into buf[:, 1:] and the driver
     # writes Z into buf; the steps are not a multiple of the step block
     grid = TimeGrid(h=0.001, steps=3 * _STEP_BLOCK + 5)
     qm = measure_for_atoms(128, params.alpha, MeasureKind.MU)
@@ -291,7 +291,7 @@ def test_drivers_write_z_over_their_increments_bit_for_bit(params, rho):
     assert np.array_equal(z, z_ref)
     assert np.max(np.abs(nu - nu_ref)) <= 1e-12
 
-    # as in mc._path_batch at rho != 0: nu, not Z-tilde, over the increments
+    # as in mc.map_paths at rho != 0: nu, not Z-tilde, over the increments
     buf[:, 1:] = dBz
     no_z, nu_in_place = simulate_tilde_z(p, qm, grid, buf[:, 1:], out=buf, keep_z=False)
     assert no_z is None and np.shares_memory(nu_in_place, buf)

@@ -178,7 +178,7 @@ def test_fused_sum_matches_unfused_bit_for_bit(params, monkeypatch, scheme, alph
                                                v0, lead):
     # each row block's convolution is summed with local and v0 straight into
     # nu; per element that is conv, then + local, then + v0.  That holds for
-    # whole arrays and for the blocks mc._path_batch builds: one kernel applied
+    # whole arrays and for the blocks mc.map_paths builds: one kernel applied
     # to the rows of a ZSpectrum that another kernel has already read
     grid, z = _z_paths(params, 0.01, math.prod(lead))
     z = z.reshape(lead + (grid.steps + 1,))
