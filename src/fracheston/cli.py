@@ -6,6 +6,10 @@ levels or rows a command simulates are the legs of shared draws (mc legs).
 Each CSV row is one % format built from its cell types: strings as they
 are, integers in decimal, other numbers with 17 significant digits, so a
 rerun with the same seed and config is byte-identical for any --threads.
+Every quantized measure a command reads is built at load, with the
+config, before the output directory is made: a bad field, or a level
+whose measure cannot be built, is a config error (exit 2) that writes
+nothing.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .config import ScenarioConfig, file_tag, load_config
 from .mc import (REGIMES, ConvergenceRow, McEstimate, convergence_study,
                  feynman_kac_leg, map_paths)
 from .params import ModelParams, Regime, merton_ratio
-from .quantize import dyadic_chain, measure_for_atoms
+from .quantize import MeasureKind, atom_count, dyadic_chain, measure_for_atoms
 from .riccati import RiccatiBlowUp, value_function
 # brownian_batch is not called here: perfbench/test_gates.py checks the
 # tracer's rebinding on fracheston.cli.brownian_batch
@@ -133,21 +137,18 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     return [name for name, _, _ in tables]
 
 
-def cmd_quantize(cfg: ScenarioConfig, out_dir: Path) -> list:
-    """Quantized measures (atoms and weights) per alpha and refinement level.
-    Every measure is built before the first file is written, so a level
-    that cannot be built leaves no partial output."""
-    tables = []  # (file name, measure)
-    for alpha in cfg.alphas:
-        kind = REGIMES[cfg.model_params(alpha, 0.0).regime].measure
-        for n in cfg.levels if kind else ():  # classical has no measure
-            qm = measure_for_atoms(n, alpha, kind)
-            tables.append((f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv", qm))
-    for name, qm in tables:
-        pts = qm.source.points
-        _write_csv(out_dir / name, ["index", "xi_lo", "xi_hi", "node", "weight"],
-                   zip(range(qm.n_atoms), pts[:-1], pts[1:], qm.nodes, qm.weights))
-    return [name for name, _ in tables]
+def cmd_quantize(cfg: ScenarioConfig, out_dir: Path, measures: dict) -> list:
+    """Quantized measures (atoms and weights) per alpha and refinement level,
+    as _measures built them; a classical alpha has none."""
+    files = []
+    for (alpha, _), qm in measures.items():
+        if qm is not None:
+            name = f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv"
+            pts = qm.source.points
+            _write_csv(out_dir / name, ["index", "xi_lo", "xi_hi", "node", "weight"],
+                       zip(range(qm.n_atoms), pts[:-1], pts[1:], qm.nodes, qm.weights))
+            files.append(name)
+    return files
 
 
 def _guarded(leg, failures: list):
@@ -165,40 +166,32 @@ def _guarded(leg, failures: list):
     return leg._replace(pos_map=None, integrand=run)
 
 
-def cmd_value(cfg: ScenarioConfig, out_dir: Path, errors: list) -> list:
-    """Affine (Riccati) value vs Monte Carlo value per alpha at rho = 0, each
-    row's Feynman-Kac estimate a leg of one map.  Failing rows are reported
-    in row order; a positivity failure beats a Riccati blow-up."""
+def cmd_value(cfg: ScenarioConfig, out_dir: Path, measures: dict, errors: list) -> list:
+    """Affine (Riccati) value vs Monte Carlo value per (alpha, level) cell of
+    measures at rho = 0, each row's Feynman-Kac estimate a leg of one map.
+    A row's Riccati system is solved with its row, so its failure fails that
+    row only.  Failing rows are reported in row order; a positivity failure
+    beats a Riccati blow-up."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    cases, legs = [], []  # (p, alpha, level, solution, failures, k)
-    for alpha in cfg.alphas:
+    cases, legs = [], []  # (p, alpha, level, qm, failures, k)
+    for (alpha, level), qm in measures.items():
         p = cfg.model_params(alpha, 0.0)
         wfac = p.w0 ** p.gamma / p.gamma
         # the rough leg carries the wealth factor, as in mc_value_rough
         scale, k = (wfac, 1.0) if p.regime is Regime.ROUGH else (1.0, wfac)
-        _, measure, quantized, riccati = REGIMES[p.regime]
-        # levels are irrelevant without a quantized measure
-        for level in cfg.levels if measure else cfg.levels[:1]:
-            try:
-                qm = measure and measure_for_atoms(level, alpha, measure)
-                sol = riccati(qm, p, cfg.step)
-                scheme = VolScheme(quantized, qm=qm)
-                failures = []
-                legs.append(_guarded(feynman_kac_leg(
-                    p, scheme, grid, _stock_map(p, cfg), scale), failures))
-                cases.append((p, alpha, level, sol, failures, k))
-            except Exception as exc:  # noqa: BLE001 - reported with its row
-                cases.append((p, alpha, level, None, [exc], k))
-    outs = iter(map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads)
-                if legs else ())
+        scheme = VolScheme(REGIMES[p.regime].quantized, qm=qm)
+        failures = []
+        legs.append(_guarded(feynman_kac_leg(
+            p, scheme, grid, _stock_map(p, cfg), scale), failures))
+        cases.append((p, alpha, level, qm, failures, k))
     rows = []
-    for p, alpha, level, sol, failures, k in cases:
+    outs = map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads)
+    for (p, alpha, level, qm, failures, k), values in zip(cases, outs):
         try:
-            values = None if sol is None else next(outs)  # a set-up error has no leg
             if failures:
                 raise failures[0]
             est = McEstimate.of(values)
-            rv = value_function(p, sol).value
+            rv = value_function(p, REGIMES[p.regime].riccati(qm, p, cfg.step)).value
             rows.append((p.regime.value, alpha, level, rv, k * est.mean,
                          abs(k) * est.std_error, rv - k * est.mean, 0))
         except RiccatiBlowUp:
@@ -276,26 +269,46 @@ def cmd_longterm(cfg: ScenarioConfig, out_dir: Path) -> list:
     return ["longterm.csv"]
 
 
-def _converge_alpha(cfg: ScenarioConfig) -> float:
-    """The first fractional scenario alpha, which the convergence study runs at."""
-    for a in cfg.alphas:
-        if cfg.model_params(a, 0.0).regime is Regime.FRACTIONAL:
-            return a
-    raise ValueError("converge needs a fractional alpha (0 < alpha < 1) in alphas")
-
-
-def cmd_converge(cfg: ScenarioConfig, out_dir: Path) -> list:
-    """Refinement-level convergence report in the fractional regime."""
-    alpha = _converge_alpha(cfg)
-    p = cfg.model_params(alpha, 0.0)
+def cmd_converge(cfg: ScenarioConfig, out_dir: Path, measures: dict) -> list:
+    """Refinement-level convergence report in the fractional regime, over
+    the one chain of nested measures that _measures built."""
+    ((alpha, _), qms), = measures.items()
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    base = measure_for_atoms(cfg.levels[0], alpha, REGIMES[p.regime].measure)
-    qms = dyadic_chain(base.n_atoms, alpha, base.kind, len(cfg.levels))
-    rows = convergence_study(p, qms, cfg.n_paths, grid, cfg.seed, cfg.threads)
+    rows = convergence_study(cfg.model_params(alpha, 0.0), qms, cfg.n_paths,
+                             grid, cfg.seed, cfg.threads)
     _write_csv(out_dir / "converge.csv",
                [f.name for f in dataclasses.fields(ConvergenceRow)],
                map(dataclasses.astuple, rows))
     return ["converge.csv"]
+
+
+def _measures(cfg: ScenarioConfig, command: str) -> dict:
+    """Every quantized measure command reads, keyed by (alpha, level).
+    quantize and value read measure_for_atoms at each level of each alpha,
+    and None at levels[0] for a classical alpha, which has no measure.
+    converge reads the dyadic chain of its study: at the first fractional
+    alpha, from atom_count(levels[0]) cells through len(levels) levels.
+    The other commands read none.  main builds them before the output
+    directory is made, so a level that cannot be built is a config error
+    naming its alpha and level."""
+    if command not in ("quantize", "value", "converge"):
+        return {}
+    kinds = {a: REGIMES[cfg.model_params(a, 0.0).regime].measure for a in cfg.alphas}
+    cells = [(a, n, kind) for a, kind in kinds.items()
+             for n in (cfg.levels if kind else cfg.levels[:1])]
+    if command == "converge":  # the first fractional alpha's first cell
+        cells = [cell for cell in cells if cell[2] is MeasureKind.MU][:1]
+        if not cells:
+            raise ValueError("converge needs a fractional alpha (0 < alpha < 1) in alphas")
+    measures = {}
+    for alpha, level, kind in cells:
+        try:
+            measures[alpha, level] = kind and (
+                dyadic_chain(atom_count(level), alpha, kind, len(cfg.levels))
+                if command == "converge" else measure_for_atoms(level, alpha, kind))
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"alpha={alpha} level={level}: {exc}") from None
+    return measures
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +342,8 @@ def main(argv=None) -> int:
                      if k not in ("config", "command") and v is not None}
         if overrides:
             cfg = cfg.with_(**overrides)
-        if args.command == "converge":
-            _converge_alpha(cfg)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+        measures = _measures(cfg, args.command)
+    except (ValueError, OSError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -342,19 +354,19 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             files = cmd_simulate(cfg, out_dir)
         elif args.command == "quantize":
-            files = cmd_quantize(cfg, out_dir)
+            files = cmd_quantize(cfg, out_dir, measures)
         elif args.command == "value":
-            files = cmd_value(cfg, out_dir, errors)
+            files = cmd_value(cfg, out_dir, measures, errors)
         elif args.command == "wealth":
             files = cmd_wealth(cfg, out_dir)
         elif args.command == "longterm":
             files = cmd_longterm(cfg, out_dir)
         else:
-            files = cmd_converge(cfg, out_dir)
+            files = cmd_converge(cfg, out_dir, measures)
     except OSError as exc:
         print(f"i/o error ({args.command}): {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RiccatiBlowUp) as exc:
+    except (ValueError, ArithmeticError, RiccatiBlowUp) as exc:
         print(f"run error ({args.command}): {exc}", file=sys.stderr)
         return 1
     _write_manifest(out_dir, files, cfg)

@@ -1,9 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import fracheston.mc
 from fracheston import (MeasureKind, PositivityMap, ScenarioConfig, SchemeKind,
@@ -443,28 +449,120 @@ def test_converge_blow_up_exits_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["quantize", "converge"])
-def test_alpha_near_one_is_a_run_error(tmp_path, capsys, command):
+def test_alpha_near_one_is_a_config_error(tmp_path, capsys, command):
     # the partition's lower endpoint 16^(-2/(1 - alpha)) is 0.0 at alpha =
-    # 0.999, which loads: the run stops with make_partition's ValueError
+    # 0.999, which passes ScenarioConfig: building the measures at load
+    # stops with make_partition's ValueError, before the output directory
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alphas": [0.999], "step": 0.05}))
     out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"run error ({command}): alpha=0.999: ")
+    assert err.startswith("config error: alpha=0.999 level=64: alpha=0.999: ")
     assert "Traceback" not in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_quantize_failing_level_leaves_no_output(tmp_path, capsys):
     # alpha = 0.98 fails past its first default level, after alpha = 0.5's
-    # levels: every measure is built before the first file is written
+    # levels built: the whole run is rejected before anything is written
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alphas": [0.5, 0.98], "step": 0.05}))
     out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out", str(out), "quantize"]) == 1
-    assert capsys.readouterr().err.startswith("run error (quantize): ")
-    assert list(out.iterdir()) == []
+    assert main(["--config", str(cfg), "--out", str(out), "quantize"]) == 2
+    assert capsys.readouterr().err.startswith("config error: alpha=0.98 level=128: ")
+    assert not out.exists()
+
+
+COMMANDS = ["simulate", "quantize", "value", "wealth", "longterm", "converge"]
+
+
+def _case_id(v):
+    # a scenario change as its key=value pairs, other parameters as they are
+    return "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else str(v)
+
+
+@pytest.mark.parametrize("change, command, code", [
+    # refine's log-midpoints underflow at alpha = 0.98's second default
+    # level and past 18,430 atoms at alpha = 0.95
+    *[({"alphas": [0.98]}, c, 2) for c in ("quantize", "value")],
+    *[({"alphas": [0.95], "levels": [100000]}, c, 2) for c in ("quantize", "value")],
+    # converge builds its chain from 147,454 cells, which needs no refinement
+    ({"alphas": [0.95], "levels": [100000]}, "converge", 0),
+    *[({"alphas": [0.999]}, c, 0) for c in ("simulate", "wealth", "longterm")],
+], ids=_case_id)
+def test_only_commands_that_read_a_measure_reject_it(tmp_path, capsys, change, command, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"step": 0.25, "n_paths": 8, "n_sample_paths": 1, **change}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"config error: alpha={change['alphas'][0]} level=")
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("change, command, code", [
+    # sigma ** 2 in ModelParams, which ScenarioConfig builds at load
+    *[({"sigma": 1e200, "kappa": 1e200, "theta": 1e200}, c, 2) for c in COMMANDS],
+    *[({"w0": 1e-300}, c, 1) for c in ("value", "converge")],  # w0 ** gamma
+    *[({"lam": 1e200}, c, 1) for c in ("value", "converge")],  # lam ** 2
+    ({"z0": 1e300, "gamma": 0.5}, "converge", 1),  # math.exp of the affine value
+], ids=_case_id)
+def test_overflow_exits_cleanly(tmp_path, capsys, change, command, code):
+    # an OverflowError is a config error at load and a run error after it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL, "step": 0.05, **change}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error: ")
+        assert not out.exists()
+    else:
+        assert err.startswith(f"run error ({command}): ")
+        assert list(out.iterdir()) == []
+
+
+# the fractional and rough ranges, both classical aliases, and the alphas
+# near 1 and -1/2 where measures or delta windows stop working
+_ALPHAS = st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                    st.floats(-1, -0.5, exclude_min=True, exclude_max=True),
+                    st.sampled_from([0.0, -1.0, 0.97, 0.98, 0.993, 0.999, -0.5001]))
+
+
+@given(alphas=st.lists(_ALPHAS, min_size=1, max_size=2),
+       rhos=st.sampled_from([[0.0], [-0.7], [0.0, 0.5]]),
+       levels=st.lists(st.integers(1, 64), min_size=1, max_size=2),
+       step=st.sampled_from([0.05, 0.0625, 0.1, 0.125, 0.2, 0.25]),
+       n_paths=st.integers(2, 16),
+       positivity_map=st.sampled_from(["abs", "exp", "identity"]),
+       overflow=st.sampled_from([{}, {"w0": 1e-300}, {"lam": 1e200},
+                                 {"z0": 1e300, "gamma": 0.5}]),
+       command=st.sampled_from(COMMANDS))
+@settings(max_examples=100, deadline=None)
+def test_every_scenario_exits_cleanly(command, overflow, **scenario):
+    # whatever a small scenario holds, a command exits 0, 1 or 2 without a
+    # traceback; a config error leaves no output directory, and a run error
+    # no file, except for value's per-row failures
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, err = Path(tmp) / "cfg.json", Path(tmp) / "o", io.StringIO()
+        cfg.write_text(json.dumps({**scenario, **overflow, "n_sample_paths": 1}))
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", str(cfg), "--out", str(out), command])
+        err = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("config error: ") and not out.exists()
+        elif code == 1 and err.startswith("row failed: "):
+            assert command == "value"
+            assert {f.name for f in out.iterdir()} == {"value.csv", "manifest.csv"}
+        elif code == 1:
+            assert err.startswith(f"run error ({command}): ")
+            assert list(out.iterdir()) == []
 
 
 def test_seed_override_changes_output(tmp_path, cfg_path):

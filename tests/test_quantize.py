@@ -139,7 +139,7 @@ def test_to_csv(tmp_path):
     cfg = ScenarioConfig(alphas=(0.75,), levels=(16,))
     qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
     name = f"quantized_a0.75_n{qm.n_atoms}.csv"
-    assert cmd_quantize(cfg, tmp_path) == [name]
+    assert cmd_quantize(cfg, tmp_path, {(0.75, 16): qm}) == [name]
     lines = (tmp_path / name).read_text().strip().splitlines()
     assert lines[0] == "index,xi_lo,xi_hi,node,weight"
     assert len(lines) == qm.n_atoms + 1
