@@ -1,8 +1,14 @@
 """Command-line scenario runner.
 
-Subcommands write CSV reports into the output directory, plus a
-manifest.csv listing every file with the configuration hash.  The alphas,
-levels or rows a command simulates are the legs of shared draws (mc legs).
+Each subcommand returns its CSV reports as (file name, header, rows)
+tables; main writes them into the output directory, then a manifest.csv
+listing every file with the configuration hash.  A command builds all
+its tables before the first file is written, so a run error (exit 1)
+writes no file.  An inf or a nan in a simulate, wealth or longterm table
+is a run error naming the file; the NaNs of value.csv (a blown-up row)
+and converge.csv (the last level's gap) are documented outputs.  The
+alphas, levels or rows a command simulates are the legs of shared draws
+(mc legs).
 Each CSV row is one % format built from its cell types: strings as they
 are, integers in decimal, other numbers with 17 significant digits, so a
 rerun with the same seed and config is byte-identical for any --threads.
@@ -60,10 +66,11 @@ def _write_csv(path: Path, header: list, rows) -> None:
             fh.write(fmt % row)
 
 
-def _write_manifest(out_dir: Path, files: list, cfg: ScenarioConfig) -> None:
-    h = cfg.config_hash()
-    _write_csv(out_dir / "manifest.csv", ["file", "config_hash"],
-               [(f, h) for f in sorted(files)])
+def _check_finite(name: str, values) -> None:
+    """A ValueError naming file name if values hold an inf or a nan: the
+    model overflowed, and the file would print it as a number."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name}: inf or nan in the output")
 
 
 def _scheme_for(p: ModelParams, cfg: ScenarioConfig) -> VolScheme:
@@ -80,15 +87,14 @@ def _whole(dBs, z, nu):
     return dBs, z, nu
 
 
-def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
+def cmd_simulate(cfg: ScenarioConfig) -> list:
     """Sample paths of Z, nu and S per (alpha, rho) cell, plus positivity
     diagnostics for rough alphas.  The alphas at one rho are the legs of
     one draw.  nu is built from Z and Z from dBz alone, so neither depends
     on rho: each rough alpha's posmap file reads path 0 of the first rho's
     draw, which has at least one path, and each distinct column (t, every
     z_i, every alpha's nu_i) is formatted once for all the files that hold
-    it.  Every table is built before the first file is written, so a
-    failing cell leaves no partial output."""
+    it."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     texts = {}  # a column's cells as _write_csv formats them, by its bytes
 
@@ -100,6 +106,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
         return texts[key]
 
     def table(name: str, header: list, cols: list) -> tuple:
+        _check_finite(name, cols)
         return name, header, zip(*map(text, cols))
 
     tables = []  # (file name, header, rows)
@@ -132,23 +139,17 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list:
     if diag_rows:
         tables.append(("rough_diagnostics.csv",
                        ["alpha", "rho", "path", "negative_fraction"], diag_rows))
-    for name, header, rows in tables:
-        _write_csv(out_dir / name, header, rows)
-    return [name for name, _, _ in tables]
+    return tables
 
 
-def cmd_quantize(cfg: ScenarioConfig, out_dir: Path, measures: dict) -> list:
+def cmd_quantize(measures: dict) -> list:
     """Quantized measures (atoms and weights) per alpha and refinement level,
     as _measures built them; a classical alpha has none."""
-    files = []
-    for (alpha, _), qm in measures.items():
-        if qm is not None:
-            name = f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv"
-            pts = qm.source.points
-            _write_csv(out_dir / name, ["index", "xi_lo", "xi_hi", "node", "weight"],
-                       zip(range(qm.n_atoms), pts[:-1], pts[1:], qm.nodes, qm.weights))
-            files.append(name)
-    return files
+    return [(f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv",
+             ["index", "xi_lo", "xi_hi", "node", "weight"],
+             zip(range(qm.n_atoms), qm.source.points[:-1], qm.source.points[1:],
+                 qm.nodes, qm.weights))
+            for (alpha, _), qm in measures.items() if qm is not None]
 
 
 def _guarded(leg, failures: list):
@@ -166,7 +167,7 @@ def _guarded(leg, failures: list):
     return leg._replace(pos_map=None, integrand=run)
 
 
-def cmd_value(cfg: ScenarioConfig, out_dir: Path, measures: dict, errors: list) -> list:
+def cmd_value(cfg: ScenarioConfig, measures: dict, errors: list) -> list:
     """Affine (Riccati) value vs Monte Carlo value per (alpha, level) cell of
     measures at rho = 0, each row's Feynman-Kac estimate a leg of one map.
     A row's Riccati system is solved with its row, so its failure fails that
@@ -198,10 +199,8 @@ def cmd_value(cfg: ScenarioConfig, out_dir: Path, measures: dict, errors: list) 
             rows.append((p.regime.value, alpha, level) + (math.nan,) * 4 + (1,))
         except Exception as exc:  # noqa: BLE001 - per-row failure report
             errors.append(f"value row alpha={alpha} level={level}: {exc}")
-    _write_csv(out_dir / "value.csv",
-               ["regime", "alpha", "level", "riccati_value", "mc_value",
-                "se", "gap", "blow_up"], rows)
-    return ["value.csv"]
+    return [("value.csv", ["regime", "alpha", "level", "riccati_value", "mc_value",
+                           "se", "gap", "blow_up"], rows)]
 
 
 def _alpha_legs(cfg: ScenarioConfig, functional) -> list:
@@ -211,7 +210,7 @@ def _alpha_legs(cfg: ScenarioConfig, functional) -> list:
     return [(p, _scheme_for(p, cfg), _stock_map(p, cfg), functional(p)) for p in ps]
 
 
-def cmd_wealth(cfg: ScenarioConfig, out_dir: Path) -> list:
+def cmd_wealth(cfg: ScenarioConfig) -> list:
     """Optimal-wealth sample paths and terminal-wealth statistics per alpha,
     every alpha on one shared draw."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
@@ -226,25 +225,24 @@ def cmd_wealth(cfg: ScenarioConfig, out_dir: Path) -> list:
     samples = map_paths(_alpha_legs(cfg, wealth), grid, cfg.seed,
                         cfg.n_sample_paths, cfg.threads)
     terminals = map_paths(legs, grid, cfg.seed, cfg.n_paths, cfg.threads)
-    files, summary = [], []
+    tables, summary = [], []
     for alpha, (p, *_), w, wt in zip(cfg.alphas, legs, samples, terminals):
         pi_star = merton_ratio(p)
         header = ["t", "pi_star"] + [f"w{i}" for i in range(cfg.n_sample_paths)]
         cols = [grid.times, np.full(grid.steps + 1, pi_star)] + list(w)
         name = f"wealth_a{file_tag(alpha)}.csv"
-        _write_csv(out_dir / name, header, zip(*cols))
-        files.append(name)
+        _check_finite(name, cols)
+        tables.append((name, header, zip(*cols)))
         summary.append((p.regime.value, alpha, pi_star, p.w0,
                         math.fsum(wt) / len(wt),
                         float(np.var(wt, ddof=1)), len(wt)))
-    _write_csv(out_dir / "wealth_summary.csv",
-               ["regime", "alpha", "pi_star", "w0", "mean_terminal",
-                "var_terminal", "n_paths"], summary)
-    files.append("wealth_summary.csv")
-    return files
+    _check_finite("wealth_summary.csv", [row[1:] for row in summary])
+    return tables + [("wealth_summary.csv",
+                      ["regime", "alpha", "pi_star", "w0", "mean_terminal",
+                       "var_terminal", "n_paths"], summary)]
 
 
-def cmd_longterm(cfg: ScenarioConfig, out_dir: Path) -> list:
+def cmd_longterm(cfg: ScenarioConfig) -> list:
     """Terminal nu and S quantiles at the scenario horizon, per alpha, every
     alpha on one shared draw."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
@@ -264,22 +262,20 @@ def cmd_longterm(cfg: ScenarioConfig, out_dir: Path) -> list:
             rows.append((p.regime.value, alpha, cfg.horizon, q,
                          float(np.quantile(term[:, 0], q)),
                          float(np.quantile(term[:, 1], q))))
-    _write_csv(out_dir / "longterm.csv",
-               ["regime", "alpha", "horizon", "quantile", "nu_T", "s_T"], rows)
-    return ["longterm.csv"]
+    _check_finite("longterm.csv", [row[1:] for row in rows])
+    return [("longterm.csv",
+             ["regime", "alpha", "horizon", "quantile", "nu_T", "s_T"], rows)]
 
 
-def cmd_converge(cfg: ScenarioConfig, out_dir: Path, measures: dict) -> list:
+def cmd_converge(cfg: ScenarioConfig, measures: dict) -> list:
     """Refinement-level convergence report in the fractional regime, over
     the one chain of nested measures that _measures built."""
     ((alpha, _), qms), = measures.items()
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     rows = convergence_study(cfg.model_params(alpha, 0.0), qms, cfg.n_paths,
                              grid, cfg.seed, cfg.threads)
-    _write_csv(out_dir / "converge.csv",
-               [f.name for f in dataclasses.fields(ConvergenceRow)],
-               map(dataclasses.astuple, rows))
-    return ["converge.csv"]
+    return [("converge.csv", [f.name for f in dataclasses.fields(ConvergenceRow)],
+             map(dataclasses.astuple, rows))]
 
 
 def _measures(cfg: ScenarioConfig, command: str) -> dict:
@@ -351,25 +347,23 @@ def main(argv=None) -> int:
     errors: list = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            files = cmd_simulate(cfg, out_dir)
-        elif args.command == "quantize":
-            files = cmd_quantize(cfg, out_dir, measures)
-        elif args.command == "value":
-            files = cmd_value(cfg, out_dir, measures, errors)
-        elif args.command == "wealth":
-            files = cmd_wealth(cfg, out_dir)
-        elif args.command == "longterm":
-            files = cmd_longterm(cfg, out_dir)
-        else:
-            files = cmd_converge(cfg, out_dir, measures)
+        tables = {"simulate": lambda: cmd_simulate(cfg),
+                  "quantize": lambda: cmd_quantize(measures),
+                  "value": lambda: cmd_value(cfg, measures, errors),
+                  "wealth": lambda: cmd_wealth(cfg),
+                  "longterm": lambda: cmd_longterm(cfg),
+                  "converge": lambda: cmd_converge(cfg, measures)}[args.command]()
+        h = cfg.config_hash()
+        files = sorted(name for name, _, _ in tables)
+        tables.append(("manifest.csv", ["file", "config_hash"], [(f, h) for f in files]))
+        for name, header, rows in tables:
+            _write_csv(out_dir / name, header, rows)
     except OSError as exc:
         print(f"i/o error ({args.command}): {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, RiccatiBlowUp) as exc:
         print(f"run error ({args.command}): {exc}", file=sys.stderr)
         return 1
-    _write_manifest(out_dir, files, cfg)
     for msg in errors:
         print(f"row failed: {msg}", file=sys.stderr)
     return 1 if errors else 0

@@ -155,10 +155,12 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
     leg and a Z-tilde leg convolve nothing.
 
     The map runs fixed batches: BATCH_SIZE paths when Z-tilde drives them,
-    since its per-path cost rises at narrower widths and its pooled GEMMs
-    take their bits from the batch's columns, and CIR_BATCH_SIZE when CIR
-    does, which moves no bit, since the drive, the dBs draws, the
-    transforms and the sums all go path by path.  A batch draws dBz into
+    and CIR_BATCH_SIZE when CIR does, which moves no bit, since the drive,
+    the dBs draws, the transforms and the sums all go path by path.
+    Z-tilde keeps the wider batch for time, not bits: at 1024 paths every
+    golden Z-tilde estimate (the pooled 574-atom and ragged 4095-path ones
+    too) kept its 17 digits, but two workers ran value_rho slower (ROADMAP,
+    parked Batch widths).  A batch draws dBz into
     the [:, 1:] of the array that Z is then written over, so Z is its one
     path-sized array; the Z-tilde driver writes its nu there instead, and
     keeps no Z-tilde.  The legs then run over blocks of _ROW_BLOCK (32)

@@ -73,7 +73,12 @@ class ModelParams:
     def __post_init__(self):
         if not (self.kappa > 0 and self.theta > 0 and self.sigma > 0):
             raise ValueError("kappa, theta, sigma must be positive")
-        if 2.0 * self.kappa * self.theta < self.sigma ** 2:
+        try:
+            feller = 2.0 * self.kappa * self.theta >= self.sigma ** 2
+        except OverflowError:
+            raise ValueError(f"sigma={self.sigma}: sigma^2 overflows in the Feller "
+                             "condition 2*kappa*theta >= sigma^2") from None
+        if not feller:
             raise ValueError("Feller condition 2*kappa*theta >= sigma^2 violated")
         if not (self.gamma < 1.0 and self.gamma != 0.0):
             raise ValueError("risk aversion requires gamma < 1 and gamma != 0")

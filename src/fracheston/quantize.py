@@ -73,8 +73,8 @@ def make_partition(n: int, alpha: float, kind: MeasureKind = MeasureKind.MU) -> 
     e = _mass_exponent(alpha, kind)
     xi_min, xi_max = float(n) ** (-2.0 / e), float(n) ** 2
     if xi_min < np.finfo(float).smallest_normal:
-        raise ValueError(f"alpha={alpha}: the lower endpoint n^(-2/e) of a {n}-cell "
-                         f"partition is {xi_min!r}, not a positive normal float")
+        raise ValueError(f"the lower endpoint n^(-2/e) of a {n}-cell partition "
+                         f"is {xi_min!r}, not a positive normal float")
     pts = xi_min * (xi_max / xi_min) ** (np.arange(n + 1) / n)
     pts[0], pts[-1] = xi_min, xi_max  # pin endpoints against roundoff
     return Partition(points=tuple(pts), level=0)

@@ -26,7 +26,7 @@ import numpy as np
 from fracheston import (MeasureKind, TimeGrid, default_params, mc_feynman_kac,
                         mc_utility, mc_value_rough, measure_for_atoms, merton_ratio)
 from fracheston.cli import main
-from fracheston.mc import BATCH_SIZE, Leg, map_paths
+from fracheston.mc import Leg, map_paths
 from fracheston.vol import PositivityMap, SchemeKind, VolScheme
 
 HERE = Path(__file__).resolve().parent
@@ -52,8 +52,9 @@ RUNS = {
     **{f"small_{cmd}": (SMALL, cmd, ()) for cmd in
        ("simulate", "quantize", "value", "wealth", "longterm", "converge")},
     # more paths than one batch, so a batch boundary and the workers' split
-    # are covered
-    "value_two_batches": (SMALL, "value", ("--paths", str(BATCH_SIZE + 52))),
+    # are covered (three 1024-path CIR batches); a literal, so that a new
+    # batch width can move this run's bits but not its input
+    "value_two_batches": (SMALL, "value", ("--paths", "2100")),
     "wealth_no_sample_paths": ({**SMALL, "n_sample_paths": 0}, "wealth", ()),
     "value_one_block_fails": (ONE_BLOCK_FAILS, "value", ()),
     # a nonzero v0 and a delta inside alpha = -0.75's window (0.25, 0.5),

@@ -380,10 +380,12 @@ def test_bad_alpha_or_rho_entry_names_its_field(tmp_path, capsys, field, entries
         assert err.endswith(f", got {entries!r}\n")
 
 
-@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("out", ["file", "file/sub", "dir"])
 def test_unwritable_out_dir_exits_cleanly(tmp_path, capsys, out):
-    # the scenario is fine; making its output directory fails
+    # the scenario is fine; making its output directory fails, or (dir)
+    # writing the manifest, the last file, does
     (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "manifest.csv").mkdir(parents=True)
     assert main(["--out", str(tmp_path / out), "quantize"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("i/o error (quantize): ")
@@ -434,6 +436,22 @@ def test_failing_run_exits_cleanly(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "paths_a0.05_rm0.7.csv"), ("wealth", "wealth_a0.05.csv"),
+    ("longterm", "longterm.csv")])
+def test_non_finite_output_is_a_run_error(tmp_path, capsys, command, name):
+    # lam = 1e200 loads, but the stock and the wealth overflow to inf and
+    # nan: the first file that would hold one is named, and nothing is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 1e200, "step": 0.05, "n_paths": 64,
+                               "n_sample_paths": 2, "levels": [8]}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == f"run error ({command}): {name}: inf or nan in the output\n"
+
+
 def test_converge_blow_up_exits_cleanly(tmp_path, capsys):
     # gamma = 0.9, lam = 10: the finite Riccati solve of every level blows
     # up before the horizon, so the study has no affine value to report
@@ -458,7 +476,7 @@ def test_alpha_near_one_is_a_config_error(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out), command]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: alpha=0.999 level=64: alpha=0.999: ")
+    assert err.startswith("config error: alpha=0.999 level=64: the lower endpoint ")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -512,7 +530,8 @@ def test_only_commands_that_read_a_measure_reject_it(tmp_path, capsys, change, c
     ({"z0": 1e300, "gamma": 0.5}, "converge", 1),  # math.exp of the affine value
 ], ids=_case_id)
 def test_overflow_exits_cleanly(tmp_path, capsys, change, command, code):
-    # an OverflowError is a config error at load and a run error after it
+    # an OverflowError is a config error at load, naming the field that
+    # overflows, and a run error after it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL, "step": 0.05, **change}))
     out = tmp_path / "o"
@@ -520,7 +539,7 @@ def test_overflow_exits_cleanly(tmp_path, capsys, change, command, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
-        assert err.startswith("config error: ")
+        assert err.startswith("config error: sigma=1e+200: sigma^2 overflows ")
         assert not out.exists()
     else:
         assert err.startswith(f"run error ({command}): ")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracheston import (MeasureKind, ScenarioConfig, approx_kernel,
-                        dyadic_chain, frac_kernel, measure_for_atoms)
-from fracheston.cli import cmd_quantize
+from fracheston import (MeasureKind, approx_kernel, dyadic_chain, frac_kernel,
+                        measure_for_atoms)
+from fracheston.cli import _write_csv, cmd_quantize
 from fracheston.quantize import (atom_count, cell_barycenter, cell_weight,
                                  make_partition, quantize, refine)
 
@@ -62,7 +62,8 @@ def test_make_partition_shape():
 
 def test_partition_near_alpha_one_raises_value_error():
     # 16^(-2/(1 - alpha)) is 0.0 here: the documented error, not a division by zero
-    with pytest.raises(ValueError, match=r"alpha=0\.995: .* 16-cell .* not a positive normal"):
+    with pytest.raises(ValueError,
+                       match=r"^the lower endpoint .* 16-cell .* not a positive normal"):
         make_partition(16, 0.995)
 
 
@@ -135,11 +136,12 @@ def test_approx_kernel_validation():
 
 
 def test_to_csv(tmp_path):
-    # the quantize command writes one CSV per measure through the CLI writer
-    cfg = ScenarioConfig(alphas=(0.75,), levels=(16,))
+    # the quantize command returns one table per measure for the CLI writer
     qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
     name = f"quantized_a0.75_n{qm.n_atoms}.csv"
-    assert cmd_quantize(cfg, tmp_path, {(0.75, 16): qm}) == [name]
+    (table_name, header, rows), = cmd_quantize({(0.75, 16): qm})
+    assert table_name == name
+    _write_csv(tmp_path / name, header, rows)
     lines = (tmp_path / name).read_text().strip().splitlines()
     assert lines[0] == "index,xi_lo,xi_hi,node,weight"
     assert len(lines) == qm.n_atoms + 1
