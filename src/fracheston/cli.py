@@ -4,9 +4,12 @@ Each subcommand returns its CSV reports as (file name, header, rows)
 tables; main writes them into the output directory, then a manifest.csv
 listing every file with the configuration hash.  A command builds all
 its tables before the first file is written, so a run error (exit 1)
-writes no file.  An inf or a nan in a simulate, wealth or longterm table
-is a run error naming the file; the NaNs of value.csv (a blown-up row)
-and converge.csv (the last level's gap) are documented outputs.  The
+writes no file.  An inf or a nan in a simulate, wealth, longterm or
+converge table is a run error naming the file, and one in a value row
+that did not blow up fails that row; the NaNs of value.csv (a blown-up
+row) and converge.csv (the last level's gap) are documented outputs.
+Every non-finite number is one of these, so main runs with numpy's
+floating-point warnings off, in mc's worker threads too.  The
 alphas, levels or rows a command simulates are the legs of shared draws
 (mc legs).
 Each CSV row is one % format built from its cell types: strings as they
@@ -171,8 +174,9 @@ def cmd_value(cfg: ScenarioConfig, measures: dict, errors: list) -> list:
     """Affine (Riccati) value vs Monte Carlo value per (alpha, level) cell of
     measures at rho = 0, each row's Feynman-Kac estimate a leg of one map.
     A row's Riccati system is solved with its row, so its failure fails that
-    row only.  Failing rows are reported in row order; a positivity failure
-    beats a Riccati blow-up."""
+    row only, and so does an inf or a nan in a row that did not blow up.
+    Failing rows are reported in row order; a positivity failure beats a
+    Riccati blow-up."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     cases, legs = [], []  # (p, alpha, level, qm, failures, k)
     for (alpha, level), qm in measures.items():
@@ -193,8 +197,9 @@ def cmd_value(cfg: ScenarioConfig, measures: dict, errors: list) -> list:
                 raise failures[0]
             est = McEstimate.of(values)
             rv = value_function(p, REGIMES[p.regime].riccati(qm, p, cfg.step)).value
-            rows.append((p.regime.value, alpha, level, rv, k * est.mean,
-                         abs(k) * est.std_error, rv - k * est.mean, 0))
+            numbers = (rv, k * est.mean, abs(k) * est.std_error, rv - k * est.mean)
+            _check_finite("value.csv", numbers)
+            rows.append((p.regime.value, alpha, level) + numbers + (0,))
         except RiccatiBlowUp:
             rows.append((p.regime.value, alpha, level) + (math.nan,) * 4 + (1,))
         except Exception as exc:  # noqa: BLE001 - per-row failure report
@@ -269,13 +274,18 @@ def cmd_longterm(cfg: ScenarioConfig) -> list:
 
 def cmd_converge(cfg: ScenarioConfig, measures: dict) -> list:
     """Refinement-level convergence report in the fractional regime, over
-    the one chain of nested measures that _measures built."""
+    the one chain of nested measures that _measures built.  Every number
+    but the last level's gap to the next, NaN by design, is finite."""
     ((alpha, _), qms), = measures.items()
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     rows = convergence_study(cfg.model_params(alpha, 0.0), qms, cfg.n_paths,
                              grid, cfg.seed, cfg.threads)
-    return [("converge.csv", [f.name for f in dataclasses.fields(ConvergenceRow)],
-             map(dataclasses.astuple, rows))]
+    header = [f.name for f in dataclasses.fields(ConvergenceRow)]
+    rows = [dataclasses.astuple(row) for row in rows]
+    numbers = np.array(rows, dtype=float)
+    numbers[-1, header.index("value_gap_to_next")] = 0.0
+    _check_finite("converge.csv", numbers)
+    return [("converge.csv", header, rows)]
 
 
 def _measures(cfg: ScenarioConfig, command: str) -> dict:
@@ -329,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@np.errstate(all="ignore")  # non-finite output is caught: module docstring
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .params import (DEFAULT_DELTA, ModelParams, Regime, check_delta_window,
-                     hurst_of_alpha)
+                     hurst_of_alpha, merton_ratio)
 from .quantize import atom_count
 from .sim import TimeGrid
 from .vol import PositivityMap
@@ -64,6 +64,23 @@ _FIELD_RULES = {
 }
 
 
+def _check_scalar_constants(p: ModelParams) -> None:
+    """A ValueError naming lam if a scalar constant the commands form from
+    p is not finite: the affine constants (DerivedConstants), the Merton
+    ratio pi or the wealth drift factor pi (lam - pi/2).  Each grows with
+    lam; gamma sets by how much."""
+    try:
+        d = p.derived()
+        pi = merton_ratio(p)
+        finite = all(map(math.isfinite, (d.eta, d.c_exponent, pi,
+                                         pi * (p.lam - 0.5 * pi))))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"lam={p.lam}: the affine constants, the Merton ratio or "
+                         f"the wealth drift factor overflow at gamma={p.gamma}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     schema_version: int = SCHEMA_VERSION
@@ -105,8 +122,8 @@ class ScenarioConfig:
         TimeGrid.from_horizon(self.horizon, self.step)
         for a in self.alphas:
             p = self.model_params(a, 0.0)  # regime and Feller
-            for rho in self.rhos:
-                self.model_params(a, rho)  # every (alpha, rho) cell a command builds
+            for rho in self.rhos:  # every (alpha, rho) cell a command builds
+                _check_scalar_constants(self.model_params(a, rho))
             if p.regime is Regime.ROUGH:
                 check_delta_window(p.alpha, self.delta)
         # each level, alpha and rho names its own output file and row

@@ -12,6 +12,7 @@ schemes, quantized measure and Riccati system.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -81,14 +82,17 @@ def _map_batches(batch_fn, n_paths: int, threads: int = 1,
     """Run batch_fn(start, stop), which returns one output per leg, over
     fixed path-index slices and concatenate each leg's outputs; batch layout
     is independent of the worker count, so the output is too.  No paths run
-    one empty batch, so every leg keeps its output's shape."""
+    one empty batch, so every leg keeps its output's shape.  A worker runs
+    each batch in a copy of the caller's context, taken here, so the
+    caller's np.errstate holds in every batch."""
     slices = [(s, min(s + batch_size, n_paths))
               for s in range(0, n_paths, batch_size)] or [(0, 0)]
     if threads <= 1 or len(slices) == 1:
         parts = [batch_fn(a, b) for a, b in slices]
     else:
+        contexts = [contextvars.copy_context() for _ in slices]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda ab: batch_fn(*ab), slices))
+            parts = list(ex.map(lambda ctx, ab: ctx.run(batch_fn, *ab), contexts, slices))
     return [_concat(leg) for leg in zip(*parts)]
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -44,6 +45,16 @@ def _run(cfg_path, out_dir, command, *extra):
 
 def _read_all(out_dir):
     return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+
+
+def _quiet_main(argv) -> int:
+    """main(argv), which must issue no warning on any thread: outside
+    pytest, a warning prints to stderr beside the command's own message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
 
 
 def test_simulate_outputs(tmp_path, cfg_path):
@@ -440,13 +451,13 @@ def test_failing_run_exits_cleanly(tmp_path, capsys, command):
     ("simulate", "paths_a0.05_rm0.7.csv"), ("wealth", "wealth_a0.05.csv"),
     ("longterm", "longterm.csv")])
 def test_non_finite_output_is_a_run_error(tmp_path, capsys, command, name):
-    # lam = 1e200 loads, but the stock and the wealth overflow to inf and
+    # lam = 1e100 loads, but the stock and the wealth overflow to inf and
     # nan: the first file that would hold one is named, and nothing is written
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lam": 1e200, "step": 0.05, "n_paths": 64,
+    cfg.write_text(json.dumps({"lam": 1e100, "step": 0.05, "n_paths": 64,
                                "n_sample_paths": 2, "levels": [8]}))
     out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert _quiet_main(["--config", str(cfg), "--out", str(out), command]) == 1
     assert list(out.iterdir()) == []
     err = capsys.readouterr().err
     assert err == f"run error ({command}): {name}: inf or nan in the output\n"
@@ -525,25 +536,87 @@ def test_only_commands_that_read_a_measure_reject_it(tmp_path, capsys, change, c
 @pytest.mark.parametrize("change, command, code", [
     # sigma ** 2 in ModelParams, which ScenarioConfig builds at load
     *[({"sigma": 1e200, "kappa": 1e200, "theta": 1e200}, c, 2) for c in COMMANDS],
+    # lam ** 2 in DerivedConstants, which ScenarioConfig evaluates at load
+    *[({"lam": 1e200}, c, 2) for c in COMMANDS],
     *[({"w0": 1e-300}, c, 1) for c in ("value", "converge")],  # w0 ** gamma
-    *[({"lam": 1e200}, c, 1) for c in ("value", "converge")],  # lam ** 2
     ({"z0": 1e300, "gamma": 0.5}, "converge", 1),  # math.exp of the affine value
+    # w0^gamma/gamma times a finite exp overflows to an inf affine value
+    ({"v0": 5656, "gamma": 0.5}, "converge", 1),
 ], ids=_case_id)
 def test_overflow_exits_cleanly(tmp_path, capsys, change, command, code):
-    # an OverflowError is a config error at load, naming the field that
-    # overflows, and a run error after it
+    # an overflow is a config error at load, naming the field that
+    # overflows, and a run error after it; either is stderr's one line
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL, "step": 0.05, **change}))
     out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out", str(out), command]) == code
+    assert _quiet_main(["--config", str(cfg), "--out", str(out), command]) == code
     err = capsys.readouterr().err
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
     if code == 2:
-        assert err.startswith("config error: sigma=1e+200: sigma^2 overflows ")
+        field = next(iter(change))
+        assert err.startswith(f"config error: {field}=1e+200: ") and "overflow" in err
         assert not out.exists()
     else:
         assert err.startswith(f"run error ({command}): ")
         assert list(out.iterdir()) == []
+
+
+# three path batches, so that two threads run some of them on workers
+VALUE_GRID = {"step": 0.05, "n_paths": 2100, "levels": [8], "alphas": [0.5, 0, -0.75]}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("change, lines", [
+    # every Riccati solve blows up, and so does every Feynman-Kac path
+    ({"lam": 1e100}, ["fractional,0.5,8,nan,nan,nan,nan,1",
+                      "classical,0,8,nan,nan,nan,nan,1",
+                      "rough,-0.75,8,nan,nan,nan,nan,1"]),
+    # no Riccati solve blows up, but every affine value overflows math.exp
+    ({"v0": 1e6, "gamma": 0.5}, [f"row failed: value row alpha={a} level=8: "
+                                 f"math range error" for a in (0.5, 0, -0.75)]),
+    # the affine values overflow to inf: the classical one by w0^gamma/gamma
+    # times a finite exp, the rough one with its Monte Carlo value
+    ({"v0": 5656, "gamma": 0.5, "alphas": [0, -0.75]},
+     [f"row failed: value row alpha={a} level=8: value.csv: inf or nan in the "
+      f"output" for a in (0, -0.75)]),
+], ids=["blow-up", "exp-overflow", "inf-row"])
+def test_value_overflow_prints_no_numpy_warning(tmp_path, capsys, change, lines, threads):
+    # numpy's overflow warnings stay off stderr, in the worker threads too:
+    # a blown-up row is written, and a failed row is its one stderr line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**VALUE_GRID, **change}))
+    out = tmp_path / "o"
+    failed = lines[0].startswith("row failed: ")
+    assert _quiet_main(["--config", str(cfg), "--out", str(out),
+                        "--threads", str(threads), "value"]) == int(failed)
+    rows = (out / "value.csv").read_text().splitlines()[1:]
+    assert capsys.readouterr().err.splitlines() == (lines if failed else [])
+    assert rows == ([] if failed else lines)
+
+
+def _non_finite_cells(path: Path) -> set:
+    """(row, column) of each number in the CSV at path that is an inf or a
+    nan, rows counted from 0 below the header; text cells are skipped."""
+    cells = set()
+    for i, line in enumerate(path.read_text().splitlines()[1:]):
+        for j, cell in enumerate(line.split(",")):
+            with contextlib.suppress(ValueError):
+                if not math.isfinite(float(cell)):
+                    cells.add((i, j))
+    return cells
+
+
+def _documented_nans(path: Path) -> set:
+    """The cells that hold NaN by design: the numbers of a blown-up
+    value.csv row and converge.csv's last gap to the next level."""
+    lines = path.read_text().splitlines()
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    if path.name == "value.csv":
+        numbers = range(header.index("riccati_value"), header.index("blow_up"))
+        return {(i, j) for i, row in enumerate(rows) if row[-1] == "1" for j in numbers}
+    if path.name == "converge.csv":
+        return {(len(rows) - 1, header.index("value_gap_to_next"))}
+    return set()
 
 
 # the fractional and rough ranges, both classical aliases, and the alphas
@@ -559,22 +632,27 @@ _ALPHAS = st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
        step=st.sampled_from([0.05, 0.0625, 0.1, 0.125, 0.2, 0.25]),
        n_paths=st.integers(2, 16),
        positivity_map=st.sampled_from(["abs", "exp", "identity"]),
-       overflow=st.sampled_from([{}, {"w0": 1e-300}, {"lam": 1e200},
+       overflow=st.sampled_from([{}, {"w0": 1e-300}, {"lam": 1e200}, {"lam": 1e100},
                                  {"z0": 1e300, "gamma": 0.5}]),
        command=st.sampled_from(COMMANDS))
 @settings(max_examples=100, deadline=None)
 def test_every_scenario_exits_cleanly(command, overflow, **scenario):
     # whatever a small scenario holds, a command exits 0, 1 or 2 without a
     # traceback; a config error leaves no output directory, and a run error
-    # no file, except for value's per-row failures
+    # no file, except for value's per-row failures.  Exit 0 prints nothing
+    # and writes only finite numbers, but for the documented NaNs
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out, err = Path(tmp) / "cfg.json", Path(tmp) / "o", io.StringIO()
         cfg.write_text(json.dumps({**scenario, **overflow, "n_sample_paths": 1}))
         with contextlib.redirect_stderr(err):
-            code = main(["--config", str(cfg), "--out", str(out), command])
+            code = _quiet_main(["--config", str(cfg), "--out", str(out), command])
         err = err.getvalue()
         assert code in (0, 1, 2) and "Traceback" not in err
-        if code == 2:
+        if code == 0:
+            assert err == ""
+            for path in out.glob("*.csv"):
+                assert _non_finite_cells(path) == _documented_nans(path)
+        elif code == 2:
             assert err.startswith("config error: ") and not out.exists()
         elif code == 1 and err.startswith("row failed: "):
             assert command == "value"

@@ -84,6 +84,18 @@ def test_map_batches_order_independent_of_threads():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worker_batches_keep_the_callers_errstate(threads):
+    # np.errstate is a context variable, which pool threads do not inherit:
+    # each batch runs in a copy of the caller's context, so the terminal
+    # wealth's overflow raises in the workers as it does on the caller
+    p = default_params(alpha=0.5).with_(lam=1e100)
+    grid = TimeGrid.from_horizon(1.0, 0.05)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        mc_utility(p, 1e100, VolScheme(SchemeKind.FRACTIONAL_EULER),
+                   PositivityMap.IDENTITY, 4096, grid, 7, threads)
+
+
 def _four_legs(grid):
     """Classical (nu is Z itself), fractional Euler, rough Marchaud with the
     abs map and quantized fractional legs; two read dBs, all share Z."""
