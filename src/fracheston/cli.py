@@ -2,9 +2,11 @@
 
 Each subcommand returns its CSV reports as (file name, header, rows)
 tables; main writes them into the output directory, then a manifest.csv
-listing every file with the configuration hash.  A command builds all
-its tables before the first file is written, so a run error (exit 1)
-writes no file.  An inf or a nan in a simulate, wealth, longterm or
+listing every file with the configuration hash.  A manifest.csv already
+there that lists a file this run does not write (another command's
+output) is an i/o error (exit 1) before any file is written.  A command
+builds all its tables before the first file is written, so a run error
+(exit 1) writes no file.  An inf or a nan in a simulate, wealth, longterm or
 converge table is a run error naming the file, and one in a value row
 that did not blow up fails that row; the NaNs of value.csv (a blown-up
 row) and converge.csv (the last level's gap) are documented outputs.
@@ -40,7 +42,7 @@ from .riccati import RiccatiBlowUp, value_function
 # tracer's rebinding on fracheston.cli.brownian_batch
 from .sim import (TimeGrid, brownian_batch, simulate_stock,  # noqa: F401
                   simulate_wealth, terminal_wealth)
-from .vol import PositivityMap, VolScheme, apply_positivity
+from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
 
 FMT = "%.17g"
 
@@ -86,18 +88,14 @@ def _stock_map(p: ModelParams, cfg: ScenarioConfig) -> PositivityMap:
     return PositivityMap.IDENTITY
 
 
-def _whole(dBs, z, nu):
-    return dBs, z, nu
-
-
 def cmd_simulate(cfg: ScenarioConfig) -> list:
     """Sample paths of Z, nu and S per (alpha, rho) cell, plus positivity
-    diagnostics for rough alphas.  The alphas at one rho are the legs of
-    one draw.  nu is built from Z and Z from dBz alone, so neither depends
-    on rho: each rough alpha's posmap file reads path 0 of the first rho's
-    draw, which has at least one path, and each distinct column (t, every
-    z_i, every alpha's nu_i) is formatted once for all the files that hold
-    it."""
+    diagnostics for rough alphas.  The alphas' nu at one rho are the legs
+    of one draw, beside two classical legs that return its Z and dBs.  nu
+    is built from Z and Z from dBz alone, so neither depends on rho: each
+    rough alpha's posmap file reads path 0 of the first rho's draw, which
+    has at least one path, and each distinct column (t, every z_i, every
+    alpha's nu_i) is formatted once for all the files that hold it."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
     texts = {}  # a column's cells as _write_csv formats them, by its bytes
 
@@ -117,17 +115,21 @@ def cmd_simulate(cfg: ScenarioConfig) -> list:
     npaths = cfg.n_sample_paths
     for rho in cfg.rhos:
         ps = [cfg.model_params(alpha, rho) for alpha in cfg.alphas]
-        cells = map_paths([(p, _scheme_for(p, cfg), None, _whole) for p in ps],
-                          grid, cfg.seed, max(npaths, 1), cfg.threads)
-        for alpha, p, (dBs, z, nu), diag in zip(cfg.alphas, ps, cells, diags):
+        helper = (ps[0], VolScheme(SchemeKind.CLASSICAL), None)  # reads Z or dBs
+        *nus, z, dBs = map_paths(
+            [(p, _scheme_for(p, cfg), None, lambda dBs, z, nu: nu) for p in ps]
+            + [(*helper, lambda dBs, z, nu: z), (*helper, lambda dBs, z, nu: dBs)],
+            grid, cfg.seed, max(npaths, 1), cfg.threads)
+        z, dBs = z[:npaths], dBs[:npaths]
+        for alpha, p, nu, diag in zip(cfg.alphas, ps, nus, diags):
             rough = p.regime is Regime.ROUGH
             if rough and rho == cfg.rhos[0]:
                 tables.append(table(f"posmap_a{file_tag(alpha)}.csv",
                                     ["t", "nu_raw", "nu_abs", "nu_exp"],
                                     [grid.times, nu[0], np.abs(nu[0]), np.exp(nu[0])]))
-            z, nu = z[:npaths], nu[:npaths]
+            nu = nu[:npaths]
             s = simulate_stock(apply_positivity(nu, _stock_map(p, cfg)),
-                               grid, dBs[:npaths], p, s0=cfg.s0)
+                               grid, dBs, p, s0=cfg.s0)
             header = ["t"]
             cols = [grid.times]
             for i in range(npaths):
@@ -150,7 +152,7 @@ def cmd_quantize(measures: dict) -> list:
     as _measures built them; a classical alpha has none."""
     return [(f"quantized_a{file_tag(alpha)}_n{qm.n_atoms}.csv",
              ["index", "xi_lo", "xi_hi", "node", "weight"],
-             zip(range(qm.n_atoms), qm.source.points[:-1], qm.source.points[1:],
+             zip(range(qm.n_atoms), qm.points[:-1], qm.points[1:],
                  qm.nodes, qm.weights))
             for (alpha, _), qm in measures.items() if qm is not None]
 
@@ -317,6 +319,20 @@ def _measures(cfg: ScenarioConfig, command: str) -> dict:
     return measures
 
 
+def _check_manifest(out_dir: Path, files: list) -> None:
+    """An OSError naming out_dir and a file if the manifest.csv already in
+    out_dir lists a file that this run, writing files, does not: another
+    command's output is there, and a new manifest would leave it unlisted."""
+    try:
+        lines = (out_dir / "manifest.csv").read_text().splitlines()[1:]
+    except FileNotFoundError:
+        return
+    stale = sorted({line.split(",")[0] for line in lines} - set(files))
+    if stale:
+        raise OSError(f"{out_dir}: its manifest.csv lists {stale[0]}, which this "
+                      f"run does not write; give each command its own --out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracheston",
@@ -366,6 +382,7 @@ def main(argv=None) -> int:
                   "converge": lambda: cmd_converge(cfg, measures)}[args.command]()
         h = cfg.config_hash()
         files = sorted(name for name, _, _ in tables)
+        _check_manifest(out_dir, files)
         tables.append(("manifest.csv", ["file", "config_hash"], [(f, h) for f in files]))
         for name, header, rows in tables:
             _write_csv(out_dir / name, header, rows)

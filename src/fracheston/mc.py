@@ -69,14 +69,6 @@ class McEstimate:
         return cls(mean=mean, std_error=math.sqrt(var / n), n_paths=n)
 
 
-def _concat(parts):
-    """One leg's batch outputs in path order: an array, or a tuple of
-    arrays concatenated element by element."""
-    if isinstance(parts[0], tuple):
-        return tuple(map(_concat, zip(*parts)))
-    return np.concatenate(parts)
-
-
 def _map_batches(batch_fn, n_paths: int, threads: int = 1,
                  batch_size: int = BATCH_SIZE) -> list:
     """Run batch_fn(start, stop), which returns one output per leg, over
@@ -93,7 +85,7 @@ def _map_batches(batch_fn, n_paths: int, threads: int = 1,
         contexts = [contextvars.copy_context() for _ in slices]
         with ThreadPoolExecutor(max_workers=threads) as ex:
             parts = list(ex.map(lambda ctx, ab: ctx.run(batch_fn, *ab), contexts, slices))
-    return [_concat(leg) for leg in zip(*parts)]
+    return [np.concatenate(leg) for leg in zip(*parts)]
 
 
 # A leg of a path map: integrand(dBs, Z, nu) on the volatility of scheme
@@ -129,17 +121,18 @@ def _driver_params(legs) -> tuple:
     return p, tilde, False in tildes
 
 
-def _gather(dest, out, a: int, n: int):
-    """dest with rows a.. set to one block's integrand output: an array, or
-    a tuple of arrays, whose first axis is the block's paths.  The first
-    block allocates dest (None) for the batch's n paths."""
-    if isinstance(out, tuple):
-        return tuple(_gather(d, o, a, n)
-                     for d, o in zip(dest or (None,) * len(out), out))
-    out = np.asarray(out)
-    if dest is None:
-        dest = np.empty((n,) + out.shape[1:], out.dtype)
-    dest[a:a + len(out)] = out
+def _gather(dest, out, a: int, n: int, leg: int):
+    """dest with rows a.. set to one block's integrand output, which must be
+    one array whose first axis is the block's paths; anything else (a
+    tuple, a scalar, another row count) is a ValueError naming the leg by
+    its index.  The first block allocates dest (None) for the batch's n
+    paths."""
+    rows = min(n - a, _ROW_BLOCK)
+    if not isinstance(out, np.ndarray) or out.shape[:1] != (rows,):
+        raise ValueError(f"leg {leg}: an integrand must return one array whose first "
+                         f"axis is the block's {rows} paths, got {getattr(out, 'shape', type(out))}")
+    dest = np.empty((n,) + out.shape[1:], out.dtype) if dest is None else dest
+    dest[a:a + rows] = out
     return dest
 
 
@@ -176,14 +169,16 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
     tilde leg (dBs=None); and each leg in turn writes its nu, after its
     pos_map (raw with None), into the nu block and gets integrand(dBs, Z,
     nu) once.  A Z-tilde leg gets its driver's nu, sliced, and z=None.
-    dBs, Z and a driver's nu are read-only.  The integrand's output is an
-    array, or a tuple of arrays, whose first axis is the block's paths; it
-    is copied into the leg's batch output at once, so it may be a view of
-    what the integrand was given, which the next block reuses.
+    dBs, Z and a driver's nu are read-only.  The integrand's output is one
+    array whose first axis is the block's paths (anything else, a tuple or
+    a scalar, is a ValueError naming the leg); it is copied into the leg's
+    batch output at once, so it may be a view of what the integrand was
+    given, which the next block reuses.  A caller that wants Z or dBs
+    itself runs a leg that returns it.
 
-    Returns one output per leg, concatenated in path order whatever the
-    worker count; n_paths = 0 runs one empty batch, so each leg keeps its
-    output's shape."""
+    Returns one array per leg, its blocks concatenated in path order
+    whatever the worker count; n_paths = 0 runs one empty batch, so each
+    leg keeps its output's shape."""
     legs = [Leg(*leg) for leg in legs]
     p, tilde, draw_dBs = _driver_params(legs)
     kernels = [None if tilde else leg.scheme.kernel(leg.p, grid) for leg in legs]
@@ -221,7 +216,7 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
                     leg.p, z_rows, grid, kernel, spectrum, block)
                 if leg.pos_map is not None:
                     nu_rows = apply_positivity(nu_rows, leg.pos_map, block)
-                outs[i] = _gather(outs[i], leg.integrand(dBs, z_rows, nu_rows), a, n)
+                outs[i] = _gather(outs[i], leg.integrand(dBs, z_rows, nu_rows), a, n, i)
         return outs
 
     return _map_batches(batch, n_paths, threads,

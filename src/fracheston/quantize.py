@@ -7,7 +7,9 @@ antiderivatives, so no quadrature is involved in building a measure.
 Nested refinement (log-midpoint insertion plus endpoint extension) gives
 the monotone-convergence chain used by the convergence diagnostics: the
 discrete Laplace transform approx_kernel of the fractional measure rises
-to the power kernel frac_kernel.
+to the power kernel frac_kernel.  A partition is a float array of cell
+endpoints (make_partition, refine); quantize checks it and builds the
+measure, which keeps it as its points, so refined() refines the points.
 """
 from __future__ import annotations
 
@@ -31,32 +33,14 @@ def _check_alpha(alpha: float, kind: MeasureKind) -> None:
         raise ValueError("mu_tilde quantization requires alpha in (-1, -1/2)")
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Strictly increasing positive grid points; level counts refinements."""
-    points: tuple
-    level: int = 0
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size < 2:
-            raise ValueError("a partition needs at least two points")
-        if pts[0] <= 0 or np.any(np.diff(pts) <= 0):
-            raise ValueError("partition points must be positive and strictly increasing")
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.points) - 1
-
-
 def _mass_exponent(alpha: float, kind: MeasureKind) -> float:
     """Exponent e with measure((0, x]) proportional to x^e near zero."""
     return 1.0 - alpha if kind is MeasureKind.MU else alpha + 2.0
 
 
-def make_partition(n: int, alpha: float, kind: MeasureKind = MeasureKind.MU) -> Partition:
-    """Geometric grid of n cells on [n^(-2/e), n^2] with e the small-x mass
-    exponent of the measure.
+def make_partition(n: int, alpha: float, kind: MeasureKind = MeasureKind.MU) -> np.ndarray:
+    """The n + 1 points of a geometric grid of n cells on [n^(-2/e), n^2]
+    with e the small-x mass exponent of the measure.
 
     The log-uniform spacing equalizes relative cell widths, which suits the
     power-law densities.  Scaling the lower endpoint by 1/e keeps the
@@ -77,26 +61,25 @@ def make_partition(n: int, alpha: float, kind: MeasureKind = MeasureKind.MU) -> 
                          f"is {xi_min!r}, not a positive normal float")
     pts = xi_min * (xi_max / xi_min) ** (np.arange(n + 1) / n)
     pts[0], pts[-1] = xi_min, xi_max  # pin endpoints against roundoff
-    return Partition(points=tuple(pts), level=0)
+    return pts
 
 
-def refine(p: Partition, low_shrink: float = 4.0) -> Partition:
-    """Insert log-space midpoints, prepend xi_0/low_shrink and append
-    4*xi_last.
+def refine(pts: np.ndarray, low_shrink: float = 4.0) -> np.ndarray:
+    """The points pts with log-space midpoints inserted, xi_0/low_shrink
+    prepended and 4*xi_last appended.
 
     The result is a strict superset of the input, so integrals of
     nonnegative convex functions are nondecreasing along the chain.
     """
     if low_shrink <= 1.0:
         raise ValueError("low_shrink must exceed 1")
-    pts = np.asarray(p.points)
     mids = np.sqrt(pts[:-1] * pts[1:])
     new = np.empty(2 * len(pts) + 1)
     new[0] = pts[0] / low_shrink
     new[1:-1:2] = pts
     new[2:-1:2] = mids
     new[-1] = pts[-1] * 4.0
-    return Partition(points=tuple(new), level=p.level + 1)
+    return new
 
 
 def cell_weight(lo: float, hi: float, alpha: float, kind: MeasureKind) -> float:
@@ -127,12 +110,13 @@ def cell_barycenter(lo: float, hi: float, alpha: float, kind: MeasureKind) -> fl
 
 @dataclass(frozen=True)
 class QuantizedMeasure:
-    """Atoms (barycenters) and weights (cell masses) of mu^n or mu_tilde^n."""
+    """Atoms (barycenters) and weights (cell masses) of mu^n or mu_tilde^n,
+    and the endpoints of the cells they come from."""
     kind: MeasureKind
     alpha: float
     nodes: np.ndarray    # shape (n,), strictly increasing
     weights: np.ndarray  # shape (n,), strictly positive
-    source: Partition
+    points: np.ndarray   # shape (n + 1,), positive, strictly increasing
 
     @property
     def n_atoms(self) -> int:
@@ -142,19 +126,24 @@ class QuantizedMeasure:
         # shrink the lower endpoint fast enough that the mass it misses
         # drops by a factor 4 per level, whatever the density exponent
         shrink = 4.0 ** (1.0 / _mass_exponent(self.alpha, self.kind))
-        return quantize(refine(self.source, low_shrink=shrink), self.alpha, self.kind)
+        return quantize(refine(self.points, low_shrink=shrink), self.alpha, self.kind)
 
 
-def quantize(p: Partition, alpha: float, kind: MeasureKind = MeasureKind.MU) -> QuantizedMeasure:
-    """Build the discrete measure carried by the partition's cells."""
+def quantize(points, alpha: float, kind: MeasureKind = MeasureKind.MU) -> QuantizedMeasure:
+    """Build the discrete measure carried by the cells between consecutive
+    points, which must be at least two, positive and strictly increasing."""
     _check_alpha(alpha, kind)
-    pts = np.asarray(p.points)
+    pts = np.array(points, dtype=float)
+    if pts.size < 2:
+        raise ValueError("a partition needs at least two points")
+    if pts[0] <= 0 or np.any(np.diff(pts) <= 0):
+        raise ValueError("partition points must be positive and strictly increasing")
     nodes = np.array([cell_barycenter(lo, hi, alpha, kind)
                       for lo, hi in zip(pts[:-1], pts[1:])])
     weights = np.array([cell_weight(lo, hi, alpha, kind)
                         for lo, hi in zip(pts[:-1], pts[1:])])
     return QuantizedMeasure(kind=kind, alpha=alpha, nodes=nodes,
-                            weights=weights, source=p)
+                            weights=weights, points=pts)
 
 
 def frac_kernel(t: float, alpha: float) -> float:

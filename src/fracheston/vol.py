@@ -317,7 +317,8 @@ class VolScheme:
     def kernel(self, p: ModelParams, grid: TimeGrid) -> VolterraKernel | None:
         """This construction's kernel for p on grid, to be built once and
         passed to nu_paths for every row block; None for classical, whose
-        nu is Z itself.  The one place a scheme picks its construction."""
+        nu is v0 + Z and convolves nothing.  The one place a scheme picks
+        its construction."""
         if self.kind is SchemeKind.CLASSICAL:
             return None
         if self.kind is SchemeKind.FRACTIONAL_EULER:
@@ -332,10 +333,11 @@ class VolScheme:
                  kernel: VolterraKernel | None = None,
                  spectrum: ZSpectrum | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """nu along z_path: Z itself for classical, else kernel's nu, with
+        """nu along z_path: v0 + Z for classical (the model whose Riccati
+        system is solve_riccati_limit at alpha = 0), else kernel's nu, with
         kernel built here (self.kernel(p, grid)) when not given, spectrum
         the ZSpectrum of z_path's rows when another leg shares it, and
         written into out (C-contiguous, z_path's shape) if given."""
         if self.kind is SchemeKind.CLASSICAL:
-            return np.asarray(z_path)
+            return np.add(z_path, p.v0, out=out)
         return _volterra_paths(z_path, kernel or self.kernel(p, grid), spectrum, out)

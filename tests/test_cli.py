@@ -146,6 +146,20 @@ def test_value_outputs(tmp_path, cfg_path):
     assert all(r[7] == "0" for r in rows)
 
 
+def test_classical_value_row_reads_v0(tmp_path):
+    # the classical Riccati value (solve_riccati_limit) is that of nu =
+    # v0 + Z, and so is the row's Monte Carlo value: with nu = Z alone its
+    # gap at v0 = 0.5 was about 1,958 standard errors
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v0": 0.5, "alphas": [0, 0.5], "rhos": [0.0],
+                               "step": 0.01, "n_paths": 4000, "levels": [8]}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "value"]) == 0
+    rows = [ln.split(",") for ln in (out / "value.csv").read_text().splitlines()[1:]]
+    (*_, se, gap, _), = [row for row in rows if row[0] == "classical"]
+    assert abs(float(gap)) <= 3.0 * float(se)
+
+
 def test_classical_alias_runs_as_alpha_zero(tmp_path):
     # -1 and 0 both name the classical model, and the regime table is keyed
     # by the params' regime, not by the scenario's alpha
@@ -213,6 +227,22 @@ def test_rerun_byte_identical(tmp_path, cfg_path):
     assert _run(cfg_path, out1, "simulate") == 0
     assert _run(cfg_path, out2, "simulate") == 0
     assert _read_all(out1) == _read_all(out2)
+
+
+def test_commands_sharing_an_out_dir_is_an_io_error(tmp_path, capsys, cfg_path):
+    # value's manifest would leave quantize's files unlisted, so value
+    # writes nothing there; a rerun of quantize into its own directory runs
+    out = tmp_path / "o"
+    assert _run(cfg_path, out, "quantize") == 0
+    first = _read_all(out)
+    assert _run(cfg_path, out, "quantize") == 0
+    assert _read_all(out) == first
+    assert _run(cfg_path, out, "value") == 1
+    stale = min(set(first) - {"manifest.csv"})
+    assert capsys.readouterr().err == (
+        f"i/o error (value): {out}: its manifest.csv lists {stale}, which this run "
+        f"does not write; give each command its own --out\n")
+    assert _read_all(out) == first
 
 
 REPORTS = {
@@ -391,10 +421,25 @@ def test_bad_alpha_or_rho_entry_names_its_field(tmp_path, capsys, field, entries
         assert err.endswith(f", got {entries!r}\n")
 
 
+@pytest.mark.parametrize("text, why", [
+    ('{"lam": 0.4, "lambda": 0.9}', "as 'lam' and 'lambda'"),
+    ('{"lambda": 0.9, "lam": 0.4}', "as 'lambda' and 'lam'"),
+    ('{"lam": 0.4, "step": 0.05, "lam": 0.9}', "the key 'lam' repeats"),
+], ids=["alias", "alias-first", "repeated-key"])
+def test_field_given_twice_is_a_config_error(tmp_path, capsys, text, why):
+    # json.load would keep one of the two values and drop the other
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "quantize"]) == 2
+    assert capsys.readouterr().err == f"config error: lam given twice: {why}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub", "dir"])
 def test_unwritable_out_dir_exits_cleanly(tmp_path, capsys, out):
     # the scenario is fine; making its output directory fails, or (dir)
-    # writing the manifest, the last file, does
+    # reading the manifest already there does
     (tmp_path / "file").write_text("")
     (tmp_path / "dir" / "manifest.csv").mkdir(parents=True)
     assert main(["--out", str(tmp_path / out), "quantize"]) == 1
@@ -574,11 +619,12 @@ VALUE_GRID = {"step": 0.05, "n_paths": 2100, "levels": [8], "alphas": [0.5, 0, -
     # no Riccati solve blows up, but every affine value overflows math.exp
     ({"v0": 1e6, "gamma": 0.5}, [f"row failed: value row alpha={a} level=8: "
                                  f"math range error" for a in (0.5, 0, -0.75)]),
-    # the affine values overflow to inf: the classical one by w0^gamma/gamma
-    # times a finite exp, the rough one with its Monte Carlo value
+    # the classical leg's per-path values (its nu is v0 + Z) are finite
+    # but their sum overflows fsum; the rough row's affine value overflows
+    # to inf with its Monte Carlo value
     ({"v0": 5656, "gamma": 0.5, "alphas": [0, -0.75]},
-     [f"row failed: value row alpha={a} level=8: value.csv: inf or nan in the "
-      f"output" for a in (0, -0.75)]),
+     ["row failed: value row alpha=0 level=8: intermediate overflow in fsum",
+      "row failed: value row alpha=-0.75 level=8: value.csv: inf or nan in the output"]),
 ], ids=["blow-up", "exp-overflow", "inf-row"])
 def test_value_overflow_prints_no_numpy_warning(tmp_path, capsys, change, lines, threads):
     # numpy's overflow warnings stay off stderr, in the worker threads too:

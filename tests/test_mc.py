@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_worker_batches_keep_the_callers_errstate(threads):
 
 
 def _four_legs(grid):
-    """Classical (nu is Z itself), fractional Euler, rough Marchaud with the
+    """Classical (nu is v0 + Z), fractional Euler, rough Marchaud with the
     abs map and quantized fractional legs; two read dBs, all share Z."""
     classical, euler, rough = (default_params(alpha=a) for a in (0.0, 0.75, -0.75))
     qm = measure_for_atoms(16, 0.75, MeasureKind.MU)
@@ -137,15 +138,16 @@ def test_zero_path_map_keeps_each_legs_shape():
     grid = TimeGrid.from_horizon(1.0, 0.02)
     legs = _four_legs(grid)
     p, scheme, pos_map, _ = legs[2]
-    legs.append((p, scheme, pos_map, lambda dBs, z, nu: (z, nu)))
-    *out, (z, nu) = map_paths(legs, grid, 19, 0, threads=2)
+    legs += [(p, scheme, pos_map, lambda dBs, z, nu: z),
+             (p, scheme, pos_map, lambda dBs, z, nu: nu)]
+    *out, z, nu = map_paths(legs, grid, 19, 0, threads=2)
     assert [o.shape for o in out] == [(0,), (0, 2), (0, 3), (0,)]
     assert z.shape == nu.shape == (0, grid.steps + 1)
 
 
 def _rows_from(out, start: int):
-    """Rows start: of one leg's map output, an array or a tuple of arrays."""
-    return tuple(a[start:] for a in out) if isinstance(out, tuple) else out[start:]
+    """Rows start: of one leg's map output."""
+    return out[start:]
 
 
 @pytest.mark.parametrize("start, stop", [(0, _ROW_BLOCK + 44), (100, 100 + 2 * _ROW_BLOCK)],
@@ -160,33 +162,53 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
         feynman_kac_leg(rough, VolScheme(SchemeKind.QUANTIZED_ROUGH, qm=measure_for_atoms(
             16, -0.75, MeasureKind.MU_TILDE)), grid, PositivityMap.EXPONENTIAL),
         (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), None,
-         lambda dBs, z, nu: (simulate_wealth(0.2, np.abs(nu), grid, dBs, rough), nu))]
+         lambda dBs, z, nu: simulate_wealth(0.2, np.abs(nu), grid, dBs, rough)),
+        (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), None, lambda dBs, z, nu: nu)]
     out = [_rows_from(o, start) for o in map_paths(legs, grid, 19, stop)]
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
     for (p, scheme, pos_map, integrand, *_), got in zip(legs, out):
         nu = scheme.nu_paths(p, z, grid)
         want = integrand(dBs, z, nu if pos_map is None else apply_positivity(nu, pos_map))
-        if isinstance(want, tuple):
-            assert len(got) == len(want) and all(map(np.array_equal, got, want))
-        else:
-            assert np.array_equal(got, want)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_tuple_outputs_concatenate_across_batches(monkeypatch, threads):
-    # a leg that returns (dBs, Z, nu), as the simulate command's does: each
-    # element is concatenated over the map's batches on its own, and equals
+    # three legs that return dBs, Z and nu, as the simulate command's do:
+    # each is concatenated over the map's batches on its own, and equals
     # the map run as one batch
     grid = TimeGrid.from_horizon(1.0, 0.02)
     n = BATCH_SIZE + 52  # three batches
-    legs = [(default_params(rho=0.7), VolScheme(SchemeKind.FRACTIONAL_EULER),
-             None, lambda dBs, z, nu: (dBs, z, nu))]
-    got, = map_paths(legs, grid, 19, n, threads)
+    p, scheme = default_params(rho=0.7), VolScheme(SchemeKind.FRACTIONAL_EULER)
+    legs = [(p, scheme, None, lambda dBs, z, nu: dBs),
+            (p, scheme, None, lambda dBs, z, nu: z),
+            (p, scheme, None, lambda dBs, z, nu: nu)]
+    got = map_paths(legs, grid, 19, n, threads)
     monkeypatch.setattr(mc, "CIR_BATCH_SIZE", n)
-    want, = map_paths(legs, grid, 19, n)
+    want = map_paths(legs, grid, 19, n)
     assert len(got) == len(want) == 3
     assert all(map(np.array_equal, got, want))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("integrand, got", [
+    (lambda dBs, z, nu: (z, nu), "<class 'tuple'>"),
+    (lambda dBs, z, nu: 1.0, "<class 'float'>"),
+    (lambda dBs, z, nu: np.sum(nu), "()"),
+    (lambda dBs, z, nu: nu[:-1], "(9, 51)"),
+], ids=["tuple", "scalar", "numpy-scalar", "short"])
+def test_a_leg_returns_one_array_of_its_blocks_paths(integrand, got, threads):
+    # a tuple would be stacked into the wrong rows, and a scalar has none:
+    # either is a ValueError that names the leg
+    grid = TimeGrid.from_horizon(1.0, 0.02)
+    legs = _four_legs(grid)[:2]
+    p, scheme, pos_map, _ = legs[1]
+    legs.append((p, scheme, pos_map, integrand))
+    with pytest.raises(ValueError, match=rf"^leg 2: an integrand must return one array "
+                                         rf"whose first axis is the block's 10 paths, "
+                                         rf"got {re.escape(got)}$"):
+        map_paths(legs, grid, 19, 10, threads)
 
 
 def test_feynman_kac_leg_brings_its_measure_to_a_plain_map():
@@ -335,11 +357,10 @@ def test_feynman_kac_legs_of_one_map_equal_their_estimators(threads):
 
 
 @pytest.mark.parametrize("mutate, tilde", [
-    (lambda dBs, z, nu: nu.__iadd__(1.0), False),  # classical: nu is the shared Z
     (lambda dBs, z, nu: z.fill(0.0), False),
     (lambda dBs, z, nu: dBs.__imul__(2.0), False),
     (lambda dBs, z, nu: nu.__iadd__(1.0), True),  # rho != 0: the driver's nu
-], ids=["nu-of-classical", "z", "dBs", "nu-of-z-tilde"])
+], ids=["z", "dBs", "nu-of-z-tilde"])
 def test_legs_cannot_mutate_shared_paths(mutate, tilde):
     grid = TimeGrid.from_horizon(1.0, 0.02)
     if tilde:
@@ -361,21 +382,21 @@ def test_integrands_may_return_their_block():
     # monotone legs do) still gets every row, in arrays of its own
     grid = TimeGrid.from_horizon(1.0, 0.02)
     start, stop = 5, 5 + 2 * _ROW_BLOCK + 7  # three blocks, the last ragged
-    legs = [(p, scheme, pos_map, lambda dBs, z, nu: (dBs, z, nu))
-            for p, scheme, pos_map, _ in _four_legs(grid)]
-    legs += [(p, scheme, None, lambda dBs, z, nu: nu) for p, scheme, _, _ in legs]
+    four = _four_legs(grid)
+    legs = [(p, scheme, pos_map, integrand) for p, scheme, pos_map, _ in four
+            for integrand in (lambda dBs, z, nu: dBs, lambda dBs, z, nu: z,
+                              lambda dBs, z, nu: nu)]
+    legs += [(p, scheme, None, lambda dBs, z, nu: nu) for p, scheme, _, _ in four]
     out = [_rows_from(o, start) for o in map_paths(legs, grid, 19, stop)]
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
-    for (p, scheme, pos_map, _), got in zip(legs, out):
+    for (p, scheme, pos_map, _), got in zip(four, [out[i:i + 3] for i in range(0, 12, 3)]):
         nu = scheme.nu_paths(p, z, grid)
-        if pos_map is None:
-            assert np.array_equal(got, nu)
-            continue
         assert all(map(np.array_equal, got, (dBs, z, apply_positivity(nu, pos_map))))
-    arrays = [a for leg in out for a in (leg if isinstance(leg, tuple) else (leg,))]
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
-                   for b in arrays[i + 1:])
+    for (p, scheme, _, _), got in zip(four, out[12:]):
+        assert np.array_equal(got, scheme.nu_paths(p, z, grid))
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(out)
+                   for b in out[i + 1:])
 
 
 @pytest.mark.parametrize("batch_size", [512, 1000, 1024, 2048])

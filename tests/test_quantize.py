@@ -53,9 +53,8 @@ def test_cell_validation():
 
 
 def test_make_partition_shape():
-    p = make_partition(8, 0.5, MeasureKind.MU)
-    pts = np.asarray(p.points)
-    assert p.n_cells == 8
+    pts = make_partition(8, 0.5, MeasureKind.MU)
+    assert pts.shape == (9,)
     assert np.all(np.diff(pts) > 0)
     assert pts[-1] == pytest.approx(64.0)
 
@@ -70,11 +69,22 @@ def test_partition_near_alpha_one_raises_value_error():
 def test_refine_is_superset():
     p = make_partition(6, 0.5, MeasureKind.MU)
     r = refine(p)
-    assert r.level == p.level + 1
-    assert set(p.points).issubset(set(r.points))
-    assert np.all(np.diff(r.points) > 0)
+    assert set(p).issubset(set(r))
+    assert np.all(np.diff(r) > 0)
     with pytest.raises(ValueError):
         refine(p, low_shrink=1.0)
+
+
+@pytest.mark.parametrize("points, match", [
+    ([1.0], "at least two points"),
+    ([0.0, 1.0, 2.0], "positive and strictly increasing"),
+    ([-1.0, 1.0], "positive and strictly increasing"),
+    ([1.0, 2.0, 2.0], "positive and strictly increasing"),
+    ([1.0, 3.0, 2.0], "positive and strictly increasing"),
+])
+def test_quantize_rejects_bad_points(points, match):
+    with pytest.raises(ValueError, match=match):
+        quantize(np.array(points), 0.5, MeasureKind.MU)
 
 
 def test_quantize_structure():
@@ -82,14 +92,14 @@ def test_quantize_structure():
     assert qm.n_atoms == 10
     assert np.all(qm.weights > 0)
     assert np.all(np.diff(qm.nodes) > 0)
-    pts = np.asarray(qm.source.points)
+    pts = qm.points
     assert np.all(qm.nodes > pts[:-1]) and np.all(qm.nodes < pts[1:])
 
 
 def test_total_mass_matches_closed_form():
     alpha = 0.6
     qm = quantize(make_partition(50, alpha, MeasureKind.MU), alpha, MeasureKind.MU)
-    pts = qm.source.points
+    pts = qm.points
     expected = cell_weight(pts[0], pts[-1], alpha, MeasureKind.MU)
     assert qm.weights.sum() == pytest.approx(expected, rel=1e-12)
 
@@ -97,7 +107,7 @@ def test_total_mass_matches_closed_form():
 def test_dyadic_chain_nesting_and_monotone_kernel():
     chain = dyadic_chain(16, 0.5, MeasureKind.MU, 5)
     for a, b in zip(chain, chain[1:]):
-        assert set(a.source.points).issubset(set(b.source.points))
+        assert set(a.points).issubset(set(b.points))
     for t in (0.1, 0.5, 1.0):
         vals = [approx_kernel(t, qm) for qm in chain]
         assert all(v2 >= v1 - 1e-14 for v1, v2 in zip(vals, vals[1:]))
