@@ -6,7 +6,9 @@ listing every file with the configuration hash.  A manifest.csv already
 there that lists a file this run does not write (another command's
 output) is an i/o error (exit 1) before any file is written.  A command
 builds all its tables before the first file is written, so a run error
-(exit 1) writes no file.  An inf or a nan in a simulate, wealth, longterm or
+(exit 1) writes no file.  main writes every table or none
+(_write_tables), so an i/o error (exit 1) leaves the files already there
+as they were.  An inf or a nan in a simulate, wealth, longterm or
 converge table is a run error naming the file, and one in a value row
 that did not blow up fails that row; the NaNs of value.csv (a blown-up
 row) and converge.csv (the last level's gap) are documented outputs.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +72,31 @@ def _write_csv(path: Path, header: list, rows) -> None:
             if fmt is None:
                 fmt = formats[types] = ",".join(map(_cell_format, types)) + "\n"
             fh.write(fmt % row)
+
+
+def _write_tables(out_dir: Path, tables: list) -> None:
+    """Write every (file name, header, rows) table into out_dir, or none.
+    A name already there that is not a regular file (a directory, say) is
+    an OSError before any file is written.  Each table is written to a
+    temporary name in out_dir, and all are renamed to their own names only
+    once every write has succeeded; on an error the temporaries are
+    removed, so the files already there are left as they were."""
+    for name, _, _ in tables:
+        path = out_dir / name
+        if path.exists() and not path.is_file():
+            raise OSError(f"{path}: exists and is not a regular file")
+    temps = []
+    try:
+        for name, header, rows in tables:
+            temp = out_dir / f".{name}.{os.getpid()}.tmp"
+            temp.touch(exist_ok=False)  # ours alone, so ours to remove
+            temps.append(temp)
+            _write_csv(temp, header, rows)
+        for temp, (name, _, _) in zip(temps, tables):
+            os.replace(temp, out_dir / name)
+    finally:
+        for temp in temps:  # a renamed one is gone already
+            temp.unlink(missing_ok=True)
 
 
 def _check_finite(name: str, values) -> None:
@@ -384,8 +412,7 @@ def main(argv=None) -> int:
         files = sorted(name for name, _, _ in tables)
         _check_manifest(out_dir, files)
         tables.append(("manifest.csv", ["file", "config_hash"], [(f, h) for f in files]))
-        for name, header, rows in tables:
-            _write_csv(out_dir / name, header, rows)
+        _write_tables(out_dir, tables)
     except OSError as exc:
         print(f"i/o error ({args.command}): {exc}", file=sys.stderr)
         return 1

@@ -5,15 +5,19 @@ legs (Leg) on common random numbers over fixed batches of per-path
 Philox streams; its docstring is the one description of the pipeline
 and of the measure each leg names.  The estimators reduce each leg's
 values by McEstimate.of with exact (fsum) sums, so results are
-bit-identical for any worker count.  One Feynman-Kac leg
-(feynman_kac_leg) serves both value estimators; utility legs read the
-terminal wealth only.  REGIMES is the one table from a regime to its
-schemes, quantized measure and Riccati system.
+bit-identical for any worker count.  Workers overlap batches, but a CIR
+map draws and drives one batch at a time, beside the other batches'
+legs, while Z-tilde drives run side by side (map_paths says why).  One
+Feynman-Kac leg (feynman_kac_leg) serves both value estimators; utility
+legs read the terminal wealth only.  REGIMES is the one table from a
+regime to its schemes, quantized measure and Riccati system.
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
+import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,7 +77,10 @@ def _map_batches(batch_fn, n_paths: int, threads: int = 1,
                  batch_size: int = BATCH_SIZE) -> list:
     """Run batch_fn(start, stop), which returns one output per leg, over
     fixed path-index slices and concatenate each leg's outputs; batch layout
-    is independent of the worker count, so the output is too.  No paths run
+    is independent of the worker count, so the output is too.  Workers
+    run whole batches side by side, and batch_fn says which of its stages
+    may overlap: map_paths runs one CIR draw-and-drive at a time, beside
+    other batches' legs, and Z-tilde drives side by side.  No paths run
     one empty batch, so every leg keeps its output's shape.  A worker runs
     each batch in a copy of the caller's context, taken here, so the
     caller's np.errstate holds in every batch."""
@@ -157,8 +164,20 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
     Z-tilde keeps the wider batch for time, not bits: at 1024 paths every
     golden Z-tilde estimate (the pooled 574-atom and ragged 4095-path ones
     too) kept its 17 digits, but two workers ran value_rho slower (ROADMAP,
-    parked Batch widths).  A batch draws dBz into
-    the [:, 1:] of the array that Z is then written over, so Z is its one
+    parked Batch widths).  Workers run batches side by side, but a CIR
+    map draws dBz and drives one batch at a time, under a lock of its own,
+    while the other workers run their batches' legs.  The CIR drive is
+    nine numpy calls per step of about a microsecond each on 1024 paths,
+    and each call releases and retakes the GIL: two drives side by side
+    hand it back and forth on every call.  On a 2-vCPU Xeon a value_xval
+    job at two threads made 18-30k voluntary context switches that way
+    (3-4k with the lock); the lock took 10-17% off its CPU time and moved
+    its wall time by -1% to +7%.  The legs' FFTs, kernel applies and
+    integrands hold the GIL off for tens of microseconds per call, so they
+    overlap well with a drive.  Z-tilde drives take no lock: their block
+    GEMMs and per-step near-history matmuls do overlap, and locking them
+    made value_rho 52% slower.  The lock moves no bit.  A batch draws dBz
+    into the [:, 1:] of the array that Z is then written over, so Z is its one
     path-sized array; the Z-tilde driver writes its nu there instead, and
     keeps no Z-tilde.  The legs then run over blocks of _ROW_BLOCK (32)
     rows, which share one set of scratch: a ZSpectrum, if a leg convolves
@@ -183,6 +202,8 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
     p, tilde, draw_dBs = _driver_params(legs)
     kernels = [None if tilde else leg.scheme.kernel(leg.p, grid) for leg in legs]
     convolves = any(k is not None for k in kernels)
+    # one CIR draw-and-drive at a time; Z-tilde drives overlap (docstring)
+    drive = contextlib.nullcontext() if tilde else threading.Lock()
 
     def batch(start: int, stop: int) -> list:
         streams = range(start, stop)
@@ -190,13 +211,14 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
         # dBz is drawn into paths[:, 1:], and Z (or the Z-tilde's nu) is
         # written over its own increments
         paths = np.empty((n, grid.steps + 1))
-        dBz, _ = brownian_batch(master_seed, streams, grid, p.rho, False,
-                                out=paths[:, 1:])
-        if tilde:
-            z, nu = simulate_tilde_z(p, legs[0].scheme.qm, grid, dBz, out=paths,
-                                     keep_z=False)
-        else:
-            z, nu = simulate_cir(p, grid, dBz, out=paths), None
+        with drive:
+            dBz, _ = brownian_batch(master_seed, streams, grid, p.rho, False,
+                                    out=paths[:, 1:])
+            if tilde:
+                z, nu = simulate_tilde_z(p, legs[0].scheme.qm, grid, dBz,
+                                         out=paths, keep_z=False)
+            else:
+                z, nu = simulate_cir(p, grid, dBz, out=paths), None
         (nu if tilde else z).flags.writeable = False
         nu_block = np.empty((min(n, _ROW_BLOCK), grid.steps + 1))
         spectrum, dBs = None, None

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import fracheston.cli
 import fracheston.mc
 from fracheston import (MeasureKind, PositivityMap, ScenarioConfig, SchemeKind,
                         TimeGrid, VolScheme, load_config, measure_for_atoms)
@@ -242,6 +243,42 @@ def test_commands_sharing_an_out_dir_is_an_io_error(tmp_path, capsys, cfg_path):
     assert capsys.readouterr().err == (
         f"i/o error (value): {out}: its manifest.csv lists {stale}, which this run "
         f"does not write; give each command its own --out\n")
+    assert _read_all(out) == first
+
+
+def test_a_target_that_is_not_a_file_is_an_io_error(tmp_path, capsys):
+    # a directory in the way of the second of three measures' files: the
+    # run writes none of them and no manifest
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alphas": [0.5], "levels": [64, 128, 256], "step": 0.05}))
+    out = tmp_path / "o"
+    (out / "quantized_a0.5_n142.csv").mkdir(parents=True)
+    assert main(["--config", str(cfg), "--out", str(out), "quantize"]) == 1
+    assert capsys.readouterr().err == (
+        f"i/o error (quantize): {out / 'quantized_a0.5_n142.csv'}: exists and is "
+        f"not a regular file\n")
+    assert [f.name for f in out.iterdir()] == ["quantized_a0.5_n142.csv"]
+
+
+def test_a_failed_write_leaves_the_out_dir_as_it_was(tmp_path, capsys, cfg_path,
+                                                      monkeypatch):
+    # a rerun with another seed fails writing its second table: the first
+    # run's files stay byte for byte, and no temporary is left behind
+    out = tmp_path / "o"
+    assert _run(cfg_path, out, "wealth") == 0
+    first = _read_all(out)
+    write, calls = fracheston.cli._write_csv, []
+
+    def failing(path, header, rows):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write(path, header, rows)
+
+    monkeypatch.setattr(fracheston.cli, "_write_csv", failing)
+    assert _run(cfg_path, out, "wealth", "--seed", "8") == 1
+    assert capsys.readouterr().err == "i/o error (wealth): disk full\n"
+    assert len(calls) == 2
     assert _read_all(out) == first
 
 

@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -145,11 +147,6 @@ def test_zero_path_map_keeps_each_legs_shape():
     assert z.shape == nu.shape == (0, grid.steps + 1)
 
 
-def _rows_from(out, start: int):
-    """Rows start: of one leg's map output."""
-    return out[start:]
-
-
 @pytest.mark.parametrize("start, stop", [(0, _ROW_BLOCK + 44), (100, 100 + 2 * _ROW_BLOCK)],
                          ids=["ragged", "whole-blocks"])
 def test_row_blocks_equal_whole_array_legs(start, stop):
@@ -164,7 +161,7 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
         (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), None,
          lambda dBs, z, nu: simulate_wealth(0.2, np.abs(nu), grid, dBs, rough)),
         (rough, VolScheme(SchemeKind.ROUGH_MARCHAUD), None, lambda dBs, z, nu: nu)]
-    out = [_rows_from(o, start) for o in map_paths(legs, grid, 19, stop)]
+    out = [o[start:] for o in map_paths(legs, grid, 19, stop)]
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
     for (p, scheme, pos_map, integrand, *_), got in zip(legs, out):
@@ -174,7 +171,7 @@ def test_row_blocks_equal_whole_array_legs(start, stop):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_tuple_outputs_concatenate_across_batches(monkeypatch, threads):
+def test_dBs_z_and_nu_legs_concatenate_across_batches(monkeypatch, threads):
     # three legs that return dBs, Z and nu, as the simulate command's do:
     # each is concatenated over the map's batches on its own, and equals
     # the map run as one batch
@@ -189,6 +186,34 @@ def test_tuple_outputs_concatenate_across_batches(monkeypatch, threads):
     want = map_paths(legs, grid, 19, n)
     assert len(got) == len(want) == 3
     assert all(map(np.array_equal, got, want))
+
+
+def test_cir_drives_never_overlap(monkeypatch):
+    # a CIR map draws and drives one batch at a time, whatever the worker
+    # count, while the other workers run their batches' legs; the lock
+    # moves no bit
+    grid = TimeGrid.from_horizon(1.0, 0.05)
+    leg = (default_params(), VolScheme(SchemeKind.FRACTIONAL_EULER), None,
+           lambda dBs, z, nu: nu)
+    n = 4 * mc.CIR_BATCH_SIZE
+    want, = map_paths([leg], grid, 19, n, threads=1)
+    lock, active, peak = threading.Lock(), [0], [0]
+
+    def counted(*args, **kwargs):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        time.sleep(0.02)
+        try:
+            return simulate_cir(*args, **kwargs)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(mc, "simulate_cir", counted)
+    got, = map_paths([leg], grid, 19, n, threads=4)
+    assert peak[0] == 1
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -387,7 +412,7 @@ def test_integrands_may_return_their_block():
             for integrand in (lambda dBs, z, nu: dBs, lambda dBs, z, nu: z,
                               lambda dBs, z, nu: nu)]
     legs += [(p, scheme, None, lambda dBs, z, nu: nu) for p, scheme, _, _ in four]
-    out = [_rows_from(o, start) for o in map_paths(legs, grid, 19, stop)]
+    out = [o[start:] for o in map_paths(legs, grid, 19, stop)]
     dBz, dBs = brownian_batch(19, range(start, stop), grid, 0.0)
     z = simulate_cir(legs[0][0], grid, dBz)
     for (p, scheme, pos_map, _), got in zip(four, [out[i:i + 3] for i in range(0, 12, 3)]):
