@@ -36,15 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, file_tag, load_config
-from .mc import (REGIMES, ConvergenceRow, McEstimate, convergence_study,
+from .mc import (REGIMES, ConvergenceRow, Leg, McEstimate, convergence_study,
                  feynman_kac_leg, map_paths)
 from .params import ModelParams, Regime, merton_ratio
 from .quantize import MeasureKind, atom_count, dyadic_chain, measure_for_atoms
 from .riccati import RiccatiBlowUp, value_function
-# brownian_batch is not called here: perfbench/test_gates.py checks the
-# tracer's rebinding on fracheston.cli.brownian_batch
-from .sim import (TimeGrid, brownian_batch, simulate_stock,  # noqa: F401
-                  simulate_wealth, terminal_wealth)
+from .sim import (TimeGrid, brownian_batch, simulate_stock, simulate_wealth,
+                  terminal_wealth)
 from .vol import PositivityMap, SchemeKind, VolScheme, apply_positivity
 
 FMT = "%.17g"
@@ -118,57 +116,55 @@ def _stock_map(p: ModelParams, cfg: ScenarioConfig) -> PositivityMap:
 
 def cmd_simulate(cfg: ScenarioConfig) -> list:
     """Sample paths of Z, nu and S per (alpha, rho) cell, plus positivity
-    diagnostics for rough alphas.  The alphas' nu at one rho are the legs
-    of one draw, beside two classical legs that return its Z and dBs.  nu
-    is built from Z and Z from dBz alone, so neither depends on rho: each
-    rough alpha's posmap file reads path 0 of the first rho's draw, which
-    has at least one path, and each distinct column (t, every z_i, every
-    alpha's nu_i) is formatted once for all the files that hold it."""
+    diagnostics for rough alphas.  Z is driven by dBz alone and nu is
+    built from Z, so neither depends on rho: one map at rho = 0, over at
+    least one path, returns every alpha's nu and Z as tilde legs, which
+    there run on the physical CIR and draw no dBs.  Only S reads rho,
+    through that rho's dBs, drawn once by brownian_batch with the bits a
+    map leg gets.  Each rough alpha's posmap file reads path 0, and t,
+    every z_i and every alpha's nu_i are formatted once for all the files
+    that hold them."""
     grid = TimeGrid.from_horizon(cfg.horizon, cfg.step)
-    texts = {}  # a column's cells as _write_csv formats them, by its bytes
-
-    def text(col: np.ndarray) -> list:
-        key = col.tobytes()
-        if key not in texts:
-            fmt = _cell_format(col.dtype.type)
-            texts[key] = [fmt % v for v in col.tolist()]
-        return texts[key]
-
-    def table(name: str, header: list, cols: list) -> tuple:
-        _check_finite(name, cols)
-        return name, header, zip(*map(text, cols))
-
-    tables = []  # (file name, header, rows)
-    diags = [[] for _ in cfg.alphas]  # rough diagnostics rows per alpha
     npaths = cfg.n_sample_paths
-    for rho in cfg.rhos:
-        ps = [cfg.model_params(alpha, rho) for alpha in cfg.alphas]
-        helper = (ps[0], VolScheme(SchemeKind.CLASSICAL), None)  # reads Z or dBs
-        *nus, z, dBs = map_paths(
-            [(p, _scheme_for(p, cfg), None, lambda dBs, z, nu: nu) for p in ps]
-            + [(*helper, lambda dBs, z, nu: z), (*helper, lambda dBs, z, nu: dBs)],
-            grid, cfg.seed, max(npaths, 1), cfg.threads)
-        z, dBs = z[:npaths], dBs[:npaths]
-        for alpha, p, nu, diag in zip(cfg.alphas, ps, nus, diags):
-            rough = p.regime is Regime.ROUGH
-            if rough and rho == cfg.rhos[0]:
-                tables.append(table(f"posmap_a{file_tag(alpha)}.csv",
-                                    ["t", "nu_raw", "nu_abs", "nu_exp"],
-                                    [grid.times, nu[0], np.abs(nu[0]), np.exp(nu[0])]))
-            nu = nu[:npaths]
-            s = simulate_stock(apply_positivity(nu, _stock_map(p, cfg)),
-                               grid, dBs, p, s0=cfg.s0)
-            header = ["t"]
-            cols = [grid.times]
-            for i in range(npaths):
-                header += [f"z{i}", f"nu{i}", f"s{i}"]
-                cols += [z[i], nu[i], s[i]]
-            tables.append(table(f"paths_a{file_tag(alpha)}_r{file_tag(rho)}.csv",
-                                header, cols))
+
+    def text(col: np.ndarray) -> list:  # its cells as _write_csv formats them
+        fmt = _cell_format(col.dtype.type)
+        return [fmt % v for v in col.tolist()]
+
+    ps = [cfg.model_params(alpha, 0.0) for alpha in cfg.alphas]
+    *nus, z = map_paths(
+        [Leg(p, _scheme_for(p, cfg), None, lambda dBs, z, nu: nu, tilde=True) for p in ps]
+        + [Leg(ps[0], VolScheme(SchemeKind.CLASSICAL), None, lambda dBs, z, nu: z,
+               tilde=True)],
+        grid, cfg.seed, max(npaths, 1), cfg.threads)
+    dBss = [brownian_batch(cfg.seed, range(npaths), grid, rho)[1] for rho in cfg.rhos]
+    z = z[:npaths]
+    t = text(grid.times)
+    z_texts = list(map(text, z))
+    header = ["t"] + [f"{c}{i}" for i in range(npaths) for c in ("z", "nu", "s")]
+    tables, diag_rows = [], []  # (file name, header, rows); rough diagnostics
+    for alpha, p, nu in zip(cfg.alphas, ps, nus):
+        rough = p.regime is Regime.ROUGH
+        if rough:
+            name = f"posmap_a{file_tag(alpha)}.csv"
+            cols = [grid.times, nu[0], np.abs(nu[0]), np.exp(nu[0])]
+            _check_finite(name, cols)
+            tables.append((name, ["t", "nu_raw", "nu_abs", "nu_exp"],
+                           zip(*map(text, cols))))
+        nu = nu[:npaths]
+        nu_texts = list(map(text, nu))
+        stock_nu = apply_positivity(nu, _stock_map(p, cfg))
+        for rho, dBs in zip(cfg.rhos, dBss):
+            s = simulate_stock(stock_nu, grid, dBs, cfg.model_params(alpha, rho),
+                               s0=cfg.s0)
+            name = f"paths_a{file_tag(alpha)}_r{file_tag(rho)}.csv"
+            _check_finite(name, [z, nu, s])
+            cols = [t] + [col for i in range(npaths)
+                          for col in (z_texts[i], nu_texts[i], text(s[i]))]
+            tables.append((name, header, zip(*cols)))
             if rough:
-                diag += [(alpha, rho, i, float(np.mean(nu[i] < 0.0)))
-                         for i in range(npaths)]
-    diag_rows = [row for diag in diags for row in diag]
+                diag_rows += [(alpha, rho, i, float(np.mean(nu[i] < 0.0)))
+                              for i in range(npaths)]
     if diag_rows:
         tables.append(("rough_diagnostics.csv",
                        ["alpha", "rho", "path", "negative_fraction"], diag_rows))

@@ -173,34 +173,33 @@ _JSON_KEY_MAP = {"lambda": "lam"}  # accept the market-price name as written
 
 
 def _unique_keys(pairs) -> dict:
-    """A JSON object's (key, value) pairs as a dict, once no key repeats:
-    json.load would keep a repeated key's last value and drop the others."""
-    obj = {}
+    """A JSON object's (key, value) pairs as a dict, once no field is given
+    twice, by a repeated key or by both 'lam' and 'lambda': json.load would
+    keep one value and drop the others."""
+    obj, keys = {}, {}  # field name -> the key that gave it
     for key, val in pairs:
+        name = _JSON_KEY_MAP.get(key, key)
         if key in obj:
-            raise ValueError(f"{_JSON_KEY_MAP.get(key, key)} given twice: the key "
-                             f"{key!r} repeats")
-        obj[key] = val
+            raise ValueError(f"{name} given twice: the key {key!r} repeats")
+        if name in keys:
+            raise ValueError(f"{name} given twice: as {keys[name]!r} and {key!r}")
+        obj[key], keys[name] = val, key
     return obj
 
 
 def load_config(path) -> ScenarioConfig:
     """The scenario in the JSON file at path.  An unknown key, and a field
-    given twice (a repeated key, or both 'lam' and 'lambda'), are
-    ValueErrors."""
+    given twice (_unique_keys), are ValueErrors."""
     with open(path) as fh:
         raw = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    kwargs, keys = {}, {}  # field name -> value, and the key that gave it
+    kwargs = {}
     for key, val in raw.items():
         name = _JSON_KEY_MAP.get(key, key)
         if name not in known:
             raise ValueError(f"unknown config key {key!r}")
-        if name in keys:
-            raise ValueError(f"{name} given twice: as {keys[name]!r} and {key!r}")
-        keys[name] = key
         if name in _LIST_FIELDS and isinstance(val, list):
             val = tuple(val)
         kwargs[name] = val

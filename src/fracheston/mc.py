@@ -1,7 +1,8 @@
 """Monte Carlo engines and affine cross-validation.
 
-Every estimator and CLI command simulates through map_paths, which runs
-legs (Leg) on common random numbers over fixed batches of per-path
+Every estimator and CLI command draws its Z and nu through map_paths
+(the CLI's simulate draws each rho's dBs by brownian_batch), which
+runs legs (Leg) on common random numbers over fixed batches of per-path
 Philox streams; its docstring is the one description of the pipeline
 and of the measure each leg names.  The estimators reduce each leg's
 values by McEstimate.of with exact (fsum) sums, so results are
@@ -99,6 +100,8 @@ def _map_batches(batch_fn, n_paths: int, threads: int = 1,
 # under p, after pos_map.  tilde marks a Feynman-Kac leg, whose expectation
 # is taken under the drift-corrected measure (Z-tilde at rho != 0); other
 # legs are taken under the physical measure.  Plain 4-tuples are physical.
+# A map of tilde legs alone draws no dBs, and at rho = 0 their measure is
+# the physical one.
 Leg = namedtuple("Leg", "p scheme pos_map integrand tilde", defaults=(False,))
 
 _DRIVER_FIELDS = ("rho", "z0", "kappa", "theta", "sigma")  # what Z depends on
@@ -192,8 +195,9 @@ def map_paths(legs, grid: TimeGrid, master_seed: int, n_paths: int,
     array whose first axis is the block's paths (anything else, a tuple or
     a scalar, is a ValueError naming the leg); it is copied into the leg's
     batch output at once, so it may be a view of what the integrand was
-    given, which the next block reuses.  A caller that wants Z or dBs
-    itself runs a leg that returns it.
+    given, which the next block reuses.  A caller that wants Z itself
+    runs a leg that returns it; brownian_batch over the same streams gives
+    the dBs a leg gets, bit for bit.
 
     Returns one array per leg, its blocks concatenated in path order
     whatever the worker count; n_paths = 0 runs one empty batch, so each

@@ -71,14 +71,13 @@ def test_simulate_outputs(tmp_path, cfg_path):
     assert header == "t,z0,nu0,s0,z1,nu1,s1"
 
 
-@pytest.mark.parametrize("command, n_drives", [("simulate", len(SMALL["rhos"])),
-                                               ("value", 1)])
-def test_simulate_draws_once_per_rho(tmp_path, cfg_path, monkeypatch, command,
-                                     n_drives):
-    # simulate: every alpha at one rho is a leg of one path batch; value:
-    # every row, at rho = 0, is a leg of one map (SMALL has a single batch).
-    # Z is driven once per batch, and dBs is drawn per row block only for
-    # legs that read it: simulate's cover each sample row once per rho
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_simulate_and_value_drive_once(tmp_path, cfg_path, monkeypatch, command):
+    # simulate: every alpha's nu and Z are legs of one map at rho = 0, and
+    # each rho's dBs is drawn by the cli itself; value: every row, at rho =
+    # 0, is a leg of one map (SMALL has a single batch).  Z is driven once
+    # per batch, and dBs is drawn only where it is read: simulate's draws
+    # cover each sample row once per rho, and value's none
     drives, dBs_rows = [], []
 
     def driver(fn):
@@ -87,35 +86,39 @@ def test_simulate_draws_once_per_rho(tmp_path, cfg_path, monkeypatch, command,
             return fn(*args, **kwargs)
         return counted
 
-    draw = fracheston.mc.brownian_batch
-
-    def drawn(master_seed, stream_ids, grid, rho, draw_dBs=True, out=None):
-        if draw_dBs:
-            dBs_rows.extend((rho, i) for i in stream_ids)
-        return draw(master_seed, stream_ids, grid, rho, draw_dBs, out=out)
+    def drawn(draw):
+        def counted(master_seed, stream_ids, grid, rho, draw_dBs=True, out=None):
+            if draw_dBs:
+                dBs_rows.extend((rho, i) for i in stream_ids)
+            return draw(master_seed, stream_ids, grid, rho, draw_dBs, out=out)
+        return counted
 
     for name in ("simulate_cir", "simulate_tilde_z"):
         monkeypatch.setattr(fracheston.mc, name, driver(getattr(fracheston.mc, name)))
-    monkeypatch.setattr(fracheston.mc, "brownian_batch", drawn)
+    for module in (fracheston.mc, fracheston.cli):
+        monkeypatch.setattr(module, "brownian_batch", drawn(module.brownian_batch))
     assert _run(cfg_path, tmp_path / "out", command) == 0
-    assert len(drives) == n_drives
+    assert drives == ["simulate_cir"]
     sample_rows = [(rho, i) for rho in SMALL["rhos"] for i in range(SMALL["n_sample_paths"])]
     assert sorted(dBs_rows) == (sample_rows if command == "simulate" else [])
 
 
 def test_posmap_is_independent_of_rhos_and_sample_paths(tmp_path):
-    # the posmap file reads path 0 of the first rho's draw: nu is built
-    # from dBz alone, so the rhos and the number of sample paths drawn
-    # must not change it
-    texts = []
+    # the posmap file reads path 0 of the one draw of Z: nu is built from
+    # dBz alone, so the rhos and the number of sample paths drawn must not
+    # change it, and a cell's paths file must not depend on the other rhos
+    outs = []
     for i, change in enumerate([{"rhos": [0.7]}, {"rhos": [0.0, 0.7]},
                                 {"n_sample_paths": 0}]):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(json.dumps({**SMALL, **change}))
         out = tmp_path / f"o{i}"
         assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
-        texts.append((out / "posmap_am0.75.csv").read_bytes())
+        outs.append(out)
+    texts = [(out / "posmap_am0.75.csv").read_bytes() for out in outs]
     assert texts[0] == texts[1] == texts[2]
+    for name in ("paths_am0.75_r0.7.csv", "paths_a0.5_r0.7.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_quantize_outputs(tmp_path, cfg_path):

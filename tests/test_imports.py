@@ -22,17 +22,13 @@ TARGET = re.compile(r"fracheston(\.\w+)*:\w+(\.\w+)*")
 
 
 def _unused_imports(path: Path) -> list:
-    source = path.read_text()
-    lines = source.splitlines()
-    tree = ast.parse(source)
+    tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if any("# noqa: F401" in ln for ln in lines[node.lineno - 1:node.end_lineno]):
             continue
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
